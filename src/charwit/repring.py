@@ -4,15 +4,14 @@ A VirtualRep is a finitely supported integer vector of multiplicities over
 the characters chi^0, ..., chi^(p^k - 1) of the cyclic group of order p^k.
 The module also houses the two constructions the certificate pipeline needs:
 prescribing all p Chern-character values of a virtual representation of C_p
-at once (a Vandermonde system over F_p), and averaging a representation into
-one with the conjugation symmetry required of a surgery obstruction.
+at once (a closed-form interpolation over F_p, by Fermat's little theorem),
+and averaging a representation into one with the conjugation symmetry
+required of a surgery obstruction.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .scalars import FpScalar, is_prime
 
 
@@ -121,9 +120,14 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
     """The unique multiplicity vector in [0, p)^p with prescribed ch_j mod p.
 
     ch_j(chi^r) = r^j / j! in H^(2j)(BC_p; F_p), so multiplicities must solve
-    the Vandermonde system sum_r m_r r^j = j! * target_j for 0 <= j <= p-1
-    (0^0 = 1).  Solved by exact Gaussian elimination over F_p; the nodes
-    0, ..., p-1 are distinct mod p, so the system is uniquely solvable.
+    sum_r m_r r^j = b_j := j! * target_j for 0 <= j <= p-1 (0^0 = 1).  Over
+    F_p, [r = s] = 1 - (r - s)^(p-1) and C(p-1, j) = (-1)^j, so
+    [r = s] = 1 - sum_j r^j s^(p-1-j), and summing against m_r gives
+
+        m_s = b_0 - sum_j b_j s^(p-1-j)  (mod p),
+
+    Lagrange interpolation on all of F_p.  Only nonzero b_j contribute, so
+    the cost is O(p * #nonzero targets) modular powers.
     """
     if p == 2 or not is_prime(p):
         raise DomainError("p must be an odd prime")
@@ -131,7 +135,7 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
     if len(targets) != p:
         raise DomainError("need exactly %d Chern targets, got %d"
                           % (p, len(targets)))
-    rhs = []
+    b = {}
     fact = 1
     for j, t in enumerate(targets):
         if isinstance(t, FpScalar):
@@ -141,33 +145,16 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
             t = t.val
         if j:
             fact = fact * j % p
-        rhs.append(int(t) * fact % p)
-
-    a = np.empty((p, p + 1), dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    row = np.ones(p, dtype=np.int64)  # top row is all ones since 0^0 = 1
-    a[0, :p] = row
-    for j in range(1, p):
-        row = row * base % p
-        a[j, :p] = row
-    a[:, p] = np.asarray(rhs, dtype=np.int64)
-
-    for col in range(p):
-        piv = col
-        while piv < p and a[piv, col] % p == 0:
-            piv += 1
-        if piv == p:
-            raise InternalConsistencyError("Vandermonde matrix is singular")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        inv = pow(int(a[col, col]), -1, p)
-        a[col, col:] = a[col, col:] * inv % p
-        for other in range(p):
-            if other != col and a[other, col]:
-                a[other, col:] = (a[other, col:]
-                                  - a[other, col] * a[col, col:]) % p
-
-    mults = {r: int(a[r, p]) % p for r in range(p)}
+        bj = int(t) * fact % p
+        if bj:
+            b[j] = bj
+    b0 = b.get(0, 0)
+    mults = {}
+    for s in range(p):
+        acc = b0
+        for j, bj in b.items():
+            acc -= bj * pow(s, p - 1 - j, p)
+        mults[s] = acc % p
     return VirtualRep(p, 1, mults)
 
 

@@ -56,20 +56,31 @@ def bernoulli(m: int) -> Fraction:
 # primes and prime fields
 
 
+# psi_13 (Sorenson-Webster, Math. Comp. 86, 2017): the least strong
+# pseudoprime to all of the first 13 prime bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n < 3,215,031,751."""
+    """Deterministic Miller-Rabin, exact for every n < 3.3 * 10^24.
+
+    Strong-probable-prime tests to the first 13 prime bases have no
+    composite survivor below psi_13 = 3,317,044,064,679,887,385,961,981.
+    """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= 3215031751:
-        raise DomainError("primality test not certified for n >= 3215031751")
+    if n >= _MR_LIMIT:
+        raise DomainError("primality test not certified for n >= %d"
+                          % _MR_LIMIT)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

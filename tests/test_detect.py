@@ -149,6 +149,17 @@ def test_top_pontryagin_vs_euler_square():
         assert verify_certificate(c) == (True, "ok")
 
 
+def test_large_bound_pipeline():
+    """e^2 - p1^7 in rank 7 has N = 4733, so each certificate prescribes
+    thousands of Chern characters."""
+    certs = run_pipeline(evar(7) ** 2 - pvar(1) ** 7, 7, 2)
+    assert [c.witness.N for c in certs] == [4733, 4733]
+    assert [(c.prime, c.evaluation) for c in certs] \
+        == [(4751, 3132), (4759, 4524)]
+    for c in certs:
+        assert verify_certificate(c) == (True, "ok")
+
+
 def test_run_pipeline_flagship():
     certs = run_pipeline(FLAGSHIP, 2, 3)
     assert [c.prime for c in certs] == [53, 59, 61]

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import charwit
 from charwit.cyclic_coh import chern_character
 from charwit.errors import DomainError
 from charwit.repring import (VirtualRep, restrict, solve_chern_targets,
@@ -59,6 +65,68 @@ def test_solver_roundtrip_seeded():
             xi = solve_chern_targets(p, targets)
             for j in range(p):
                 assert chern_character(xi, j).coefficient.val == targets[j]
+
+
+def gauss_oracle(p, targets):
+    """Multiplicities solving sum_r m_r r^j = j! t_j over F_p (0^0 = 1),
+    by row reduction of the full Vandermonde system."""
+    rows = [[pow(r, j, p) for r in range(p)] + [factorial(j) * targets[j] % p]
+            for j in range(p)]
+    for col in range(p):
+        piv = next(i for i in range(col, p) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [x * inv % p for x in rows[col]]
+        for i in range(p):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[col])]
+    return {r: rows[r][p] for r in range(p) if rows[r][p]}
+
+
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def chern_targets(draw):
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    values = st.integers(-10 ** 6, 10 ** 6)
+    if draw(st.booleans()):
+        return p, draw(st.lists(values, min_size=p, max_size=p))
+    sparse = draw(st.dictionaries(st.integers(0, p - 1), values, max_size=4))
+    return p, [sparse.get(j, 0) for j in range(p)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(chern_targets())
+def test_solver_matches_elimination_oracle(case):
+    p, targets = case
+    assert solve_chern_targets(p, targets).mults == gauss_oracle(p, targets)
+
+
+def test_solver_corner_indices():
+    """s = 0 and j = p-1 meet in the 0^0 = 1 term of the closed form."""
+    for p in SMALL_PRIMES:
+        unit = [0] * p
+        unit[0] = 1
+        assert solve_chern_targets(p, unit) == VirtualRep.character(p, 1, 0)
+        top = [0] * p
+        top[p - 1] = 1
+        regular = VirtualRep(p, 1, {r: 1 for r in range(p)})
+        assert solve_chern_targets(p, top) == regular
+        for targets in (unit, top):
+            assert solve_chern_targets(p, targets).mults \
+                == gauss_oracle(p, targets)
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(charwit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, charwit, charwit.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_solver_accepts_fp_scalars():

@@ -58,6 +58,40 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == sieve[n], n
 
 
+def test_is_prime_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    assert 151 * 751 * 28351 == 3215031751
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(1000000007 * 1000000009)
+
+
+def test_is_prime_above_old_limit():
+    for q in (4294967311, 2 ** 61 - 1, 10 ** 12 + 39):
+        assert is_prime(q), q
+    # segmented sieve on a window just above 3,215,031,751
+    lo, width = 3215031751, 3000
+    small = [q for q in range(2, 57000)
+             if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+    window = [True] * width
+    for q in small:
+        for n in range(-(-lo // q) * q, lo + width, q):
+            window[n - lo] = False
+    for i, flag in enumerate(window):
+        assert is_prime(lo + i) == flag, lo + i
+
+
+def test_is_prime_limit():
+    limit = 3317044064679887385961981   # psi_13, a strong pseudoprime
+    assert 1287836182261 * 2575672364521 == limit
+    with pytest.raises(DomainError):
+        is_prime(limit)
+    with pytest.raises(DomainError):
+        is_prime(2 ** 89 - 1)
+
+
 def test_odd_primes_above():
     assert list(itertools.islice(odd_primes_above(47), 4)) == [53, 59, 61, 67]
     assert next(odd_primes_above(1)) == 3
