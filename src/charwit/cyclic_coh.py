@@ -10,7 +10,6 @@ total space twisted by a representation correction term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError
@@ -107,22 +106,8 @@ def l_class_linear(rho: LinearRepData, i: int) -> CpClass:
         raise DomainError(
             "ell_%d has denominators divisible by primes up to %d; "
             "p = %d is too small to reduce" % (i, 2 * i + 1, p))
-    table = l_table(i)
-    squares = [Fraction(a * a) for a in rho.residues]
-    e_values = _elementary_values(squares, i)
-    point = {"p%d" % j: e_values[j] for j in range(1, i + 1)
-             if "p%d" % j in table.l(i).variables()}
-    value = table.l(i).evaluate(point)
+    value = l_table(i).ell(i, rho.residues)
     return CpClass(p, 2 * i, from_rational(p, value))
-
-
-def _elementary_values(values, top: int) -> dict:
-    """e_1, ..., e_top of the given numbers (zero beyond their count)."""
-    e = [Fraction(1)] + [Fraction(0)] * top
-    for v in values:
-        for j in range(min(top, len(values)), 0, -1):
-            e[j] += v * e[j - 1]
-    return {j: e[j] for j in range(1, top + 1)}
 
 
 def chern_character(xi: VirtualRep, j: int) -> CpClass:

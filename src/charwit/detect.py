@@ -6,10 +6,12 @@ prime at a time, that Xi survives evaluation against data constructed from
 representations of C_p:
 
   1. rewrite Xi in L-class coordinates x_i via the inverse polynomials P_i,
-  2. specialize to Chern roots: e -> a_1...a_n and x_i -> ell_i(a) for
-     i below the threshold k = ceil(n/2), keeping x_k..x_m free,
-  3. search a deterministic rational grid for a point z where the
-     specialization is nonzero, recording the prime bound N,
+  2. search a deterministic rational grid of points z = (a, x_k..x_m) for
+     one where the L-form is nonzero at e = a_1...a_n and x_i = ell_i(a)
+     for i below the threshold k = ceil(n/2), x_k..x_m being free; each
+     point is evaluated numerically (specialize() gives the same
+     polynomial symbolically, for reference),
+  3. record the prime bound N from the point and the value,
   4. for each odd prime p > N, realize the free coordinates by a virtual
      representation: solve for Chern-character targets, symmetrize, and
      assemble pullback values whose Xi-evaluation reproduces Xi(z) mod p,
@@ -24,14 +26,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, prod
 
 from .cyclic_coh import (euler_class, l_class_linear, pullback_l_nonlinear,
                          LinearRepData)
 from .errors import (CharwitError, DomainError, InternalConsistencyError,
                      InvariantViolation)
 from .repring import solve_chern_targets, symmetrize, VirtualRep
-from .scalars import (from_rational, is_prime, largest_prime_factor,
+from .scalars import (from_rational, is_odd_prime, largest_prime_factor,
                       odd_primes_above)
 from .symfun import ell_polynomial, GradedPolynomial, l_table
 
@@ -174,15 +176,37 @@ def _grid_values(shell: int) -> list:
 
 
 def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
-    """First grid point where the specialized polynomial is nonzero.
+    """First grid point z = (a, x_k..x_m) where Xi is nonzero on Chern roots.
 
-    Points are ranked by max-norm and then lexicographically, coordinates
-    drawn from 1, -1, 2, -2, ...; the search is deterministic and finite
-    because a nonzero polynomial cannot vanish on arbitrarily large grids.
+    The value at z is the L-form of Xi at e = a_1...a_n, x_i = ell_i(a)
+    for i < k and the free x_i read off z, i.e. problem.specialized() at
+    z, computed without expanding that polynomial.  Points are ranked by
+    max-norm and then lexicographically, coordinates drawn from 1, -1, 2,
+    -2, ...; the search is deterministic and finite because ell_1, ...,
+    ell_(k-1) and a_1...a_n are algebraically independent, so a nonzero
+    L-form specializes to a nonzero polynomial, which cannot vanish on
+    arbitrarily large grids.
     """
-    poly = problem.specialized()
+    xi_l = problem.l_form()
+    if xi_l.is_zero():
+        raise InternalConsistencyError("L-form of a nonzero polynomial vanished")
+    n = problem.n
     names = problem.coordinate_names()
-    active = [name for name in names if name in poly.variables()]
+
+    def value_at(candidate):
+        a = candidate[:n]
+        free = dict(zip(names[n:], candidate[n:]))
+        point = {}
+        for name in xi_l.variables():
+            if name == "e":
+                point[name] = prod(a)
+            elif name in free:
+                point[name] = free[name]
+            else:
+                i = int(name[1:])
+                point[name] = l_table(i).ell(i, a)
+        return xi_l.evaluate(point)
+
     value, point = None, None
     shell = 0
     while value is None:
@@ -191,8 +215,7 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
         for candidate in product(values, repeat=len(names)):
             if shell > 1 and all(abs(c) < shell for c in candidate):
                 continue  # seen in an earlier shell
-            assign = dict(zip(names, candidate))
-            v = poly.evaluate({name: Fraction(assign[name]) for name in active})
+            v = value_at(candidate)
             if v:
                 value, point = v, candidate
                 break
@@ -238,7 +261,7 @@ class WitnessCertificate:
 def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
                       p: int) -> WitnessCertificate:
     """Assemble and internally check the certificate for one prime p > N."""
-    if p == 2 or not is_prime(p):
+    if not is_odd_prime(p):
         raise DomainError("p = %d is not an odd prime" % p)
     if p <= witness.N:
         raise DomainError("p = %d does not exceed the bound N = %d"
@@ -311,7 +334,7 @@ def verify_certificate(cert: WitnessCertificate):
 def _verify(cert: WitnessCertificate):
     problem, witness, p = cert.problem, cert.witness, cert.prime
     n, k, m = problem.n, problem.k, problem.m
-    if p == 2 or not is_prime(p):
+    if not is_odd_prime(p):
         return False, "modulus is not an odd prime"
     if p <= witness.N:
         return False, "modulus does not exceed the witness bound N"

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError, InvariantViolation
 from .repring import VirtualRep
-from .scalars import CyclotomicNumber, CyclotomicReal, is_prime
+from .scalars import CyclotomicNumber, CyclotomicReal, is_odd_prime
 
 
 class GroupRingElement:
@@ -34,7 +34,7 @@ class GroupRingElement:
     def __init__(self, p: int, k: int, coeffs: dict):
         if k < 1:
             raise DomainError("level exponent k must be >= 1")
-        if p == 2 or not is_prime(p):
+        if not is_odd_prime(p):
             raise DomainError("group order must be a power of an odd prime")
         order = p ** k
         clean = {}

@@ -12,7 +12,7 @@ required of a surgery obstruction.
 from __future__ import annotations
 
 from .errors import DomainError
-from .scalars import FpScalar, is_prime
+from .scalars import FpScalar, is_odd_prime
 
 
 class VirtualRep:
@@ -23,7 +23,7 @@ class VirtualRep:
     def __init__(self, p: int, k: int, mults: dict):
         if k < 1:
             raise DomainError("level exponent k must be >= 1")
-        if p == 2 or not is_prime(p):
+        if not is_odd_prime(p):
             raise DomainError("group order must be a power of an odd prime")
         self.p = p
         self.k = k
@@ -129,7 +129,7 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
     Lagrange interpolation on all of F_p.  Only nonzero b_j contribute, so
     the cost is O(p * #nonzero targets) modular powers.
     """
-    if p == 2 or not is_prime(p):
+    if not is_odd_prime(p):
         raise DomainError("p must be an odd prime")
     targets = list(targets)
     if len(targets) != p:

@@ -105,8 +105,36 @@ def odd_primes_above(n: int):
 
 
 def largest_prime_factor(n: int) -> int:
-    """Largest prime factor of |n|; returns 1 for n in {-1, 0, 1}."""
+    """Largest prime factor of |n|; returns 1 for n in {-1, 0, 1}.
+
+    Strips the primes up to 41, then splits what is left with Pollard-Brent
+    rho; a part counts as prime only when is_prime says so.  A part at or
+    above the range where is_prime is exact is trial-divided instead, so
+    the answer is exact for every n.
+    """
     n = abs(n)
+    best = 1
+    for q in _MR_BASES:
+        while n and n % q == 0:
+            best = q
+            n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m >= _MR_LIMIT:
+            best = max(best, _largest_prime_factor_by_trial(m))
+        elif is_prime(m):
+            best = max(best, m)
+        else:
+            d = _brent_factor(m)
+            if d is None:
+                best = max(best, _largest_prime_factor_by_trial(m))
+            else:
+                parts.extend((d, m // d))
+    return best
+
+
+def _largest_prime_factor_by_trial(n: int) -> int:
     best = 1
     d = 2
     while d * d <= n:
@@ -117,14 +145,57 @@ def largest_prime_factor(n: int) -> int:
     return max(best, n) if n > 1 else best
 
 
-_checked_primes: set[int] = set()
+def _brent_factor(n: int):
+    """A proper factor of the composite n by Brent's rho, or None.
+
+    Brent, BIT 20 (1980): x -> x^2 + c from x = 2, cycle lengths doubling,
+    gcds batched over 128 steps and replayed one step at a time when a
+    batch overshoots.  Each failing c (the gcd reached n) is retried with
+    the next; the search is deterministic.
+    """
+    for c in range(1, 33):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return None
+
+
+_odd_primes: set[int] = set()
+
+
+def is_odd_prime(p: int) -> bool:
+    """p is an odd prime; positive answers are remembered, since the same
+    few moduli are checked on every arithmetic result."""
+    if p in _odd_primes:
+        return True
+    if p == 2 or not is_prime(p):
+        return False
+    _odd_primes.add(p)
+    return True
 
 
 def _check_odd_prime(p: int) -> None:
-    if p not in _checked_primes:
-        if p == 2 or not is_prime(p):
-            raise DomainError("modulus %r is not an odd prime" % (p,))
-        _checked_primes.add(p)
+    if not is_odd_prime(p):
+        raise DomainError("modulus %r is not an odd prime" % (p,))
 
 
 class FpScalar:

@@ -2,15 +2,16 @@
 
 A GradedPolynomial is a sparse polynomial over Q in named variables, each
 carrying an integer weight (half the cohomological degree).  The L-table
-machinery expands the multiplicative sequence of t/tanh(t) in formal Chern
-roots, rewrites each homogeneous piece in elementary symmetric polynomials,
-and substitutes Pontryagin variables, yielding
+takes the logarithm of the series t/tanh(t), writes the power sums of the
+squared roots in the Pontryagin variables by Newton's identities, and
+exponentiates by a one-line recurrence, yielding
 
     L_1 = 1/3*p1,   L_2 = 7/45*p2 - 1/45*p1^2,   ...
 
 together with the triangular inverse polynomials P_i expressing p_i in the
-L_j.  The same expansion evaluated in Chern roots directly gives the
-symmetric forms ell_i used on the cyclic-group side.
+L_j.  Substituting elementary symmetric polynomials of squares gives the
+symmetric forms ell_i used on the cyclic-group side; LTable.ell evaluates
+them at rational roots without expanding them.
 """
 
 from __future__ import annotations
@@ -367,82 +368,27 @@ def l_leading_coefficient(i: int) -> Fraction:
             * abs(bernoulli(2 * i)))
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(m1, m2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+def _log_f_series(order: int) -> list[Fraction]:
+    """k * c_k for k = 0..order, where log(t/tanh(t)) = sum_k c_k u^k.
 
-
-class _ESymCache:
-    """Expansions of products of elementary symmetric polynomials in n variables.
-
-    Coefficients here are plain ints; they only meet Fractions at the point
-    of subtraction in the rewrite loop.
+    With f = t/tanh(t) = sum_k f_k u^k and f_0 = 1, the identity
+    u f' = f * u (log f)' gives k c_k = k f_k - sum_{i<k} i c_i f_{k-i}.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.single = {}
-        self.products = {(): {(0,) * n: 1}}
-
-    def elementary(self, j: int) -> dict:
-        if j not in self.single:
-            out = {}
-            for subset in combinations(range(self.n), j):
-                mono = [0] * self.n
-                for t in subset:
-                    mono[t] = 1
-                out[tuple(mono)] = 1
-            self.single[j] = out
-        return self.single[j]
-
-    def product(self, partition: tuple) -> dict:
-        if partition not in self.products:
-            head = self.product(partition[1:])
-            self.products[partition] = _dict_mul(self.elementary(partition[0]), head)
-        return self.products[partition]
+    f = _f_series(order)
+    kc = [Fraction(0)]
+    for k in range(1, order + 1):
+        kc.append(k * f[k] - sum((kc[i] * f[k - i] for i in range(1, k)),
+                                 Fraction(0)))
+    return kc
 
 
-def _conjugate_partition(lam: list[int]) -> tuple:
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part >= t)
-                 for t in range(1, lam[0] + 1))
-
-
-def _rewrite_in_elementary(poly: dict, cache: _ESymCache) -> dict:
-    """Express a symmetric polynomial as {partition: coefficient}.
-
-    Greedy leading-term elimination: the lex-leading monomial of a symmetric
-    polynomial is a partition lambda, and the product of elementary symmetric
-    polynomials indexed by the conjugate partition has that same leading
-    monomial with coefficient one.
-    """
-    poly = dict(poly)
-    out = {}
-    prev_lead = None
-    while poly:
-        lead = max(poly)
-        if prev_lead is not None and lead >= prev_lead:
-            raise InternalConsistencyError("leading terms failed to decrease")
-        prev_lead = lead
-        lam = [e for e in lead if e]
-        if any(lead[t] < lead[t + 1] for t in range(len(lead) - 1)):
-            raise InternalConsistencyError(
-                "leading monomial of a symmetric polynomial is not a partition")
-        coeff = poly[lead]
-        mu = _conjugate_partition(lam)
-        for mono, c in cache.product(mu).items():
-            nv = poly.get(mono, Fraction(0)) - coeff * c
-            if nv:
-                poly[mono] = nv
-            else:
-                poly.pop(mono, None)
-        out[mu] = out.get(mu, Fraction(0)) + coeff
-    return out
+def _elementary_values(values, top: int) -> list:
+    """e_0, e_1, ..., e_top of the given numbers (zero beyond their count)."""
+    e = [Fraction(1)] + [Fraction(0)] * top
+    for v in values:
+        for j in range(min(top, len(values)), 0, -1):
+            e[j] += v * e[j - 1]
+    return e
 
 
 class LTable:
@@ -465,6 +411,16 @@ class LTable:
                               % (i, self.max_index))
         return self._p[i - 1]
 
+    def ell(self, i: int, roots) -> Fraction:
+        """ell_i(a) at rational roots a: L_i at p_j = e_j(a_1^2, ..., a_n^2).
+
+        This is the numeric value of ell_polynomial(i, n) at a, without
+        expanding that polynomial.
+        """
+        li = self.l(i)
+        e = _elementary_values([Fraction(a) ** 2 for a in roots], i)
+        return li.evaluate({name: e[int(name[1:])] for name in li.variables()})
+
 
 _l_table_cache: dict[int, LTable] = {}
 
@@ -472,9 +428,14 @@ _l_table_cache: dict[int, LTable] = {}
 def l_table(max_index: int) -> LTable:
     """Compute L_1..L_M and the inverse polynomials P_1..P_M.
 
-    The expansion uses n = 2M formal Chern roots, one guard term beyond the
-    requested order, and rewrites each coefficient in elementary symmetric
-    polynomials of the squared roots before substituting e_j -> p_j.
+    L is the multiplicative sequence of t/tanh(t): with b_j the squared
+    roots and p_j = e_j(b), L = prod_j f(b_j u) = exp(sum_k c_k s_k u^k),
+    where c_k are the coefficients of log f(u) and s_k = sum_j b_j^k are
+    the power sums.  Newton's identities write s_k in the p_j, and
+    differentiating the exponential gives m L_m = sum_k k c_k s_k L_(m-k)
+    (Milnor-Stasheff, Characteristic Classes, section 19; Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2).  P_i follows by
+    solving L_i for p_i, one index at a time.
     """
     M = int(max_index)
     if M < 1:
@@ -488,49 +449,26 @@ def l_table(max_index: int) -> LTable:
             _l_table_cache[M] = table
             return table
 
-    n = 2 * M
-    order = M + 1  # one guard coefficient beyond the requested order
-    f = _f_series(order)
-    # coefficient of u^i in prod_j (1 + f_1 b_j u + f_2 b_j^2 u^2 + ...)
-    coeffs = [{(0,) * n: Fraction(1)}] + [{} for _ in range(order)]
-    for j in range(n):
-        new = [dict(c) for c in coeffs]
-        for i in range(1, order + 1):
-            for s in range(1, i + 1):
-                if not f[s]:
-                    continue
-                for mono, c in coeffs[i - s].items():
-                    shifted = list(mono)
-                    shifted[j] += s
-                    shifted = tuple(shifted)
-                    tgt = new[i]
-                    nv = tgt.get(shifted, Fraction(0)) + c * f[s]
-                    if nv:
-                        tgt[shifted] = nv
-                    else:
-                        tgt.pop(shifted, None)
-        coeffs = new
-
-    # the guard coefficient is computed but never consumed; sanity-check it
-    guard = coeffs[order]
-    assert all(sum(m) == order for m in guard), "guard term has wrong degree"
-    swapped = {(m[1], m[0]) + m[2:]: c for m, c in guard.items()}
-    assert swapped == guard, "guard term is not symmetric"
-
-    cache = _ESymCache(n)
-    l_polys = []
-    for i in range(1, M + 1):
-        in_e = _rewrite_in_elementary(coeffs[i], cache)
-        vars_ = tuple(("p%d" % j, 2 * j) for j in range(1, i + 1))
-        terms = {}
-        for partition, c in in_e.items():
-            if partition and partition[0] > i:
-                raise InternalConsistencyError("e-index exceeds weight")
-            mono = [0] * i
-            for part in partition:
-                mono[part - 1] += 1
-            terms[tuple(mono)] = c
-        l_polys.append(GradedPolynomial(vars_, terms))
+    kc = _log_f_series(M)
+    pv = [None] + [GradedPolynomial.variable("p%d" % j, 2 * j)
+                   for j in range(1, M + 1)]
+    # Newton: s_k = sum_{i<k} (-1)^(i-1) p_i s_(k-i) + (-1)^(k-1) k p_k;
+    # weighted[k] holds k c_k s_k
+    power_sums = [None]
+    weighted = [None]
+    for k in range(1, M + 1):
+        s = (-1) ** (k - 1) * k * pv[k]
+        for i in range(1, k):
+            s = s + (-1) ** (i - 1) * pv[i] * power_sums[k - i]
+        power_sums.append(s)
+        weighted.append(kc[k] * s)
+    ls = [GradedPolynomial.constant(1)]
+    for m in range(1, M + 1):
+        acc = GradedPolynomial.zero()
+        for k in range(1, m + 1):
+            acc = acc + weighted[k] * ls[m - k]
+        ls.append(acc / m)
+    l_polys = ls[1:]
 
     p_polys = []
     for i in range(1, M + 1):

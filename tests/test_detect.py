@@ -1,8 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from charwit.cli import parse_polynomial
 from charwit.detect import (DetectionProblem, WitnessCertificate,
                             WitnessPoint, build_certificate,
                             find_rational_witness, run_pipeline, specialize,
@@ -255,3 +259,86 @@ def test_verify_names_witness_mismatch(flagship_cert):
 def test_verify_names_degree_tamper(flagship_cert):
     ok, report = verify_certificate(clone(flagship_cert, degree_2r=10))
     assert not ok and report == "degree bookkeeping is inconsistent"
+
+
+# ---------------------------------------------------------------------------
+# the numeric witness search against a symbolic brute-force oracle
+
+
+@lru_cache(maxsize=None)
+def trial_largest_prime_factor(n):
+    n, best, d = abs(n), 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            best, n = d, n // d
+        d += 1
+    return max(best, n) if n > 1 else best
+
+
+def oracle_witness(problem):
+    """First nonzero point of problem.specialized() over the grid: shells
+    of growing max-norm, each in lexicographic order of the ranks
+    1 < -1 < 2 < -2 < ..."""
+    poly = problem.specialized()
+    names = problem.coordinate_names()
+    rank = lambda c: 2 * abs(c) - (c > 0)
+    for shell in itertools.count(1):
+        coords = [c for b in range(1, shell + 1) for c in (b, -b)]
+        points = [z for z in itertools.product(coords, repeat=len(names))
+                  if max(map(abs, z)) == shell]
+        for z in sorted(points, key=lambda z: tuple(map(rank, z))):
+            point = {name: Fraction(c) for name, c in zip(names, z)
+                     if name in poly.variables()}
+            value = poly.evaluate(point)
+            if value:
+                factors = z + (value.numerator, value.denominator)
+                N = max([2 * problem.m + 1]
+                        + [trial_largest_prime_factor(c) for c in factors])
+                return z, value, N
+
+
+BENCHMARK_PROBLEMS = [
+    ("e^2 - p2", 2), ("p3 - e^2", 3), ("e*p1^2 - p5", 6), ("e^2 - p1^8", 8),
+    ("e^2 - p1^5", 5), ("e^2 - p1^6", 6), ("e^2 - p2^2", 4), ("e^4 - p6", 3),
+    ("e^6 - p6", 2), ("e^2 - p5", 5), ("e^2 - p4", 4), ("e^2 - p1*p4", 5),
+    ("e^2 - p1^7", 7)]
+
+
+@pytest.mark.parametrize("xi,n", BENCHMARK_PROBLEMS)
+def test_witness_matches_symbolic_oracle(xi, n):
+    problem = DetectionProblem(parse_polynomial(xi, n), n)
+    w = find_rational_witness(problem)
+    assert (w.coordinates, w.value, w.N) == oracle_witness(problem)
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(2, 4))
+    weight = draw(st.integers(1, 6))
+    monomials = [(a, b1, b2, b3)
+                 for a in range(weight // n + 1) for b1 in range(weight // 2 + 1)
+                 for b2 in range(weight // 4 + 1) for b3 in range(2)
+                 if a * n + 2 * b1 + 4 * b2 + 6 * b3 == weight]
+    assume(monomials)
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1,
+                           max_size=3, unique=True))
+    coeffs = draw(st.lists(st.integers(-4, 4).filter(bool),
+                           min_size=len(chosen), max_size=len(chosen)))
+    names = ("e", "p1", "p2", "p3")
+    weights = (n, 2, 4, 6)
+    poly = GradedPolynomial.zero()
+    for c, mono in zip(coeffs, chosen):
+        term = GradedPolynomial.constant(c)
+        for name, w, e in zip(names, weights, mono):
+            term = term * GradedPolynomial.variable(name, w) ** e
+        poly = poly + term
+    return poly, n
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_problems())
+def test_witness_matches_symbolic_oracle_random(case):
+    poly, n = case
+    problem = DetectionProblem(poly, n)
+    w = find_rational_witness(problem)
+    assert (w.coordinates, w.value, w.N) == oracle_witness(problem)

@@ -340,3 +340,11 @@ def test_random_form_is_deterministic():
     assert a.rank == 4 and a.parity == -1
     with pytest.raises(DomainError):
         random_form(3, 1, -1, 3, 1)
+
+
+@pytest.mark.parametrize("p", [2, 9, 733 * 739])
+def test_group_ring_rejects_non_odd_prime_orders(p):
+    GroupRingElement(733, 1, {1: 1})  # 733 is now a known odd prime
+    with pytest.raises(DomainError,
+                       match="group order must be a power of an odd prime"):
+        GroupRingElement(p, 1, {1: 1})

@@ -163,3 +163,11 @@ def test_symmetrize_properties():
                 assert sym.conjugate() == sign * sym
                 for j in range(n % 2, p, 2):
                     assert chern_character(sym, j) == chern_character(xi, j)
+
+
+@pytest.mark.parametrize("p", [2, 9, 733 * 739])
+def test_virtual_rep_rejects_non_odd_prime_orders(p):
+    VirtualRep(733, 1, {1: 1})  # 733 is now a known odd prime
+    with pytest.raises(DomainError,
+                       match="group order must be a power of an odd prime"):
+        VirtualRep(p, 1, {1: 1})

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from charwit import scalars
 from charwit.errors import DomainError, InvariantViolation, ParseError
 from charwit.scalars import (CyclotomicNumber, CyclotomicReal, FpScalar,
-                             bernoulli, from_rational, is_prime,
-                             largest_prime_factor, odd_primes_above,
+                             bernoulli, from_rational, is_odd_prime,
+                             is_prime, largest_prime_factor, odd_primes_above,
                              rational_from_string, rational_to_string,
                              sign_of)
 
@@ -106,6 +108,49 @@ def test_largest_prime_factor():
     assert largest_prime_factor(-98) == 7
     assert largest_prime_factor(97) == 97
     assert largest_prime_factor(2 ** 10) == 2
+
+
+def trial_largest_prime_factor(n):
+    n, best, d = abs(n), 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            best, n = d, n // d
+        d += 1
+    return max(best, n) if n > 1 else best
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(-10 ** 12 + 1, 10 ** 12 - 1))
+@example(0)
+@example(1)
+@example(-1)
+@example(43 ** 7)
+@example(1009 ** 2 * 1013)
+def test_largest_prime_factor_matches_trial_division(n):
+    assert largest_prime_factor(n) == trial_largest_prime_factor(n)
+
+
+def test_largest_prime_factor_splits_large_semiprimes():
+    # the witness value of e^4 - p6 at n = 3 and its two large factors
+    assert largest_prime_factor(9668371 * 25018291) == 25018291
+    assert largest_prime_factor(49916345211096113843) == 25018291
+    assert largest_prime_factor(-(10 ** 9 + 7) * (10 ** 9 + 9)) == 10 ** 9 + 9
+
+
+def test_largest_prime_factor_above_primality_range():
+    """43^16 exceeds the certified Miller-Rabin range; the cofactor left
+    after stripping 2..41 is trial-divided, still exactly."""
+    assert 43 ** 16 >= scalars._MR_LIMIT
+    assert largest_prime_factor(43 ** 16) == 43
+    assert largest_prime_factor(-(2 ** 5) * 43 ** 16) == 43
+
+
+def test_is_odd_prime_caches_only_primes():
+    assert not is_odd_prime(2)
+    assert not is_odd_prime(9)
+    assert is_odd_prime(733) and is_odd_prime(733)
+    assert not is_odd_prime(733 * 739)
+    assert not is_odd_prime(1)
 
 
 def test_fp_field_axioms():

@@ -1,9 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charwit.cli import main
 from charwit.errors import DomainError
 from charwit.symfun import (GradedPolynomial, ell_polynomial,
                             l_leading_coefficient, l_table)
@@ -194,3 +197,42 @@ def test_ell_polynomial_stability():
             padded = dict(vals)
             padded["a4"] = Fraction(0)
             assert big.evaluate(padded) == small.evaluate(vals)
+
+
+# SHA-256 of `charwit l-table --max 7` as printed by the earlier
+# formal-root expansion (2M = 14 Chern roots, about 40 s to compute).
+L_TABLE_7_SHA256 = \
+    "bce5a0f4038ebf1290ea7706fcbb4ec24c9270bc9177f6c959ac7d7bb377fdff"
+
+
+def test_l_table_7_matches_root_expansion(capsys):
+    assert main(["l-table", "--max", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == L_TABLE_7_SHA256
+
+
+def test_l_genus_of_even_projective_spaces():
+    """p(CP^{2k}) = (1 + x^2)^(2k+1), so p_j = C(2k+1, j), and the
+    signature L_k[CP^{2k}] is 1."""
+    table = l_table(12)
+    for k in range(1, 13):
+        point = {"p%d" % j: Fraction(comb(2 * k + 1, j))
+                 for j in range(1, k + 1)
+                 if "p%d" % j in table.l(k).variables()}
+        assert table.l(k).evaluate(point) == 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 7),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                min_size=1, max_size=6))
+def test_l_at_squares_matches_series_product(m, roots):
+    """L_m at p_j = e_j(b_1^2, ..., b_n^2), and LTable.ell(m, b), equal the
+    u^m coefficient of prod_j f(b_j^2 u), f(u) = t/tanh(t) with u = t^2."""
+    table = l_table(m)
+    squares = [b * b for b in roots]
+    expected = l_value_oracle(squares, m)
+    point = {"p%d" % j: elementary(squares, j) for j in range(1, m + 1)
+             if "p%d" % j in table.l(m).variables()}
+    assert table.l(m).evaluate(point) == expected
+    assert table.ell(m, roots) == expected
