@@ -179,24 +179,50 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(mapping, key, kind, where):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError("missing %s in %s" % (key, where))
     value = mapping[key]
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ParseError("%s in %s must be an integer" % (key, where))
     elif not isinstance(value, kind):
         raise ParseError("%s in %s has the wrong type" % (key, where))
     return value
 
 
+def _items(mapping, key, kind, where):
+    """The list mapping[key]; kind int asks for JSON integers, str for
+    strings."""
+    items = _field(mapping, key, list, where)
+    for x in items:
+        if not (_is_int(x) if kind is int else isinstance(x, kind)):
+            raise ParseError("%s in %s must hold only %s" % (
+                key, where, "integers" if kind is int else "strings"))
+    return items
+
+
+def _int_pairs(mapping, key, where, shape):
+    """The list mapping[key] of two-integer lists, as tuples."""
+    pairs = _field(mapping, key, list, where)
+    if not all(isinstance(pair, list) and len(pair) == 2
+               and all(_is_int(x) for x in pair) for pair in pairs):
+        raise ParseError("%s in %s must hold [%s] integer pairs"
+                         % (key, where, shape))
+    return [tuple(pair) for pair in pairs]
+
+
 def certificate_from_json(text: str) -> WitnessCertificate:
     """Rebuild a certificate from its JSON form.
 
-    Structural problems (bad JSON, missing keys, wrong types) raise
-    ParseError; inconsistent mathematical content is left for
-    verify_certificate to report.
+    Structural problems (bad JSON, missing keys, wrong types: every number
+    must be a JSON integer and every z entry a string) raise ParseError;
+    inconsistent mathematical content is left for verify_certificate to
+    report.
     """
     try:
         doc = json.loads(text)
@@ -211,29 +237,19 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     if _field(prob, "k", int, "problem") != problem.k:
         raise InvariantViolation("stored k disagrees with n")
     wit = _field(doc, "witness", dict, "certificate")
-    coords = [rational_from_string(s)
-              for s in _field(wit, "z", list, "witness")]
+    coords = [rational_from_string(s) for s in _items(wit, "z", str, "witness")]
     witness = WitnessPoint(coords,
                            rational_from_string(_field(wit, "value", str,
                                                        "witness")),
                            _field(wit, "N", int, "witness"))
     prime = _field(doc, "prime", int, "certificate")
-    residues = [int(a) for a in _field(doc, "residues", list, "certificate")]
-    targets = [int(t) for t in _field(doc, "targets", list, "certificate")]
-    xi_rep = _field(doc, "xi_rep", list, "certificate")
-    mults = {}
-    for pair in xi_rep:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("xi_rep entries must be [r, multiplicity] pairs")
-        mults[int(pair[0])] = int(pair[1])
-    xi = VirtualRep(prime, 1, mults)
+    residues = _items(doc, "residues", int, "certificate")
+    targets = _items(doc, "targets", int, "certificate")
+    xi = VirtualRep(prime, 1, dict(_int_pairs(doc, "xi_rep", "certificate",
+                                              "r, multiplicity")))
     pulls = _field(doc, "pullbacks", dict, "certificate")
     euler = _field(pulls, "euler", int, "pullbacks")
-    l_pullbacks = {}
-    for pair in _field(pulls, "L", list, "pullbacks"):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError("L pullback entries must be [i, value] pairs")
-        l_pullbacks[int(pair[0])] = int(pair[1])
+    l_pullbacks = dict(_int_pairs(pulls, "L", "pullbacks", "i, value"))
     return WitnessCertificate(problem, witness, prime, residues, targets, xi,
                               euler, l_pullbacks,
                               _field(doc, "evaluation", int, "certificate"),

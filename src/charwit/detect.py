@@ -286,13 +286,10 @@ def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
 
     l_pullbacks = {}
     for i in range(1, m + 1):
-        if i < k:
-            l_pullbacks[i] = l_class_linear(rho, i).coefficient.val
-        else:
-            l_pullbacks[i] = pullback_l_nonlinear(rho, xi, n, i).coefficient.val
-            if l_pullbacks[i] != xbars[i]:
-                raise InternalConsistencyError(
-                    "pullback at i = %d missed its target" % i)
+        l_pullbacks[i] = pullback_l_nonlinear(rho, xi, n, i).coefficient.val
+        if i >= k and l_pullbacks[i] != xbars[i]:
+            raise InternalConsistencyError(
+                "pullback at i = %d missed its target" % i)
 
     evaluation = _evaluate_l_form(problem, p, e_coeff.val, l_pullbacks)
     expected = from_rational(p, witness.value)
@@ -363,10 +360,7 @@ def _verify(cert: WitnessCertificate):
         return False, "L-pullback indices are not 1..m"
     recomputed = {}
     for i in range(1, m + 1):
-        if i < k:
-            value = l_class_linear(rho, i).coefficient.val
-        else:
-            value = pullback_l_nonlinear(rho, cert.xi, n, i).coefficient.val
+        value = pullback_l_nonlinear(rho, cert.xi, n, i).coefficient.val
         recomputed[i] = value
         if value != cert.l_pullbacks[i] % p:
             return False, "L-pullback mismatch at i = %d" % i

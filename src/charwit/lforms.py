@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, InternalConsistencyError, InvariantViolation
 from .repring import VirtualRep
@@ -403,12 +404,11 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
 # multisignature
 
 
-def _diagonalize(mat, level: int, parity: int):
-    """Congruence-diagonalize a (skew-)hermitian matrix over Q(zeta_level).
+def _diagonalize(mat, level: int):
+    """Congruence-diagonalize a hermitian matrix over Q(zeta_level).
 
-    Returns the list of pivots; raises InvariantViolation when the matrix
-    is singular.  For parity -1 the pivots are purely imaginary, for
-    parity +1 fixed by conjugation.
+    Returns the list of pivots, each fixed by conjugation; raises
+    InvariantViolation when the matrix is singular.
     """
     q = len(mat)
     a = [list(row) for row in mat]
@@ -443,7 +443,7 @@ def _diagonalize(mat, level: int, parity: int):
                     "form is singular at a character of order %d" % level)
             i, j = found
             for lam in (CyclotomicNumber.rational(level, 1), zeta):
-                probe = lam * a[i][j] + parity * (lam * a[i][j]).conjugate()
+                probe = lam * a[i][j] + (lam * a[i][j]).conjugate()
                 if not probe.is_zero():
                     add_basis(i, j, lam)
                     break
@@ -472,9 +472,11 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     Lambda(zeta^r) for hermitian forms, of i * Lambda(zeta^r) for skew
     ones.  Characters of the same order are Galois conjugates of a single
     exact evaluation, so the form is diagonalized once per divisor of the
-    group order and only the pivot signs depend on r.  A singular
-    evaluation at any character means the form was not unimodular and
-    raises.
+    group order and only the pivot signs depend on r.  A skew evaluation
+    at order d > 1 is first multiplied by u = zeta - zeta^(-1), which makes
+    it hermitian: at zeta^t, u Lambda = 2 sin(2 pi t / d) * i Lambda, so
+    the pivot signs flip exactly when t > d/2.  A singular evaluation at
+    any character means the form was not unimodular and raises.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
@@ -483,33 +485,23 @@ def multisignature(form: HermitianForm) -> VirtualRep:
         d = p ** j
         mat = [[form.matrix[a][b].evaluate(d) for b in range(q)]
                for a in range(q)]
-        if form.parity == -1 and d == 1:
-            _check_nonsingular_rational(mat)
-            mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
-            continue
-        pivots = _diagonalize(mat, d, form.parity)
+        if form.parity == -1:
+            if d == 1:
+                _check_nonsingular_rational(mat)
+                mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
+                continue
+            u = CyclotomicNumber.zeta(d) - CyclotomicNumber.zeta(d).conjugate()
+            mat = [[u * x for x in row] for row in mat]
+        pivots = _diagonalize(mat, d)
         if any(x.is_zero() for x in pivots):
             raise InvariantViolation(
                 "form is singular at a character of order %d" % d)
-        if form.parity == -1:
-            u = CyclotomicNumber.zeta(d) - CyclotomicNumber.zeta(d).conjugate()
-            pivots = [x / u for x in pivots]
-        if d == 1:
-            sig = sum(1 if x.rational_value() > 0 else -1 for x in pivots)
-            mults[0] = sig
-            continue
-        for t in range(1, d):
-            if t % p == 0:
+        for t in range(d):
+            if gcd(t, d) != 1:
                 continue
-            r = (L // d) * t
-            sig = 0
-            for x in pivots:
-                s = CyclotomicReal(x, t).sign()
-                if form.parity == -1:
-                    # sign of i*(zeta^t - zeta^-t) is -sign(sin(2 pi t / d))
-                    s = -s if t < d / 2 else s
-                sig += s
-            mults[r] = sig
+            flip = -1 if form.parity == -1 and 2 * t > d else 1
+            mults[(L // d) * t] = flip * sum(CyclotomicReal(x, t).sign()
+                                             for x in pivots)
     return VirtualRep(p, k, mults)
 
 

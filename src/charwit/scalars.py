@@ -1,18 +1,16 @@
 """Exact scalar arithmetic: rationals, Bernoulli numbers, prime fields,
 and real cyclotomic numbers with certified signs.
 
-Rationals are ``fractions.Fraction`` throughout; nothing in the package
-touches floating point except the interval arithmetic used to certify the
-sign of a provably nonzero cyclotomic real, and that never feeds back into
-exact data.
+Rationals are ``fractions.Fraction`` throughout and nothing in the package
+touches floating point.  The sign of a nonzero real cyclotomic number is
+certified by an integer interval dot product against fixed-point brackets
+of the cosines cos(2 pi j / L), one cached table per level and precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
-
-from mpmath.ctx_iv import MPIntervalContext
+from math import comb, gcd, lcm
 
 from .errors import (DomainError, InternalConsistencyError,
                      InvariantViolation, ParseError)
@@ -538,6 +536,94 @@ class CyclotomicNumber:
         return "CyclotomicNumber(%d, %r)" % (self.L, list(self.coeffs))
 
 
+# ---------------------------------------------------------------------------
+# certified cosines
+#
+# A real v is bracketed at scale 2^w by integers (lo, hi) with
+# lo <= 2^w v <= hi.  Every division below is an exact integer floor, so
+# each bracket is a proof, not an estimate.
+
+_COS_GUARD = 32  # working bits beyond the requested ones, for floor errors
+
+
+def _atan_inv(x: int, scale: int):
+    """(A, E) with |scale * atan(1/x) - A| < E, for an integer x >= 2.
+
+    Sums the Gregory series; the k-th term floor(scale / ((2k+1) x^(2k+1)))
+    is exact, since floor(floor(a/b)/c) = floor(a/(bc)).  Each of the n
+    terms summed loses less than one unit, and the sum stops at the first
+    term that floors to 0, so the alternating tail is below one unit too:
+    E = n + 1.
+    """
+    power = scale // x
+    total = k = 0
+    while True:
+        term = power // (2 * k + 1)
+        if not term:
+            return total, k + 1
+        total += -term if k % 2 else term
+        power //= x * x
+        k += 1
+
+
+def _pi_bracket(w: int):
+    """(lo, hi) with lo <= 2^w pi <= hi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+    a5, e5 = _atan_inv(5, 1 << w)
+    a239, e239 = _atan_inv(239, 1 << w)
+    mid, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    return mid - err, mid + err
+
+
+def _cos_fixed(x: int, w: int):
+    """(C, E) with |2^w cos(x / 2^w) - C| < E, for 0 <= x <= 2^w pi.
+
+    Taylor terms t_k = floor(t_(k-1) x^2 / (2^(2w) (2k-1) 2k)) from
+    t_0 = 2^w.  Each trails the true term T_k = 2^w (x/2^w)^(2k) / (2k)! by
+    e_k < r_k e_(k-1) + 1, r_k = (x/2^w)^2 / ((2k-1) 2k); as r_1 < 5,
+    r_2 < 0.83 and r_k < 0.33 beyond, e_k < 2 for every k.  The terms
+    decrease from k = 1 on, and the sum stops at the first t_k = 0, where
+    T_k < 2, so the alternating tail is below 2: with n terms summed,
+    E = 2n + 2.
+    """
+    x2 = x * x
+    shift = 2 * w
+    term = 1 << w
+    total = k = 0
+    while term:
+        total += -term if k % 2 else term
+        k += 1
+        term = (term * x2 >> shift) // ((2 * k - 1) * 2 * k)
+    return total, 2 * k + 2
+
+
+_cos_tables: dict = {}
+
+
+def _cos_table(L: int, bits: int) -> tuple:
+    """Brackets (lo, hi) of 2^bits cos(2 pi j / L) for j = 0..L-1, L odd.
+
+    Built once per (L, bits) and cached.  For j' = min(j, L - j) the angle
+    2 pi j' / L lies in [0, pi), where cos falls, so the upper bracket of
+    pi gives the lower bracket of cos and the lower one the upper.  Both
+    Taylor sums run with _COS_GUARD extra bits and are rounded outward.
+    """
+    table = _cos_tables.get((L, bits))
+    if table is None:
+        w = bits + _COS_GUARD
+        pi_lo, pi_hi = _pi_bracket(w)
+        one = 1 << bits
+        half = []
+        for j in range(L // 2 + 1):
+            c_lo, e_lo = _cos_fixed(-(-2 * j * pi_hi // L), w)
+            c_hi, e_hi = _cos_fixed(2 * j * pi_lo // L, w)
+            half.append((max((c_lo - e_lo) >> _COS_GUARD, -one),
+                         min(-(-(c_hi + e_hi) >> _COS_GUARD), one)))
+        table = tuple(half[min(j, L - j)] for j in range(L))
+        _cos_tables[(L, bits)] = table
+    return table
+
+
 class CyclotomicReal:
     """A conjugation-fixed cyclotomic number together with a real embedding.
 
@@ -545,7 +631,8 @@ class CyclotomicReal:
     conjugation, the element lands on the real line, so it has a
     well-defined sign.  Determining that sign is exact: zero is decided
     from the reduced coordinate vector, and a nonzero value is certified
-    by interval arithmetic at increasing precision, which terminates
+    by an integer interval dot product against _cos_table, the precision
+    doubling from 64 bits until the interval excludes 0, which happens
     because the value is provably nonzero.
     """
 
@@ -573,23 +660,28 @@ class CyclotomicReal:
             return 1 if v > 0 else -1
         L = num.L
         r = self.embedding
-        prec = 64
-        while prec <= (1 << 20):
-            ctx = MPIntervalContext()
-            ctx.prec = prec
-            two_pi = 2 * ctx.pi
-            total = ctx.mpf(0)
-            for m, c in enumerate(num.coeffs):
-                if c:
-                    coeff = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-                    total += coeff * ctx.cos(two_pi * ((r * m) % L) / L)
-            if total > 0:
+        den = lcm(*(c.denominator for c in num.coeffs))
+        terms = [(c.numerator * (den // c.denominator), (r * m) % L)
+                 for m, c in enumerate(num.coeffs) if c]
+        bits = 64
+        while bits <= (1 << 20):
+            table = _cos_table(L, bits)
+            lo = hi = 0
+            for a, j in terms:
+                c_lo, c_hi = table[j]
+                if a > 0:
+                    lo += a * c_lo
+                    hi += a * c_hi
+                else:
+                    lo += a * c_hi
+                    hi += a * c_lo
+            if lo > 0:
                 return 1
-            if total < 0:
+            if hi < 0:
                 return -1
-            prec *= 2
+            bits *= 2
         raise InternalConsistencyError(
-            "sign of nonzero cyclotomic real undecided at %d bits" % prec)
+            "sign of nonzero cyclotomic real undecided at %d bits" % bits)
 
 
 def sign_of(x: CyclotomicReal) -> int:

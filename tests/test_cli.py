@@ -165,6 +165,40 @@ def test_cli_verify_failure_paths(tmp_path, capsys):
     assert code == 2
 
 
+def _store(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("field, path, value", [
+    ("residues", ("residues", 0), "x"),
+    ("residues", ("residues", 0), None),
+    ("residues", ("residues", 0), 1.5),
+    ("residues", ("residues", 0), True),
+    ("targets", ("targets", 0), "x"),
+    ("targets", ("targets", 0), None),
+    ("xi_rep", ("xi_rep", 0, 0), "x"),
+    ("xi_rep", ("xi_rep", 0, 1), None),
+    ("xi_rep", ("xi_rep", 0, 0), 1.5),
+    ("L", ("pullbacks", "L", 0, 0), 1.5),
+    ("L", ("pullbacks", "L", 0, 1), "x"),
+    ("L", ("pullbacks", "L", 0, 1), None),
+    ("z", ("witness", "z", 0), 1),
+    ("z", ("witness", "z", 0), None),
+])
+def test_cli_verify_rejects_non_integer_fields(tmp_path, capsys, field, path,
+                                               value):
+    data = json.loads(certificate_to_json(flagship_certificate()))
+    _store(data, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert err.startswith("parse error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "witness", "--xi", "e + ", "--n", "2")
     assert code == 2

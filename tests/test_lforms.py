@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -348,3 +350,19 @@ def test_group_ring_rejects_non_odd_prime_orders(p):
     with pytest.raises(DomainError,
                        match="group order must be a power of an odd prime"):
         GroupRingElement(p, 1, {1: 1})
+
+
+def test_multisignature_digest_frozen():
+    """SHA-256 of the multisignatures of seeded forms and their transfers,
+    frozen from an independent computation (skew pivots divided by
+    zeta - zeta^-1, signs from mpmath interval arithmetic)."""
+    digest = hashlib.sha256()
+    for p, k, rank in ((3, 2, 4), (5, 2, 4), (3, 3, 4)):
+        for parity in (1, -1):
+            for seed in (1, 2):
+                f = random_form(p, k, parity, rank, seed)
+                for g in (f, transfer(f)):
+                    digest.update(json.dumps(
+                        multisignature(g).serialize()).encode() + b"\n")
+    assert digest.hexdigest() == ("e5ed612863cbdab8b83e1fea7d6e3ef6"
+                                  "edd197da9b9820f2f85790eb935135f0")

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -273,3 +277,165 @@ def test_mixed_levels_refused():
         CyclotomicNumber.zeta(3) + CyclotomicNumber.zeta(9)
     with pytest.raises(DomainError):
         CyclotomicNumber.zeta(15)
+
+
+# ---------------------------------------------------------------------------
+# certified signs of real cyclotomic numbers
+
+
+def interval_sign(ctx_class, x):
+    """The sign as charwit decided it with mpmath interval arithmetic."""
+    num = x.number
+    if num.is_zero():
+        return 0
+    if num.is_rational():
+        return 1 if num.coeffs[0] > 0 else -1
+    L, r = num.L, x.embedding
+    prec = 64
+    while prec <= 1 << 16:
+        ctx = ctx_class()
+        ctx.prec = prec
+        total = ctx.mpf(0)
+        for m, c in enumerate(num.coeffs):
+            if c:
+                coeff = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
+                total += coeff * ctx.cos(2 * ctx.pi * ((r * m) % L) / L)
+        if total > 0:
+            return 1
+        if total < 0:
+            return -1
+        prec *= 2
+    raise AssertionError("oracle undecided")
+
+
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+@pytest.fixture(scope="module")
+def interval_context(mpmath):
+    return mpmath.ctx_iv.MPIntervalContext
+
+
+@st.composite
+def real_cyclotomics(draw):
+    L = draw(st.sampled_from((3, 5, 7, 9, 25, 27, 49)))
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+    y = CyclotomicNumber.from_exponents(L, draw(st.lists(
+        st.tuples(st.integers(0, L - 1), coeffs), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        x = y + y.conjugate() + draw(coeffs)
+    else:
+        x = y * y.conjugate() - draw(coeffs)
+    embedding = draw(st.integers(1, L - 1).filter(lambda r: gcd(r, L) == 1))
+    return CyclotomicReal(x, embedding)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(real_cyclotomics())
+def test_sign_matches_interval_oracle(interval_context, x):
+    assert x.sign() == interval_sign(interval_context, x)
+
+
+def cubic_root_bracket(bits):
+    """Integers lo < hi = lo + 1 with lo / 2^bits < 2cos(2 pi/7) < hi / 2^bits,
+    by bisection on t^3 + t^2 - 2t - 1, whose only root in (1, 2) it is."""
+    def f(a):  # 2^(3 bits) * cubic(a / 2^bits)
+        s = 1 << bits
+        return a ** 3 + a * a * s - 2 * a * s * s - s ** 3
+    lo, hi = 1 << bits, 2 << bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def convergents(lo, hi, den):
+    """Continued-fraction convergents shared by every real in (lo, hi)/den."""
+    a, b = Fraction(lo, den), Fraction(hi, den)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    out = []
+    while True:
+        q = a.numerator // a.denominator
+        if b.numerator // b.denominator != q:
+            return out
+        h0, h1 = h1, q * h1 + h0
+        k0, k1 = k1, q * k1 + k0
+        out.append(Fraction(h1, k1))
+        if a == q or b == q:
+            return out
+        a, b = 1 / (a - q), 1 / (b - q)
+
+
+def test_sign_near_zero_at_convergents():
+    """2cos(2pi/7) - c alternates in sign over its convergents c; the deep
+    ones are within 2^-64 of zero and need the precision to go up."""
+    bits = 512
+    lo, hi = cubic_root_bracket(bits)
+    cs = convergents(lo, hi, 1 << bits)
+    assert len(cs) >= 50
+    x = CyclotomicNumber.zeta(7) + CyclotomicNumber.zeta(7).conjugate()
+    signs = [CyclotomicReal(x - c, 1).sign() for c in cs]
+    assert signs == [(-1) ** n for n in range(len(cs))]
+    assert any(L == 7 and b >= 256 for L, b in scalars._cos_tables)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_cos_table_brackets(bits):
+    one = 1 << bits
+    for L in (1, 3, 5, 7, 9, 25, 27, 49):
+        table = scalars._cos_table(L, bits)
+        assert len(table) == L
+        assert all(lo <= hi <= lo + 4 for lo, hi in table)
+        lo, hi = table[0]
+        assert lo <= one <= hi
+        if L > 1:
+            assert sum(lo for lo, _ in table) <= 0 <= sum(hi for _, hi in table)
+            assert all(table[j] == table[L - j] for j in range(1, L))
+    for j in (1, 2):
+        lo, hi = scalars._cos_table(3, bits)[j]
+        assert lo <= -one // 2 <= hi
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(4, 200), st.data())
+def test_fixed_point_error_bounds(mpmath, w, data):
+    """_atan_inv, _pi_bracket and _cos_fixed keep their stated error bounds."""
+    scale = 1 << w
+    x = data.draw(st.integers(0, 3 * scale))
+    with mpmath.workprec(w + 64):
+        for base in (2, 5, 239):
+            total, err = scalars._atan_inv(base, scale)
+            assert abs(mpmath.atan(mpmath.mpf(1) / base) * scale - total) < err
+        lo, hi = scalars._pi_bracket(w)
+        assert lo <= mpmath.pi * scale <= hi
+        total, err = scalars._cos_fixed(x, w)
+        assert abs(mpmath.cos(mpmath.mpf(x) / scale) * scale - total) < err
+
+
+@pytest.mark.parametrize("guard", [0, scalars._COS_GUARD])
+def test_cos_table_against_mpmath(mpmath, monkeypatch, guard):
+    """The brackets hold against a high-precision oracle, also with no
+    guard bits, where the floor errors reach the rounded brackets."""
+    monkeypatch.setattr(scalars, "_COS_GUARD", guard)
+    monkeypatch.setattr(scalars, "_cos_tables", {})
+    for bits in (64, 200):
+        with mpmath.workprec(bits + 64):
+            for L in (3, 7, 25, 49):
+                for j, (lo, hi) in enumerate(scalars._cos_table(L, bits)):
+                    exact = mpmath.cos(2 * mpmath.pi * j / L) * 2 ** bits
+                    assert lo <= exact <= hi
+
+
+def test_import_leaves_mpmath_out():
+    src = os.path.dirname(os.path.dirname(scalars.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, charwit, charwit.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
