@@ -2,7 +2,8 @@
 
 Certificates are JSON documents with a fixed key order and integer entries
 only (mod-p values as residues in [0, p), rationals as "num/den" strings),
-so identical invocations produce byte-identical files.  Exit codes: 0 on
+so identical invocations produce byte-identical files, and verify accepts
+exactly those bytes.  Exit codes: 0 on
 success, 1 when a certificate fails verification, 2 on I/O or parse
 errors.  All diagnostics go to standard error.
 """
@@ -261,6 +262,15 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 # form files
 
 
+def _group_ring_entries(values, where):
+    """A list of group-ring strings or JSON integers (not bool)."""
+    if not (isinstance(values, list)
+            and all(isinstance(x, str) or _is_int(x) for x in values)):
+        raise ParseError("%s must be a list of group-ring strings or "
+                         "integers" % where)
+    return values
+
+
 def form_from_json(text: str) -> HermitianForm:
     try:
         doc = json.loads(text)
@@ -269,11 +279,11 @@ def form_from_json(text: str) -> HermitianForm:
     p = _field(doc, "p", int, "form")
     k = _field(doc, "k", int, "form")
     parity = _field(doc, "parity", int, "form")
-    matrix = _field(doc, "matrix", list, "form")
-    for row in matrix:
-        if not isinstance(row, list):
-            raise ParseError("matrix rows must be lists")
+    matrix = [_group_ring_entries(row, "matrix row %d" % a)
+              for a, row in enumerate(_field(doc, "matrix", list, "form"))]
     refinement = doc.get("refinement")
+    if refinement is not None:
+        _group_ring_entries(refinement, "refinement")
     return HermitianForm(p, k, parity, matrix, refinement)
 
 
@@ -331,23 +341,34 @@ def _cmd_certify(args):
             print("p=%d FAILED: %s" % (p, report), file=sys.stderr)
             return 1
         path = "%s_p%d.json" % (args.out, p)
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(certificate_to_json(cert))
         print(cert.summary())
     return 0
 
 
+def _read_text(path):
+    """The exact text of a UTF-8 input file (line endings kept as stored);
+    undecodable bytes are a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise ParseError("%s is not UTF-8 text: %s" % (path, err)) from err
+
+
 def _cmd_verify(args):
-    with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(args.file)
     try:
         cert = certificate_from_json(text)
     except ParseError:
         raise
     except CharwitError as err:
-        print("verification failed: %s" % err, file=sys.stderr)
-        return 1
-    ok, report = verify_certificate(cert)
+        ok, report = False, str(err)
+    else:
+        ok, report = ((False, "not the canonical certificate text")
+                      if certificate_to_json(cert) != text
+                      else verify_certificate(cert))
     if not ok:
         print("verification failed: %s" % report, file=sys.stderr)
         return 1
@@ -356,8 +377,7 @@ def _cmd_verify(args):
 
 
 def _load_form(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return form_from_json(handle.read())
+    return form_from_json(_read_text(path))
 
 
 def _cmd_multisig(args):

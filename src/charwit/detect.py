@@ -13,13 +13,13 @@ representations of C_p:
      polynomial symbolically, for reference),
   3. record the prime bound N from the point and the value,
   4. for each odd prime p > N, realize the free coordinates by a virtual
-     representation: solve for Chern-character targets, symmetrize, and
-     assemble pullback values whose Xi-evaluation reproduces Xi(z) mod p,
-  5. and independently re-derive everything when verifying a certificate.
+     representation xi: solve for Chern-character targets and symmetrize,
+  5. derive every certificate field from (z, p, xi): the residues, the
+     targets, the Euler and L pullbacks and the evaluation, which
+     reproduces Xi(z) mod p.
 
-Each certificate is self-contained: verification recomputes the pullbacks
-from the residues and the representation alone and compares against what
-the certificate claims.
+Verification derives every field again from the certificate's own
+(z, p, xi), and Xi(z), N and xi themselves, and compares exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .cyclic_coh import (euler_class, l_class_linear, pullback_l_nonlinear,
                          LinearRepData)
 from .errors import (CharwitError, DomainError, InternalConsistencyError,
                      InvariantViolation)
-from .repring import solve_chern_targets, symmetrize, VirtualRep
+from .repring import solve_chern_targets, symmetrize
 from .scalars import (from_rational, is_odd_prime, largest_prime_factor,
                       odd_primes_above)
 from .symfun import ell_polynomial, GradedPolynomial, l_table
@@ -110,7 +110,7 @@ def to_l_coordinates(polynomial: GradedPolynomial) -> GradedPolynomial:
         return polynomial
     table = l_table(max(indices))
     assignment = {"p%d" % i: table.p(i) for i in indices}
-    return polynomial.substitute(assignment, check_weights=True)
+    return polynomial.substitute(assignment)
 
 
 def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
@@ -132,7 +132,7 @@ def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
             assignment["e"] = mono
         elif name.startswith("x") and int(name[1:]) < k:
             assignment[name] = ell_polynomial(int(name[1:]), n)
-    out = l_polynomial.substitute(assignment, check_weights=True)
+    out = l_polynomial.substitute(assignment)
     if out.is_zero():
         raise InternalConsistencyError(
             "specialization of a nonzero polynomial vanished")
@@ -149,17 +149,10 @@ class WitnessPoint:
         self.N = int(N)
         if self.value == 0:
             raise InvariantViolation("witness value must be nonzero")
-        for q in self._prime_factors():
-            if q > self.N:
-                raise InvariantViolation(
-                    "prime factor %d exceeds the bound N = %d" % (q, self.N))
-
-    def _prime_factors(self):
-        out = set()
-        for c in self.coordinates + (self.value,):
-            out.add(largest_prime_factor(c.numerator))
-            out.add(largest_prime_factor(c.denominator))
-        return out
+        q = _prime_support(self.coordinates + (self.value,))
+        if q > self.N:
+            raise InvariantViolation(
+                "prime factor %d exceeds the bound N = %d" % (q, self.N))
 
     def __repr__(self):
         return "WitnessPoint(z=%s, value=%s, N=%d)" % (
@@ -175,38 +168,47 @@ def _grid_values(shell: int) -> list:
     return out
 
 
+def _l_form_at(problem, e, x):
+    """The L-form of Xi at e and x_i = x(i), over Q."""
+    xi_l = problem.l_form()
+    return xi_l.evaluate({name: e if name == "e" else x(int(name[1:]))
+                          for name in xi_l.variables()})
+
+
+def _witness_value(problem, z):
+    """Xi at z = (a, x_k..x_m): the L-form at e = a_1...a_n, x_i = ell_i(a)
+    for i < k and the free x_i read off z."""
+    n, k = problem.n, problem.k
+    a = z[:n]
+    return _l_form_at(problem, prod(a), lambda i: z[n + i - k] if i >= k
+                      else l_table(i).ell(i, a))
+
+
+def _prime_support(values):
+    """The largest prime factor of any numerator or denominator."""
+    return max(largest_prime_factor(part) for c in values
+               for part in (c.numerator, c.denominator))
+
+
+def _witness_bound(problem, z, value):
+    """N = max(2m + 1, every prime factor of z and of the value)."""
+    return max(2 * problem.m + 1, _prime_support((*z, value)))
+
+
 def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
     """First grid point z = (a, x_k..x_m) where Xi is nonzero on Chern roots.
 
-    The value at z is the L-form of Xi at e = a_1...a_n, x_i = ell_i(a)
-    for i < k and the free x_i read off z, i.e. problem.specialized() at
-    z, computed without expanding that polynomial.  Points are ranked by
+    The value at z is _witness_value, i.e. problem.specialized() at z,
+    computed without expanding that polynomial.  Points are ranked by
     max-norm and then lexicographically, coordinates drawn from 1, -1, 2,
     -2, ...; the search is deterministic and finite because ell_1, ...,
     ell_(k-1) and a_1...a_n are algebraically independent, so a nonzero
     L-form specializes to a nonzero polynomial, which cannot vanish on
     arbitrarily large grids.
     """
-    xi_l = problem.l_form()
-    if xi_l.is_zero():
+    if problem.l_form().is_zero():
         raise InternalConsistencyError("L-form of a nonzero polynomial vanished")
-    n = problem.n
     names = problem.coordinate_names()
-
-    def value_at(candidate):
-        a = candidate[:n]
-        free = dict(zip(names[n:], candidate[n:]))
-        point = {}
-        for name in xi_l.variables():
-            if name == "e":
-                point[name] = prod(a)
-            elif name in free:
-                point[name] = free[name]
-            else:
-                i = int(name[1:])
-                point[name] = l_table(i).ell(i, a)
-        return xi_l.evaluate(point)
-
     value, point = None, None
     shell = 0
     while value is None:
@@ -215,16 +217,11 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
         for candidate in product(values, repeat=len(names)):
             if shell > 1 and all(abs(c) < shell for c in candidate):
                 continue  # seen in an earlier shell
-            v = value_at(candidate)
+            v = _witness_value(problem, candidate)
             if v:
                 value, point = v, candidate
                 break
-    bound = 2 * problem.m + 1
-    for c in point:
-        bound = max(bound, largest_prime_factor(c))
-    bound = max(bound, largest_prime_factor(value.numerator),
-                largest_prime_factor(value.denominator))
-    return WitnessPoint(point, value, bound)
+    return WitnessPoint(point, value, _witness_bound(problem, point, value))
 
 
 class WitnessCertificate:
@@ -260,64 +257,51 @@ class WitnessCertificate:
 
 def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
                       p: int) -> WitnessCertificate:
-    """Assemble and internally check the certificate for one prime p > N."""
+    """The certificate for one prime p > N: solve for xi, then derive."""
     if not is_odd_prime(p):
         raise DomainError("p = %d is not an odd prime" % p)
     if p <= witness.N:
         raise DomainError("p = %d does not exceed the bound N = %d"
                           % (p, witness.N))
-    n, k, m = problem.n, problem.k, problem.m
-    z = witness.coordinates
-    residues = [from_rational(p, c).val for c in z[:n]]
-    xbars = {k + t: from_rational(p, z[n + t]).val
-             for t in range(m - k + 1)}
-    rho = LinearRepData(p, residues)
-    e_coeff = euler_class(rho).coefficient
+    return _derive(problem, witness, p, _correction(problem, witness, p))
 
+
+def _reduce(problem, witness, p):
+    """z mod p: the linear representation of the a-block, and the x-bars."""
+    z = witness.coordinates
+    return (LinearRepData(p, [from_rational(p, c).val for c in z[:problem.n]]),
+            tuple(from_rational(p, c).val for c in z[problem.n:]))
+
+
+def _correction(problem, witness, p):
+    """The symmetrized virtual representation xi whose L-pullbacks hit the
+    x-bars: ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n."""
+    n = problem.n
+    rho, xbars = _reduce(problem, witness, p)
+    e_coeff = euler_class(rho).coefficient
     targets = [0] * p
-    for i in range(k, m + 1):
+    for i, xbar in enumerate(xbars, problem.k):
         j = 2 * i - n
         assert 0 <= j <= p - 3, "Chern index out of range"
         ell = l_class_linear(rho, i).coefficient
-        scale = e_coeff * pow(2, 2 + j, p)
-        targets[j] = ((ell - xbars[i]) / scale).val
-
-    xi = symmetrize(solve_chern_targets(p, targets), n)
-
-    l_pullbacks = {}
-    for i in range(1, m + 1):
-        l_pullbacks[i] = pullback_l_nonlinear(rho, xi, n, i).coefficient.val
-        if i >= k and l_pullbacks[i] != xbars[i]:
-            raise InternalConsistencyError(
-                "pullback at i = %d missed its target" % i)
-
-    evaluation = _evaluate_l_form(problem, p, e_coeff.val, l_pullbacks)
-    expected = from_rational(p, witness.value)
-    if evaluation != expected:
-        raise InternalConsistencyError(
-            "evaluation disagrees with the witness value mod %d" % p)
-    if not evaluation:
-        raise InternalConsistencyError("evaluation vanished mod %d" % p)
-
-    return WitnessCertificate(problem, witness, p, residues,
-                              [xbars[i] for i in range(k, m + 1)], xi,
-                              e_coeff.val, l_pullbacks, evaluation.val)
+        targets[j] = ((ell - xbar) / (e_coeff * pow(2, 2 + j, p))).val
+    return symmetrize(solve_chern_targets(p, targets), n)
 
 
-def _evaluate_l_form(problem, p, euler_value, l_values):
-    """Xi in L-coordinates, evaluated at pullback coefficients mod p."""
-    xi_l = problem.l_form()
-    point = {}
-    for name in xi_l.variables():
-        if name == "e":
-            point[name] = Fraction(euler_value)
-        else:
-            point[name] = Fraction(l_values[int(name[1:])])
-    return from_rational(p, xi_l.evaluate(point))
+def _derive(problem, witness, p, xi):
+    """Every certificate field from (z, p, xi)."""
+    rho, xbars = _reduce(problem, witness, p)
+    euler = euler_class(rho).coefficient.val
+    l_pullbacks = {i: pullback_l_nonlinear(rho, xi, problem.n, i).coefficient.val
+                   for i in range(1, problem.m + 1)}
+    evaluation = from_rational(p, _l_form_at(problem, euler,
+                                             l_pullbacks.__getitem__))
+    return WitnessCertificate(problem, witness, p, rho.residues, xbars, xi,
+                              euler, l_pullbacks, evaluation.val)
 
 
 def verify_certificate(cert: WitnessCertificate):
-    """Recompute the certificate's claims from (residues, xi) alone.
+    """Derive every field again from (z, p, xi) and compare exactly.
 
     Returns (ok, report); the report names the first failing check.  All
     domain errors are converted into verification failures, never raised.
@@ -338,45 +322,41 @@ def _verify(cert: WitnessCertificate):
     z = witness.coordinates
     if len(z) != n + (m - k + 1):
         return False, "witness has the wrong number of coordinates"
-    if len(cert.residues) != n:
-        return False, "residue count differs from n"
-    for a, c in zip(cert.residues, z[:n]):
-        if from_rational(p, c).val != a % p:
-            return False, "residues do not reduce the witness coordinates"
-    if len(cert.targets) != m - k + 1:
-        return False, "target count differs from m - k + 1"
-    for t, c in zip(cert.targets, z[n:]):
-        if from_rational(p, c).val != t % p:
-            return False, "targets do not reduce the witness coordinates"
+    derived = _derive(problem, witness, p, cert.xi)
+    if cert.residues != derived.residues:
+        return False, "residues do not reduce the witness coordinates"
+    if cert.targets != derived.targets:
+        return False, "targets do not reduce the witness coordinates"
 
     sign = -1 if n % 2 else 1
     if cert.xi.conjugate() != sign * cert.xi:
         return False, "xi breaks the conjugation symmetry"
 
-    rho = LinearRepData(p, cert.residues)
-    if euler_class(rho).coefficient.val != cert.euler % p:
+    if cert.euler != derived.euler:
         return False, "euler pullback mismatch"
     if sorted(cert.l_pullbacks) != list(range(1, m + 1)):
         return False, "L-pullback indices are not 1..m"
-    recomputed = {}
     for i in range(1, m + 1):
-        value = pullback_l_nonlinear(rho, cert.xi, n, i).coefficient.val
-        recomputed[i] = value
-        if value != cert.l_pullbacks[i] % p:
+        if cert.l_pullbacks[i] != derived.l_pullbacks[i]:
             return False, "L-pullback mismatch at i = %d" % i
     for i in range(k, m + 1):
-        if recomputed[i] != cert.targets[i - k] % p:
+        if derived.l_pullbacks[i] != derived.targets[i - k]:
             return False, "target mismatch at i = %d" % i
 
-    evaluation = _evaluate_l_form(problem, p, cert.euler, recomputed)
-    if not evaluation:
+    if not derived.evaluation:
         return False, "evaluation vanished mod p"
-    if cert.degree_2r != 2 * problem.weight:
+    if cert.degree_2r != derived.degree_2r:
         return False, "degree bookkeeping is inconsistent"
-    if evaluation.val != cert.evaluation % p:
+    if cert.evaluation != derived.evaluation:
         return False, "evaluation differs from the stored value"
-    if evaluation != from_rational(p, witness.value):
+    if derived.evaluation != from_rational(p, witness.value).val:
         return False, "evaluation differs from Xi(z) mod p"
+    if witness.value != _witness_value(problem, z):
+        return False, "witness value differs from Xi(z)"
+    if witness.N != _witness_bound(problem, z, witness.value):
+        return False, "witness bound N differs from its derivation"
+    if cert.xi != _correction(problem, witness, p):
+        return False, "xi differs from the symmetrized Chern-target solution"
     return True, "ok"
 
 

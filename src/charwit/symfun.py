@@ -239,13 +239,12 @@ class GradedPolynomial:
 
     # --- substitution and evaluation ---------------------------------------
 
-    def substitute(self, assignment: dict, check_weights: bool = False
-                   ) -> "GradedPolynomial":
+    def substitute(self, assignment: dict) -> "GradedPolynomial":
         """Replace variables by polynomials (or constants).
 
-        Every key of the assignment must be a variable of this polynomial;
-        with check_weights=True each image must be homogeneous of the same
-        weight as the variable it replaces.
+        Every key of the assignment must be a variable of this polynomial,
+        and each nonzero image must be homogeneous of the same weight as
+        the variable it replaces.
         """
         names = self.variables()
         unknown = set(assignment) - set(names)
@@ -259,7 +258,7 @@ class GradedPolynomial:
                 img = GradedPolynomial.constant(img)
             if not isinstance(img, GradedPolynomial):
                 raise DomainError("image of %r is not a polynomial" % (name,))
-            if check_weights and not img.is_zero():
+            if not img.is_zero():
                 if not img.is_homogeneous() or img.weight() != self.var_weight(name):
                     raise DomainError(
                         "image of %r is not homogeneous of weight %d"
@@ -481,7 +480,7 @@ def l_table(max_index: int) -> LTable:
         assign = {"p%d" % j: p_polys[j - 1] for j in range(1, i)
                   if "p%d" % j in qi.variables()}
         xi = GradedPolynomial.variable("x%d" % i, 2 * i)
-        p_polys.append((xi - qi.substitute(assign, check_weights=True))
+        p_polys.append((xi - qi.substitute(assign))
                        * (Fraction(1) / ci))
 
     table = LTable(M, l_polys, p_polys)
@@ -511,4 +510,4 @@ def ell_polynomial(i: int, n: int) -> GradedPolynomial:
                 mono[t] = 2
             terms[tuple(mono)] = Fraction(1)
         esubs[name] = GradedPolynomial(avars, terms)  # zero when j > n
-    return li.substitute(esubs, check_weights=False)
+    return li.substitute(esubs)

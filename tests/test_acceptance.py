@@ -109,7 +109,7 @@ def test_criterion_1_l_table():
                 assert table.l(i).evaluate(point) == l_value_oracle(roots, i)
         for i in range(1, 7):
             ls = {"x%d" % j: table.l(j) for j in range(1, i + 1)}
-            assert table.p(i).substitute(ls, check_weights=True) == pvar(i)
+            assert table.p(i).substitute(ls) == pvar(i)
 
 
 def test_criterion_2_chern_solver():

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charwit.cli import (certificate_from_json, certificate_to_json,
                          form_from_json, form_to_json, main, parse_polynomial)
@@ -194,6 +198,168 @@ def test_cli_verify_rejects_non_integer_fields(tmp_path, capsys, field, path,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert err.startswith("parse error: ") and field in err
+    assert "Traceback" not in err
+
+
+NAMED_CHECK = re.compile(r"(verification failed|parse error|error): \S")
+
+
+def _bump(path, delta):
+    def edit(doc):
+        _store(doc, path, _load(doc, path) + delta)
+    return edit
+
+
+def _load(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(path, value):
+    return lambda doc: _store(doc, path, value)
+
+
+def _canonical(edit):
+    """Text of the flagship document after edit(doc), laid out as certify
+    lays it out."""
+    def text(base):
+        doc = json.loads(base)
+        edit(doc)
+        return json.dumps(doc, indent=2) + "\n"
+    return text
+
+
+# Documents that agree with the flagship certificate (e^2 - p2, p = 53)
+# mod p or after parsing, and the check that rejects each.
+STRICT_CASES = {
+    "residue+p": (_canonical(_bump(("residues", 0), 53)),
+                  "residues do not reduce the witness coordinates"),
+    "target+p": (_canonical(_bump(("targets", 1), 53)),
+                 "targets do not reduce the witness coordinates"),
+    "L+p": (_canonical(_bump(("pullbacks", "L", 1, 1), 53)),
+            "L-pullback mismatch at i = 2"),
+    "euler+p": (_canonical(_bump(("pullbacks", "euler"), 53)),
+                "euler pullback mismatch"),
+    "evaluation+p": (_canonical(_bump(("evaluation",), 53)),
+                     "evaluation differs from the stored value"),
+    "xi_rep index+p": (_canonical(_bump(("xi_rep", 3, 0), 53)),
+                       "not the canonical certificate text"),
+    "xi_rep reversed": (_canonical(lambda doc: doc["xi_rep"].reverse()),
+                        "not the canonical certificate text"),
+    "xi_rep duplicate key": (
+        _canonical(lambda doc: doc["xi_rep"].append(list(doc["xi_rep"][0]))),
+        "not the canonical certificate text"),
+    "xi_rep multiplicity+p": (_canonical(_bump(("xi_rep", 0, 1), 53)),
+                              "xi differs from the symmetrized Chern-target "
+                              "solution"),
+    "extra key": (_canonical(lambda doc: doc.update(note="x")),
+                  "not the canonical certificate text"),
+    "xi text": (_canonical(_set(("problem", "xi"), "-p2 + e^2")),
+                "not the canonical certificate text"),
+    "z 2/2": (_canonical(_set(("witness", "z", 0), "2/2")),
+              "not the canonical certificate text"),
+    "N+1": (_canonical(_bump(("witness", "N"), 1)),
+            "witness bound N differs from its derivation"),
+    "value 324/7": (_canonical(_set(("witness", "value"), "324/7")),
+                    "witness value differs from Xi(z)"),
+    "compact": (lambda base: json.dumps(json.loads(base)),
+                "not the canonical certificate text"),
+    "crlf": (lambda base: base.replace("\n", "\r\n"),
+             "not the canonical certificate text"),
+}
+
+
+FLAGSHIP_TEXT = certificate_to_json(flagship_certificate())
+
+
+def verify_text(path, text):
+    """Run `charwit verify` on text; (exit code, stdout, stderr)."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_cli_verify_accepts_only_canonical_documents(tmp_path, case):
+    mutate, report = STRICT_CASES[case]
+    text = mutate(FLAGSHIP_TEXT)
+    assert text != FLAGSHIP_TEXT
+    code, out, err = verify_text(tmp_path / "c.json", text)
+    assert code == 1 and out == ""
+    assert err == "verification failed: %s\n" % report
+
+
+def _integer_paths(doc, path=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        if isinstance(doc, int) and not isinstance(doc, bool):
+            yield path
+        return
+    for key, value in items:
+        yield from _integer_paths(value, path + (key,))
+
+
+FLAGSHIP_INTEGER_PATHS = list(_integer_paths(json.loads(FLAGSHIP_TEXT)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(path=st.sampled_from(FLAGSHIP_INTEGER_PATHS),
+       delta=st.sampled_from([-1, 1, 53]))
+def test_cli_verify_rejects_every_integer_perturbation(tmp_path_factory, path,
+                                                       delta):
+    text = _canonical(_bump(path, delta))(FLAGSHIP_TEXT)
+    code, out, err = verify_text(
+        tmp_path_factory.getbasetemp() / "perturbed.json", text)
+    assert code in (1, 2) and out == ""
+    assert NAMED_CHECK.match(err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "multisig", "transfer"])
+def test_cli_rejects_non_utf8_input(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = [command, str(path)] if command == "verify" else [
+        command, "--form", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+SKEW_FORM = {"p": 3, "k": 1, "parity": -1,
+             "matrix": [["g - g^2", "1"], ["-1", "g - g^2"]],
+             "refinement": ["g", "g"]}
+
+
+@pytest.mark.parametrize("field, path, value", [
+    ("refinement", ("refinement",), 5),
+    ("refinement", ("refinement",), "g"),
+    ("refinement", ("refinement", 0), True),
+    ("refinement", ("refinement", 0), 1.5),
+    ("refinement", ("refinement", 1), None),
+    ("matrix", ("matrix", 0, 1), True),
+    ("matrix", ("matrix", 0, 0), None),
+    ("matrix", ("matrix", 1, 0), 1.5),
+    ("matrix", ("matrix", 1), "1"),
+])
+def test_cli_form_rejects_non_group_ring_fields(tmp_path, capsys, field, path,
+                                                value):
+    doc = json.loads(json.dumps(SKEW_FORM))
+    assert form_from_json(json.dumps(doc)).rank == 2
+    _store(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "multisig", "--form", str(bad))
     assert code == 2
     assert err.startswith("parse error: ") and field in err
     assert "Traceback" not in err

@@ -261,6 +261,28 @@ def test_verify_names_degree_tamper(flagship_cert):
     assert not ok and report == "degree bookkeeping is inconsistent"
 
 
+def test_verify_names_witness_value_forgery(flagship_cert):
+    """324/7 agrees with the true value -47/7 mod 53, but not over Q."""
+    forged = WitnessPoint((1, 1, 1, 1), Fraction(324, 7), 47)
+    ok, report = verify_certificate(clone(flagship_cert, witness=forged))
+    assert not ok and report == "witness value differs from Xi(z)"
+
+
+def test_verify_names_witness_bound_tamper(flagship_cert):
+    loose = WitnessPoint((1, 1, 1, 1), Fraction(-47, 7), 48)
+    ok, report = verify_certificate(clone(flagship_cert, witness=loose))
+    assert not ok and report == "witness bound N differs from its derivation"
+
+
+def test_verify_names_non_canonical_xi(flagship_cert):
+    """53 more copies of the trivial character keep the symmetry and every
+    Chern character mod 53, so only the re-derivation of xi sees them."""
+    xi = flagship_cert.xi + 53 * VirtualRep.character(53, 1, 0)
+    ok, report = verify_certificate(clone(flagship_cert, xi=xi))
+    assert not ok and report == ("xi differs from the symmetrized "
+                                 "Chern-target solution")
+
+
 # ---------------------------------------------------------------------------
 # the numeric witness search against a symbolic brute-force oracle
 

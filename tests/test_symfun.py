@@ -96,8 +96,8 @@ def test_homogeneity_bookkeeping():
 def test_substitute_checks_weights():
     p1 = pvar(1)
     with pytest.raises(DomainError):
-        p1.substitute({"p1": pvar(2)}, check_weights=True)
-    assert p1.substitute({"p1": 3 * xvar(1)}, check_weights=True) == 3 * xvar(1)
+        p1.substitute({"p1": pvar(2)})
+    assert p1.substitute({"p1": 3 * xvar(1)}) == 3 * xvar(1)
 
 
 def test_evaluate_is_strict():
@@ -151,9 +151,9 @@ def test_p_l_round_trip_through_weight_12():
     table = l_table(6)
     for i in range(1, 7):
         ls = {"x%d" % j: table.l(j) for j in range(1, i + 1)}
-        assert table.p(i).substitute(ls, check_weights=True) == pvar(i)
+        assert table.p(i).substitute(ls) == pvar(i)
         ps = {"p%d" % j: table.p(j) for j in range(1, i + 1)}
-        assert table.l(i).substitute(ps, check_weights=True) == xvar(i)
+        assert table.l(i).substitute(ps) == xvar(i)
 
 
 def test_l_table_range_checks():
