@@ -6,14 +6,14 @@ characters, and (skew-)hermitian forms over cyclic group rings.
 
 from .errors import (CharwitError, DomainError, InternalConsistencyError,
                      InvariantViolation, ParseError)
-from .scalars import (CyclotomicNumber, CyclotomicReal, FpScalar, Rational,
-                      bernoulli, from_rational, is_prime, largest_prime_factor,
+from .scalars import (CyclotomicNumber, CyclotomicReal, bernoulli,
+                      from_rational, is_prime, largest_prime_factor,
                       odd_primes_above, rational_from_string,
-                      rational_to_string, sign_of)
+                      rational_to_string)
 from .symfun import (GradedPolynomial, LTable, ell_polynomial,
                      l_leading_coefficient, l_table)
 from .repring import VirtualRep, restrict, solve_chern_targets, symmetrize
-from .cyclic_coh import (CpClass, LinearRepData, chern_character, euler_class,
+from .cyclic_coh import (LinearRepData, chern_character, euler_class,
                          l_class_linear, pullback_l_nonlinear)
 from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      build_certificate, find_rational_witness, run_pipeline,
@@ -31,14 +31,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CharwitError", "DomainError", "InternalConsistencyError",
     "InvariantViolation", "ParseError",
-    "CyclotomicNumber", "CyclotomicReal", "FpScalar", "Rational",
+    "CyclotomicNumber", "CyclotomicReal",
     "bernoulli", "from_rational", "is_prime", "largest_prime_factor",
     "odd_primes_above", "rational_from_string", "rational_to_string",
-    "sign_of",
     "GradedPolynomial", "LTable", "ell_polynomial", "l_leading_coefficient",
     "l_table",
     "VirtualRep", "restrict", "solve_chern_targets", "symmetrize",
-    "CpClass", "LinearRepData", "chern_character", "euler_class",
+    "LinearRepData", "chern_character", "euler_class",
     "l_class_linear", "pullback_l_nonlinear",
     "DetectionProblem", "WitnessCertificate", "WitnessPoint",
     "build_certificate", "find_rational_witness", "run_pipeline",

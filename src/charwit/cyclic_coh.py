@@ -1,11 +1,13 @@
 """Characteristic classes in the mod-p cohomology of the cyclic group C_p.
 
 H^(2j)(BC_p; F_p) is one-dimensional on c^j, where c is the Euler class of
-the standard character.  A CpClass records such an element as its half
-degree j and its coefficient.  Everything a certificate mentions lives here:
-Euler classes and L-classes of fixed-point-free linear representations, the
-mod-p Chern character of a virtual representation, and the L-class of the
-total space twisted by a representation correction term.
+the standard character, so a class in a known degree is its coefficient on
+c^j: an int in [0, p).  Every function here returns that coefficient, and
+its docstring names the degree.  Everything a certificate mentions lives
+here: Euler classes and L-classes of fixed-point-free linear
+representations, the mod-p Chern character of a virtual representation,
+and the L-class of the total space twisted by a representation correction
+term.
 """
 
 from __future__ import annotations
@@ -14,42 +16,8 @@ from math import factorial
 
 from .errors import DomainError
 from .repring import VirtualRep
-from .scalars import FpScalar, from_rational
+from .scalars import _check_odd_prime, from_rational
 from .symfun import l_table
-
-
-class CpClass:
-    """A scalar multiple of c^j in H^(2j)(BC_p; F_p)."""
-
-    __slots__ = ("p", "half_degree", "coefficient")
-
-    def __init__(self, p: int, half_degree: int, coefficient):
-        if half_degree < 0:
-            raise DomainError("negative cohomological degree")
-        if not isinstance(coefficient, FpScalar):
-            coefficient = FpScalar(p, coefficient)
-        elif coefficient.p != p:
-            raise DomainError("coefficient lives mod %d, class mod %d"
-                              % (coefficient.p, p))
-        self.p = p
-        self.half_degree = half_degree
-        self.coefficient = coefficient
-
-    def degree(self) -> int:
-        return 2 * self.half_degree
-
-    def __eq__(self, other):
-        return (isinstance(other, CpClass)
-                and self.p == other.p
-                and self.half_degree == other.half_degree
-                and self.coefficient == other.coefficient)
-
-    def __hash__(self):
-        return hash((self.p, self.half_degree, self.coefficient.val))
-
-    def __repr__(self):
-        return "CpClass(p=%d, %d*c^%d)" % (self.p, self.coefficient.val,
-                                           self.half_degree)
 
 
 class LinearRepData:
@@ -63,7 +31,7 @@ class LinearRepData:
     __slots__ = ("p", "residues")
 
     def __init__(self, p: int, residues):
-        FpScalar(p, 0)  # primality check
+        _check_odd_prime(p)
         res = tuple(int(a) % p for a in residues)
         if not res:
             raise DomainError("a linear representation needs at least one weight")
@@ -85,16 +53,18 @@ class LinearRepData:
         return "LinearRepData(p=%d, residues=%r)" % (self.p, self.residues)
 
 
-def euler_class(rho: LinearRepData) -> CpClass:
-    """e(rho) = a_1 ... a_n * c^n; never zero since no weight is."""
+def euler_class(rho: LinearRepData) -> int:
+    """e(rho) = a_1 ... a_n * c^n in H^(2n)(BC_p; F_p), as its coefficient;
+    never zero since no weight is."""
     prod = 1
     for a in rho.residues:
         prod = prod * a % rho.p
-    return CpClass(rho.p, rho.n, prod)
+    return prod
 
 
-def l_class_linear(rho: LinearRepData, i: int) -> CpClass:
-    """The i-th L-class of a sum of characters: ell_i(a_1..a_n) * c^(2i).
+def l_class_linear(rho: LinearRepData, i: int) -> int:
+    """The i-th L-class of a sum of characters, ell_i(a_1..a_n) * c^(2i) in
+    H^(4i)(BC_p; F_p), as its coefficient.
 
     ell_i has denominators built from primes up to 2i+1 only, so reduction
     mod p is legitimate exactly when p > 2i+1.
@@ -106,12 +76,12 @@ def l_class_linear(rho: LinearRepData, i: int) -> CpClass:
         raise DomainError(
             "ell_%d has denominators divisible by primes up to %d; "
             "p = %d is too small to reduce" % (i, 2 * i + 1, p))
-    value = l_table(i).ell(i, rho.residues)
-    return CpClass(p, 2 * i, from_rational(p, value))
+    return from_rational(p, l_table(i).ell(i, rho.residues))
 
 
-def chern_character(xi: VirtualRep, j: int) -> CpClass:
-    """ch_j(xi) = sum_r m_r r^j / j! * c^j in H^(2j)(BC_p; F_p).
+def chern_character(xi: VirtualRep, j: int) -> int:
+    """ch_j(xi) = sum_r m_r r^j / j! * c^j in H^(2j)(BC_p; F_p), as its
+    coefficient.
 
     Defined for j <= p - 1, where j! is invertible; 0^0 counts as 1.
     """
@@ -125,13 +95,13 @@ def chern_character(xi: VirtualRep, j: int) -> CpClass:
     for r, m in xi.mults.items():
         power = 1 if j == 0 else pow(r, j, p)
         acc = (acc + m * power) % p
-    inv_fact = pow(factorial(j) % p, -1, p)
-    return CpClass(p, j, acc * inv_fact)
+    return acc * pow(factorial(j), -1, p) % p
 
 
 def pullback_l_nonlinear(rho: LinearRepData, xi: VirtualRep, n: int,
-                         i: int) -> CpClass:
-    """L-class in degree 4i of the twisted total space.
+                         i: int) -> int:
+    """L-class in degree 4i of the twisted total space, as its coefficient
+    on c^(2i).
 
     For 2i < n this is the linear answer l_class_linear(rho, i); for
     2i >= n the correction term enters:
@@ -146,10 +116,6 @@ def pullback_l_nonlinear(rho: LinearRepData, xi: VirtualRep, n: int,
     linear = l_class_linear(rho, i)
     if 2 * i < n:
         return linear
-    p = rho.p
-    ch = chern_character(xi, 2 * i - n)
-    e = euler_class(rho)
-    two_power = pow(2, 2 + 2 * i - n, p)
-    corr = FpScalar(p, two_power) * e.coefficient * ch.coefficient
-    assert e.half_degree + ch.half_degree == 2 * i
-    return CpClass(p, 2 * i, linear.coefficient - corr)
+    corr = (pow(2, 2 + 2 * i - n, rho.p) * euler_class(rho)
+            * chern_character(xi, 2 * i - n))
+    return (linear - corr) % rho.p

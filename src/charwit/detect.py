@@ -269,8 +269,8 @@ def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
 def _reduce(problem, witness, p):
     """z mod p: the linear representation of the a-block, and the x-bars."""
     z = witness.coordinates
-    return (LinearRepData(p, [from_rational(p, c).val for c in z[:problem.n]]),
-            tuple(from_rational(p, c).val for c in z[problem.n:]))
+    return (LinearRepData(p, [from_rational(p, c) for c in z[:problem.n]]),
+            tuple(from_rational(p, c) for c in z[problem.n:]))
 
 
 def _correction(problem, witness, p):
@@ -278,26 +278,26 @@ def _correction(problem, witness, p):
     x-bars: ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n."""
     n = problem.n
     rho, xbars = _reduce(problem, witness, p)
-    e_coeff = euler_class(rho).coefficient
+    e = euler_class(rho)
     targets = [0] * p
     for i, xbar in enumerate(xbars, problem.k):
         j = 2 * i - n
         assert 0 <= j <= p - 3, "Chern index out of range"
-        ell = l_class_linear(rho, i).coefficient
-        targets[j] = ((ell - xbar) / (e_coeff * pow(2, 2 + j, p))).val
+        ell = l_class_linear(rho, i)
+        targets[j] = (ell - xbar) * pow(e * pow(2, 2 + j, p), -1, p) % p
     return symmetrize(solve_chern_targets(p, targets), n)
 
 
 def _derive(problem, witness, p, xi):
     """Every certificate field from (z, p, xi)."""
     rho, xbars = _reduce(problem, witness, p)
-    euler = euler_class(rho).coefficient.val
-    l_pullbacks = {i: pullback_l_nonlinear(rho, xi, problem.n, i).coefficient.val
+    euler = euler_class(rho)
+    l_pullbacks = {i: pullback_l_nonlinear(rho, xi, problem.n, i)
                    for i in range(1, problem.m + 1)}
     evaluation = from_rational(p, _l_form_at(problem, euler,
                                              l_pullbacks.__getitem__))
     return WitnessCertificate(problem, witness, p, rho.residues, xbars, xi,
-                              euler, l_pullbacks, evaluation.val)
+                              euler, l_pullbacks, evaluation)
 
 
 def verify_certificate(cert: WitnessCertificate):
@@ -349,7 +349,7 @@ def _verify(cert: WitnessCertificate):
         return False, "degree bookkeeping is inconsistent"
     if cert.evaluation != derived.evaluation:
         return False, "evaluation differs from the stored value"
-    if derived.evaluation != from_rational(p, witness.value).val:
+    if derived.evaluation != from_rational(p, witness.value):
         return False, "evaluation differs from Xi(z) mod p"
     if witness.value != _witness_value(problem, z):
         return False, "witness value differs from Xi(z)"

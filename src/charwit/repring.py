@@ -12,7 +12,7 @@ required of a surgery obstruction.
 from __future__ import annotations
 
 from .errors import DomainError
-from .scalars import FpScalar, is_odd_prime
+from .scalars import is_odd_prime
 
 
 class VirtualRep:
@@ -138,11 +138,6 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
     b = {}
     fact = 1
     for j, t in enumerate(targets):
-        if isinstance(t, FpScalar):
-            if t.p != p:
-                raise DomainError("target %d lives mod %d, not mod %d"
-                                  % (j, t.p, p))
-            t = t.val
         if j:
             fact = fact * j % p
         bj = int(t) * fact % p

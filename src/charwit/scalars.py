@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic: rationals, Bernoulli numbers, prime fields,
-and real cyclotomic numbers with certified signs.
+"""Exact scalar arithmetic: rationals, Bernoulli numbers, primes and the
+reduction of rationals mod p, and real cyclotomic numbers with certified
+signs.
 
-Rationals are ``fractions.Fraction`` throughout and nothing in the package
-touches floating point.  The sign of a nonzero real cyclotomic number is
-certified by an integer interval dot product against fixed-point brackets
-of the cosines cos(2 pi j / L), one cached table per level and precision.
+Rationals are ``fractions.Fraction`` throughout, an element of F_p is a
+plain int in [0, p), and nothing in the package touches floating point.
+The sign of a nonzero real cyclotomic number is certified by an integer
+interval dot product against fixed-point brackets of the cosines
+cos(2 pi j / L), one cached table per level and precision.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from math import comb, gcd, lcm
 
 from .errors import (DomainError, InternalConsistencyError,
                      InvariantViolation, ParseError)
-
-Rational = Fraction
 
 
 def rational_to_string(x: Fraction) -> str:
@@ -51,7 +51,7 @@ def bernoulli(m: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# primes and prime fields
+# primes and reduction mod p
 
 
 # psi_13 (Sorenson-Webster, Math. Comp. 86, 2017): the least strong
@@ -102,13 +102,19 @@ def odd_primes_above(n: int):
         q += 2
 
 
+# Parts at or above _MR_LIMIT are trial-divided by the odd d below this only.
+_TRIAL_LIMIT = 1 << 16
+
+
 def largest_prime_factor(n: int) -> int:
     """Largest prime factor of |n|; returns 1 for n in {-1, 0, 1}.
 
     Strips the primes up to 41, then splits what is left with Pollard-Brent
     rho; a part counts as prime only when is_prime says so.  A part at or
-    above the range where is_prime is exact is trial-divided instead, so
-    the answer is exact for every n.
+    above the range where is_prime is exact is divided by the odd d < 2^16
+    only.  Every search is bounded: when such a cofactor stays out of
+    range, or rho cannot split a composite, DomainError names the number
+    instead of returning a guess.
     """
     n = abs(n)
     best = 1
@@ -120,27 +126,26 @@ def largest_prime_factor(n: int) -> int:
     while parts:
         m = parts.pop()
         if m >= _MR_LIMIT:
-            best = max(best, _largest_prime_factor_by_trial(m))
+            for d in range(_MR_BASES[-1] + 2, _TRIAL_LIMIT, 2):
+                while m % d == 0:
+                    best = max(best, d)
+                    m //= d
+            if m >= _MR_LIMIT:
+                raise DomainError("cannot factor %d: at or above the "
+                                  "certified primality range %d after "
+                                  "dividing out the factors below 2^16"
+                                  % (m, _MR_LIMIT))
+            if m > 1:
+                parts.append(m)
         elif is_prime(m):
             best = max(best, m)
         else:
             d = _brent_factor(m)
             if d is None:
-                best = max(best, _largest_prime_factor_by_trial(m))
-            else:
-                parts.extend((d, m // d))
+                raise DomainError("cannot factor %d: Pollard-Brent rho "
+                                  "found no divisor" % m)
+            parts.extend((d, m // d))
     return best
-
-
-def _largest_prime_factor_by_trial(n: int) -> int:
-    best = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            best = d
-            n //= d
-        d += 1 if d == 2 else 2
-    return max(best, n) if n > 1 else best
 
 
 def _brent_factor(n: int):
@@ -196,97 +201,15 @@ def _check_odd_prime(p: int) -> None:
         raise DomainError("modulus %r is not an odd prime" % (p,))
 
 
-class FpScalar:
-    """An integer mod p, p an odd prime.  Canonical representative in [0, p)."""
-
-    __slots__ = ("p", "val")
-
-    def __init__(self, p: int, val: int):
-        _check_odd_prime(p)
-        self.p = p
-        self.val = val % p
-
-    def _coerce(self, other):
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise DomainError("mixed moduli %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return FpScalar(self.p, other)
-        if isinstance(other, Fraction):
-            return from_rational(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.val + other.val)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpScalar(self.p, -self.val)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.val - other.val)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.val * other.val)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.val == 0:
-            raise ZeroDivisionError("0 is not invertible mod %d" % self.p)
-        return FpScalar(self.p, pow(self.val, -1, self.p))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpScalar(self.p, pow(self.val, e, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = FpScalar(self.p, other)
-        return (isinstance(other, FpScalar)
-                and self.p == other.p and self.val == other.val)
-
-    def __hash__(self):
-        return hash((self.p, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "FpScalar(%d, %d)" % (self.p, self.val)
-
-
-def from_rational(p: int, x) -> FpScalar:
-    """Reduce a rational mod p.  The denominator must be a unit mod p."""
+def from_rational(p: int, x) -> int:
+    """x mod p, in [0, p), for an odd prime p and a rational x whose
+    denominator is a unit mod p."""
     x = Fraction(x)
     if x.denominator % p == 0:
         raise DomainError(
             "denominator of %s vanishes mod %d" % (x, p))
-    return FpScalar(p, x.numerator * pow(x.denominator % p, -1, p))
+    _check_odd_prime(p)
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +605,3 @@ class CyclotomicReal:
             bits *= 2
         raise InternalConsistencyError(
             "sign of nonzero cyclotomic real undecided at %d bits" % bits)
-
-
-def sign_of(x: CyclotomicReal) -> int:
-    """The sign, in {-1, 0, +1}, of a conjugation-fixed cyclotomic number."""
-    return x.sign()

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charwit
 from charwit.cli import (certificate_from_json, certificate_to_json,
                          form_from_json, form_to_json, main, parse_polynomial)
 from charwit.detect import DetectionProblem, build_certificate, find_rational_witness
@@ -402,3 +407,43 @@ def test_cli_transfer_feeds_multisig(tmp_path, capsys):
 def test_cli_unknown_polynomial_variable(capsys):
     code, out, err = run(capsys, "witness", "--xi", "q1 + e", "--n", "2")
     assert code == 2
+
+
+def charwit_process(*argv, timeout=20):
+    """`python -m charwit argv` in a fresh process, which must end within
+    timeout seconds (subprocess.TimeoutExpired fails the test)."""
+    src = os.path.dirname(os.path.dirname(charwit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "charwit", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# 10000000000037 * 1000000000039: above the range where is_prime is exact,
+# with no factor below 2^16, so its largest prime factor is not computed.
+UNFACTORED = "10000000000427000000001443/1"
+
+
+def test_cli_verify_unfactorable_witness_ends(tmp_path):
+    doc = json.loads(FLAGSHIP_TEXT)
+    doc["witness"]["z"][0] = UNFACTORED
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("verification failed: cannot factor "
+                                  "10000000000427000000001443: ")
+    assert "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("xi, n", [("e^2 - p8", 8), ("p1^8 - p8", 2),
+                                   ("p1^10 - p10", 4)])
+def test_cli_witness_unfactorable_value_ends(xi, n):
+    """The first grid point's value has a 30- to 61-digit part above the
+    certified primality range, so there is no bound N: exit 1, named."""
+    proc = charwit_process("witness", "--xi", xi, "--n", str(n), timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot factor ")
+    assert "Traceback" not in proc.stderr

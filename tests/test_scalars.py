@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -11,11 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from charwit import scalars
 from charwit.errors import DomainError, InvariantViolation, ParseError
-from charwit.scalars import (CyclotomicNumber, CyclotomicReal, FpScalar,
-                             bernoulli, from_rational, is_odd_prime,
-                             is_prime, largest_prime_factor, odd_primes_above,
-                             rational_from_string, rational_to_string,
-                             sign_of)
+from charwit.scalars import (CyclotomicNumber, CyclotomicReal, bernoulli,
+                             from_rational, is_odd_prime, is_prime,
+                             largest_prime_factor, odd_primes_above,
+                             rational_from_string, rational_to_string)
 
 
 def bernoulli_triangle(n):
@@ -143,10 +143,36 @@ def test_largest_prime_factor_splits_large_semiprimes():
 
 def test_largest_prime_factor_above_primality_range():
     """43^16 exceeds the certified Miller-Rabin range; the cofactor left
-    after stripping 2..41 is trial-divided, still exactly."""
+    after stripping 2..41 is divided by the odd d < 2^16, still exactly."""
     assert 43 ** 16 >= scalars._MR_LIMIT
     assert largest_prime_factor(43 ** 16) == 43
     assert largest_prime_factor(-(2 ** 5) * 43 ** 16) == 43
+    # the small factor brings the rest into range, where rho splits it
+    n = 65521 * (10 ** 9 + 7) * (10 ** 9 + 9) * 1000003
+    assert n >= scalars._MR_LIMIT
+    assert largest_prime_factor(n) == 10 ** 9 + 9
+
+
+@pytest.mark.parametrize("n", [
+    10000000000037 * 1000000000039,
+    scalars._MR_LIMIT,
+    43 * 10000000000037 * 1000000000039,
+    65537 * 10000000000037 * 1000000000039,
+])
+def test_largest_prime_factor_out_of_range_raises(n):
+    """A cofactor that stays at or above the certified range after the odd
+    d < 2^16 are divided out is refused, and quickly, never searched."""
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="cannot factor"):
+        largest_prime_factor(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_largest_prime_factor_raises_when_rho_fails(monkeypatch):
+    monkeypatch.setattr(scalars, "_brent_factor", lambda n: None)
+    n = 9668371 * 25018291
+    with pytest.raises(DomainError, match="cannot factor %d:" % n):
+        largest_prime_factor(n)
 
 
 def test_is_odd_prime_caches_only_primes():
@@ -157,38 +183,28 @@ def test_is_odd_prime_caches_only_primes():
     assert not is_odd_prime(1)
 
 
-def test_fp_field_axioms():
-    rng = random.Random(11)
-    for p in (5, 13, 53):
-        for _ in range(50):
-            a = FpScalar(p, rng.randrange(p))
-            b = FpScalar(p, rng.randrange(p))
-            c = FpScalar(p, rng.randrange(p))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert a - a == FpScalar(p, 0)
-            if b.val:
-                assert b * b.inverse() == FpScalar(p, 1)
-                assert (a / b) * b == a
-
-
-def test_fp_mixed_arithmetic():
-    a = FpScalar(7, 3)
-    assert a + 11 == FpScalar(7, 0)
-    assert 2 * a == FpScalar(7, 6)
-    assert a ** -1 == FpScalar(7, 5)
-    assert a + Fraction(1, 2) == FpScalar(7, 0)  # 1/2 = 4 mod 7
-    with pytest.raises(DomainError):
-        FpScalar(7, 1) + FpScalar(5, 1)
-
-
 def test_from_rational():
-    assert from_rational(53, Fraction(-47, 7)).val == 16
-    assert from_rational(5, Fraction(7, 3)).val == 4
+    assert from_rational(53, Fraction(-47, 7)) == 16
+    assert from_rational(5, Fraction(7, 3)) == 4
     with pytest.raises(DomainError):
         from_rational(7, Fraction(1, 7))
     with pytest.raises(DomainError):
         from_rational(9, Fraction(1, 2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, 7, 53, 733, 4751, 10 ** 9 + 7)),
+       st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+def test_from_rational_is_the_residue(p, num, den):
+    x = Fraction(num, den)
+    if x.denominator % p == 0:
+        with pytest.raises(DomainError):
+            from_rational(p, x)
+        return
+    r = from_rational(p, x)
+    assert type(r) is int and 0 <= r < p
+    assert (r * x.denominator - x.numerator) % p == 0
+    assert (r * den - num) % p == 0
 
 
 def test_rational_strings():
@@ -217,8 +233,8 @@ def test_cyclotomic_reduction_level5():
 def test_cyclotomic_level_one_is_rational():
     x = CyclotomicNumber.rational(1, Fraction(-3, 2))
     assert x.is_rational() and x.rational_value() == Fraction(-3, 2)
-    assert sign_of(CyclotomicReal(x, 1)) == -1
-    assert sign_of(CyclotomicReal(CyclotomicNumber.rational(1, 0), 1)) == 0
+    assert CyclotomicReal(x, 1).sign() == -1
+    assert CyclotomicReal(CyclotomicNumber.rational(1, 0), 1).sign() == 0
 
 
 def test_cyclotomic_inverse_roundtrip():
