@@ -22,7 +22,8 @@ from .errors import CharwitError, InvariantViolation, ParseError
 from .lforms import (HermitianForm, format_group_ring, multisignature,
                      transfer)
 from .repring import VirtualRep
-from .scalars import odd_primes_above, rational_from_string, rational_to_string
+from .scalars import (int_from_digits, odd_primes_above, rational_from_string,
+                      rational_to_string)
 from .symfun import GradedPolynomial, l_table
 
 
@@ -49,24 +50,21 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
             pos += 1
         return pos
 
-    def parse_rational(pos):
+    def parse_digits(pos, what):
         start = pos
         while pos < n and text[pos].isdigit():
             pos += 1
         if start == pos:
-            raise ParseError("expected a number", offset=pos)
-        num = int(text[start:pos])
+            raise ParseError("expected " + what, offset=pos)
+        return int_from_digits(text[start:pos], start), pos
+
+    def parse_rational(pos):
+        num, pos = parse_digits(pos, "a number")
         if pos < n and text[pos] == "/":
-            pos += 1
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise ParseError("expected a denominator", offset=pos)
-            den = int(text[start:pos])
+            den, end = parse_digits(pos + 1, "a denominator")
             if den == 0:
-                raise ParseError("zero denominator", offset=start)
-            return Fraction(num, den), pos
+                raise ParseError("zero denominator", offset=pos + 1)
+            return Fraction(num, den), end
         return Fraction(num), pos
 
     def parse_factor(pos):
@@ -75,27 +73,15 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
         if text[pos] == "e":
             name, weight, pos = "e", e_weight, pos + 1
         elif text[pos] == "p":
-            pos += 1
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise ParseError("expected an index after p", offset=pos)
-            i = int(text[start:pos])
+            i, end = parse_digits(pos + 1, "an index after p")
             if i < 1:
-                raise ParseError("Pontryagin indices start at 1", offset=start)
-            name, weight = "p%d" % i, 2 * i
+                raise ParseError("Pontryagin indices start at 1", offset=pos + 1)
+            name, weight, pos = "p%d" % i, 2 * i, end
         else:
             raise ParseError("expected a variable", offset=pos)
         exponent = 1
         if pos < n and text[pos] == "^":
-            pos += 1
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise ParseError("expected an exponent", offset=pos)
-            exponent = int(text[start:pos])
+            exponent, pos = parse_digits(pos + 1, "an exponent")
         return GradedPolynomial.variable(name, weight) ** exponent, pos
 
     first = True
@@ -227,7 +213,7 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an over-long integer
         raise ParseError("not valid JSON: %s" % err) from err
     if _field(doc, "version", int, "certificate") != CERTIFICATE_VERSION:
         raise ParseError("unsupported certificate version")
@@ -274,7 +260,7 @@ def _group_ring_entries(values, where):
 def form_from_json(text: str) -> HermitianForm:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an over-long integer
         raise ParseError("not valid JSON: %s" % err) from err
     p = _field(doc, "p", int, "form")
     k = _field(doc, "k", int, "form")

@@ -22,9 +22,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, InternalConsistencyError, InvariantViolation
+from .errors import DomainError, InvariantViolation
 from .repring import VirtualRep
-from .scalars import CyclotomicNumber, CyclotomicReal, is_odd_prime
+from .scalars import (CyclotomicNumber, CyclotomicReal, int_from_digits,
+                      is_odd_prime)
 
 
 class GroupRingElement:
@@ -202,7 +203,7 @@ def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
             start = pos
             while pos < n and text[pos].isdigit():
                 pos += 1
-            coeff = int(text[start:pos])
+            coeff = int_from_digits(text[start:pos], start)
             have_coeff = True
             while pos < n and text[pos].isspace():
                 pos += 1
@@ -226,7 +227,7 @@ def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
                     pos += 1
                 if start == pos or text[start:pos] == "-":
                     raise ParseError("expected exponent digits", offset=pos)
-                exponent = int(text[start:pos])
+                exponent = int_from_digits(text[start:pos], start)
         elif not have_coeff:
             raise ParseError("expected a coefficient or g", offset=pos)
         coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
@@ -407,61 +408,48 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
 def _diagonalize(mat, level: int):
     """Congruence-diagonalize a hermitian matrix over Q(zeta_level).
 
-    Returns the list of pivots, each fixed by conjugation; raises
+    Symmetric Schur-complement elimination, as in LDL* (Golub-Van Loan,
+    4.1-4.2): pivot on the first remaining s with a[s][s] != 0 and replace
+    the remaining block by a[i][j] - a[i][s] a[s][s]^-1 a[s][j], computed on
+    the lower triangle and mirrored by conjugation.  If the remaining
+    diagonal is zero, v_i <- v_i + v_j lam first makes a[i][i] nonzero for
+    the first a[i][j] != 0: lam = 1, or zeta when a[i][j] + conj(a[i][j]) = 0.
+
+    Returns the pivots, each nonzero and fixed by conjugation; raises
     InvariantViolation when the matrix is singular.
     """
-    q = len(mat)
     a = [list(row) for row in mat]
-    zeta = CyclotomicNumber.zeta(level)
-
-    def add_basis(i, j, lam):
-        # v_i <- v_i + v_j * lam
-        lam_bar = lam.conjugate()
-        for b in range(q):
-            a[i][b] = a[i][b] + lam_bar * a[j][b]
-        for c in range(q):
-            a[c][i] = a[c][i] + a[c][j] * lam
-
+    rest = list(range(len(a)))
     pivots = []
-    for step in range(q):
-        piv = None
-        for i in range(step, q):
-            if not a[i][i].is_zero():
-                piv = i
-                break
-        if piv is None:
-            found = None
-            for i in range(step, q):
-                for j in range(i + 1, q):
-                    if not a[i][j].is_zero():
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
+    while rest:
+        s = next((i for i in rest if a[i][i]), None)
+        if s is None:
+            pair = next(((i, j) for i in rest for j in rest
+                         if j > i and a[i][j]), None)
+            if pair is None:
                 raise InvariantViolation(
                     "form is singular at a character of order %d" % level)
-            i, j = found
-            for lam in (CyclotomicNumber.rational(level, 1), zeta):
-                probe = lam * a[i][j] + (lam * a[i][j]).conjugate()
-                if not probe.is_zero():
-                    add_basis(i, j, lam)
-                    break
-            else:
-                raise InternalConsistencyError(
-                    "could not create a nonzero diagonal entry")
-            piv = i
-        if piv != step:
-            a[step], a[piv] = a[piv], a[step]
-            for row in a:
-                row[step], row[piv] = row[piv], row[step]
-        pivot = a[step][step]
-        for below in range(step + 1, q):
-            if a[below][step].is_zero():
-                continue
-            lam = -(a[below][step] / pivot).conjugate()
-            add_basis(below, step, lam)
-        pivots.append(pivot)
+            s, j = pair
+            lam = CyclotomicNumber.rational(level, 1)
+            if not a[s][j] + a[s][j].conjugate():
+                lam = CyclotomicNumber.zeta(level)
+            lam_bar = lam.conjugate()
+            for b in rest:
+                a[s][b] = a[s][b] + lam_bar * a[j][b]
+            for c in rest:
+                a[c][s] = a[c][s] + a[c][j] * lam
+        rest.remove(s)
+        pivots.append(a[s][s])
+        below = [i for i in rest if a[i][s]]
+        if below:
+            # a[s][j] = conj(a[j][s]) is zero off `below`: nothing else moves
+            inv = a[s][s].inverse()
+            for n, i in enumerate(below):
+                f = a[i][s] * inv
+                for j in below[:n + 1]:
+                    a[i][j] = a[i][j] - f * a[s][j]
+                    if j < i:
+                        a[j][i] = a[i][j].conjugate()
     return pivots
 
 
@@ -476,7 +464,9 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     at order d > 1 is first multiplied by u = zeta - zeta^(-1), which makes
     it hermitian: at zeta^t, u Lambda = 2 sin(2 pi t / d) * i Lambda, so
     the pivot signs flip exactly when t > d/2.  A singular evaluation at
-    any character means the form was not unimodular and raises.
+    any character means the form was not unimodular and raises.  The pivot
+    order does not matter: every step is a congruence, and each embedding
+    respects conjugation, so the signs obey Sylvester's law of inertia.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
@@ -493,9 +483,6 @@ def multisignature(form: HermitianForm) -> VirtualRep:
             u = CyclotomicNumber.zeta(d) - CyclotomicNumber.zeta(d).conjugate()
             mat = [[u * x for x in row] for row in mat]
         pivots = _diagonalize(mat, d)
-        if any(x.is_zero() for x in pivots):
-            raise InvariantViolation(
-                "form is singular at a character of order %d" % d)
         for t in range(d):
             if gcd(t, d) != 1:
                 continue

@@ -24,6 +24,16 @@ def rational_to_string(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def int_from_digits(digits: str, offset: int) -> int:
+    """int(digits), where more digits than sys.get_int_max_str_digits()
+    raise ParseError at offset instead of ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError("integer literal of %d digits is too long"
+                         % len(digits), offset=offset) from exc
+
+
 def rational_from_string(text: str) -> Fraction:
     text = text.strip()
     try:
@@ -417,12 +427,6 @@ class CyclotomicNumber:
         if len(g) != 1:
             raise InvariantViolation("modulus not coprime to element")
         return CyclotomicNumber(self.L, [c / g[0] for c in s])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""

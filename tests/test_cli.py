@@ -376,6 +376,32 @@ def test_cli_parse_error_exit_code(capsys):
     assert "offset 4" in err
 
 
+# More digits than Python converts to int (sys.get_int_max_str_digits()).
+HUGE = "1" + "0" * 5000
+HUGE_FORM = '{"p": 3, "k": 1, "parity": 1, "matrix": [[%s]]}'
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "{path}"],
+     FLAGSHIP_TEXT.replace('"prime": 53,', '"prime": %s,' % HUGE)),
+    (["multisig", "--form", "{path}"], HUGE_FORM % ('"%s"' % HUGE)),
+    (["multisig", "--form", "{path}"], HUGE_FORM % HUGE),
+    (["witness", "--xi", "%s*e^2 - p2" % HUGE, "--n", "2"], None),
+    (["witness", "--xi", "e^%s - p2" % HUGE, "--n", "2"], None),
+], ids=["prime", "matrix string", "matrix integer", "xi coefficient",
+        "xi exponent"])
+def test_cli_over_long_integer_literal_is_parse_error(tmp_path, capsys, argv,
+                                                      text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        assert HUGE in text
+        path.write_text(text)
+    code, out, err = run(capsys, *(a.replace("{path}", str(path))
+                                   for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_cli_multisig(tmp_path, capsys):
     form = tmp_path / "form.json"
     form.write_text(form_to_json(HermitianForm(3, 1, 1, [["1"]])))

@@ -11,7 +11,9 @@ from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             format_group_ring, hyperbolic, integer_expansion,
                             multisignature, parse_group_ring, random_form,
                             reduce_refinement, signature_int, transfer)
+from charwit.lforms import _diagonalize
 from charwit.repring import VirtualRep, restrict
+from charwit.scalars import CyclotomicNumber
 
 
 def gre(text, p=3, k=1):
@@ -352,17 +354,86 @@ def test_group_ring_rejects_non_odd_prime_orders(p):
         GroupRingElement(p, 1, {1: 1})
 
 
-def test_multisignature_digest_frozen():
-    """SHA-256 of the multisignatures of seeded forms and their transfers,
-    frozen from an independent computation (skew pivots divided by
-    zeta - zeta^-1, signs from mpmath interval arithmetic)."""
+@pytest.mark.parametrize("cells, expected", [
+    (((3, 2, 4), (5, 2, 4), (3, 3, 4)),
+     "e5ed612863cbdab8b83e1fea7d6e3ef6edd197da9b9820f2f85790eb935135f0"),
+    (((7, 1, 6), (5, 2, 6)),
+     "bb11409e8706a62eeb9912637efcfea6258c3d3ec739017fc3aee79f3387dc75"),
+], ids=["rank4", "rank6"])
+def test_multisignature_digest_frozen(cells, expected):
+    """SHA-256 of the multisignatures of seeded forms and, at level k > 1,
+    their transfers.  The first digest was frozen from an independent
+    computation (skew pivots divided by zeta - zeta^-1, signs from mpmath
+    interval arithmetic), the second from the row-and-column elimination
+    that preceded the Schur-complement one."""
     digest = hashlib.sha256()
-    for p, k, rank in ((3, 2, 4), (5, 2, 4), (3, 3, 4)):
+    for p, k, rank in cells:
         for parity in (1, -1):
             for seed in (1, 2):
                 f = random_form(p, k, parity, rank, seed)
-                for g in (f, transfer(f)):
+                for g in (f, transfer(f)) if k > 1 else (f,):
                     digest.update(json.dumps(
                         multisignature(g).serialize()).encode() + b"\n")
-    assert digest.hexdigest() == ("e5ed612863cbdab8b83e1fea7d6e3ef6"
-                                  "edd197da9b9820f2f85790eb935135f0")
+    assert digest.hexdigest() == expected
+
+
+def _hermitian_draw(rng, L, rank, zero_diagonal):
+    """A seeded hermitian matrix over Q(zeta_L) with small coefficients;
+    about a third of its off-diagonal entries are purely imaginary."""
+    def entry():
+        x = CyclotomicNumber.from_exponents(
+            L, [(rng.randrange(L), rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 3))])
+        return x - x.conjugate() if rng.random() < 0.3 else x
+
+    a = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        x = entry()
+        a[i][i] = (CyclotomicNumber.rational(L, 0) if zero_diagonal
+                   else x + x.conjugate())
+        for j in range(i):
+            a[i][j] = entry()
+            a[j][i] = a[i][j].conjugate()
+    return a
+
+
+def _cofactor_det(m):
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = CyclotomicNumber.rational(m[0][0].L, 0)
+    for c, x in enumerate(m[0]):
+        term = x * _cofactor_det([row[:c] + row[c + 1:] for row in m[1:]])
+        total = total - term if c % 2 else total + term
+    return total
+
+
+def test_diagonalize_pivot_oracle():
+    """Every pivot is nonzero and real, and their product is det(A): each
+    congruence the elimination applies has determinant 1.  A singular A
+    raises.  The hand case needs lam = zeta: its off-diagonal entry
+    u = zeta - zeta^-1 has u + conj(u) = 0."""
+    rng = random.Random(2208)
+    u = CyclotomicNumber.zeta(5) - CyclotomicNumber.zeta(5).conjugate()
+    zero = CyclotomicNumber.rational(5, 0)
+    draws = [(5, [[zero, u], [u.conjugate(), zero]])]
+    for n in range(150):
+        L = (1, 3, 5, 7, 9)[n % 5]
+        draws.append((L, _hermitian_draw(rng, L, rng.randint(1, 4),
+                                         zero_diagonal=n % 2 == 1)))
+    counts = {True: 0, False: 0}
+    for L, a in draws:
+        det = _cofactor_det(a)
+        counts[det.is_zero()] += 1
+        if det.is_zero():
+            with pytest.raises(InvariantViolation):
+                _diagonalize(a, L)
+            continue
+        pivots = _diagonalize(a, L)
+        assert len(pivots) == len(a)
+        assert all(x and x.conjugate() == x for x in pivots)
+        product = CyclotomicNumber.rational(L, 1)
+        for x in pivots:
+            product = product * x
+        assert product == det
+    assert counts[False] >= 100 and counts[True] >= 10
