@@ -203,6 +203,16 @@ def _int_pairs(mapping, key, where, shape):
     return [tuple(pair) for pair in pairs]
 
 
+def _json_document(text: str):
+    """json.loads(text), every failure a ParseError."""
+    try:
+        return json.loads(text)
+    except ValueError as err:  # JSONDecodeError, or an over-long integer
+        raise ParseError("not valid JSON: %s" % err) from err
+    except RecursionError as err:
+        raise ParseError("not valid JSON: nested too deeply") from err
+
+
 def certificate_from_json(text: str) -> WitnessCertificate:
     """Rebuild a certificate from its JSON form.
 
@@ -211,10 +221,7 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     inconsistent mathematical content is left for verify_certificate to
     report.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an over-long integer
-        raise ParseError("not valid JSON: %s" % err) from err
+    doc = _json_document(text)
     if _field(doc, "version", int, "certificate") != CERTIFICATE_VERSION:
         raise ParseError("unsupported certificate version")
     prob = _field(doc, "problem", dict, "certificate")
@@ -258,10 +265,7 @@ def _group_ring_entries(values, where):
 
 
 def form_from_json(text: str) -> HermitianForm:
-    try:
-        doc = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an over-long integer
-        raise ParseError("not valid JSON: %s" % err) from err
+    doc = _json_document(text)
     p = _field(doc, "p", int, "form")
     k = _field(doc, "k", int, "form")
     parity = _field(doc, "parity", int, "form")

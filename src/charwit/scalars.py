@@ -2,8 +2,10 @@
 reduction of rationals mod p, and real cyclotomic numbers with certified
 signs.
 
-Rationals are ``fractions.Fraction`` throughout, an element of F_p is a
-plain int in [0, p), and nothing in the package touches floating point.
+Rationals are ``fractions.Fraction``, an element of F_p is a plain int in
+[0, p), a cyclotomic number is an integer coefficient tuple over one
+positive common denominator, and nothing in the package touches floating
+point.
 The sign of a nonzero real cyclotomic number is certified by an integer
 interval dot product against fixed-point brackets of the cosines
 cos(2 pi j / L), one cached table per level and precision.
@@ -12,7 +14,9 @@ cos(2 pi j / L), one cached table per level and precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import (DomainError, InternalConsistencyError,
                      InvariantViolation, ParseError)
@@ -225,149 +229,81 @@ def from_rational(p: int, x) -> int:
 # ---------------------------------------------------------------------------
 # cyclotomic arithmetic
 #
-# Q(zeta_L) for L = p^k an odd prime power (or L = 1) is represented as
-# Q[x]/Phi_L(x), elements stored as coefficient tuples of length phi(L).
-# Conjugation is x -> x^(L-1) = x^(-1); inverses come from the extended
-# Euclidean algorithm in Q[x].
-
-
-def _prime_power_split(L: int):
-    if L == 1:
-        return (1, 0)
-    for p in range(3, L + 1, 2):
-        if L % p == 0:
-            k = 0
-            m = L
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                break
-            _check_odd_prime(p)
-            return (p, k)
-    raise DomainError("level %r is not an odd prime power" % (L,))
+# Q(zeta_L) for L = p^k an odd prime power (or L = 1) is Q[x]/Phi_L(x).  An
+# element is num/den: num holds phi(L) integer coefficients and den > 0 is
+# coprime to their content, so equal elements have equal encodings (Cohen,
+# GTM 138, 4.2).  Inverses come from relative norms, as in _inverse.
 
 
 class _Level:
-    """Cached structure constants of Q[x]/Phi_{p^k}(x)."""
+    """Q[x]/Phi_L for L = p^k, or L = 1 with p = 1: phi = phi(L) and the
+    exponents jL/p, j < p - 1, of x^phi = -sum_j x^(jL/p)."""
 
     def __init__(self, L: int):
-        p, k = _prime_power_split(L)
-        self.L = L
-        self.p = p
-        self.k = k
-        if L == 1:
-            self.phi = 1
-            self.modulus = [Fraction(-1), Fraction(1)]  # x - 1
-        else:
-            m = L // p
-            self.phi = (p - 1) * m
-            mod = [Fraction(0)] * (self.phi + 1)
-            for j in range(p):
-                mod[j * m] = Fraction(1)
-            self.modulus = mod
+        p = next((q for q in range(2, L + 1) if L % q == 0), 1)
+        k = 0
+        while p > 1 and L % p ** (k + 1) == 0:
+            k += 1
+        if L < 1 or p == 2 or p ** k != L:
+            raise DomainError("level %r is not an odd prime power" % (L,))
+        self.L, self.p = L, p
+        self.phi = max((p - 1) * (L // p), 1)
+        self.tail = tuple(j * (L // p) for j in range(p - 1))
 
 
-_levels: dict[int, _Level] = {}
+_level = lru_cache(maxsize=None)(_Level)
 
 
-def _level(L: int) -> _Level:
-    if L not in _levels:
-        _levels[L] = _Level(L)
-    return _levels[L]
-
-
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_rem(a, mod):
-    """Remainder of a modulo the monic polynomial mod, in place."""
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = Fraction(0)
-            for j in range(dm):
-                if mod[j]:
-                    a[i - dm + j] -= c * mod[j]
-    del a[dm:]
-    return a
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            c = c / lead
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return _poly_trim(q), _poly_trim(a[:db])
-
-
-def _poly_xgcd(a, b):
-    """(g, s) with s*a = g mod b and g the monic gcd of a, b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    while _poly_trim(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _poly_mul(q, s1)
-        s0, s1 = s1, _poly_trim([x - y for x, y in
-                                 _zip_pad(s0, prod)])
-    if not r0:
-        raise ZeroDivisionError("gcd of zero polynomials")
-    lead = r0[-1]
-    return [c / lead for c in r0], [c / lead for c in s0]
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    za = a + [Fraction(0)] * (n - len(a))
-    zb = b + [Fraction(0)] * (n - len(b))
-    return zip(za, zb)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _reduce(lev: _Level, c: list) -> list:
+    """The phi coefficients of c mod Phi_L, by x^L = 1 and then
+    x^phi = -sum_j x^(jL/p); c is consumed."""
+    phi, L = lev.phi, lev.L
+    if len(c) <= phi:
+        return c + [0] * (phi - len(c))
+    for i in range(L, len(c)):
+        c[i % L] += c[i]
+    for i in range(phi, min(len(c), L)):
+        v = c[i]
+        if v:
+            for e in lev.tail:
+                c[i - phi + e] -= v
+    return c[:phi]
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_L), L an odd prime power."""
+    """An element num/den of Q(zeta_L), L an odd prime power."""
 
-    __slots__ = ("L", "coeffs")
+    __slots__ = ("L", "num", "den")
 
     def __init__(self, L: int, coeffs):
-        lev = _level(L)
-        c = list(coeffs)
-        if len(c) > lev.phi:
-            _poly_rem(c, lev.modulus)
-        c = [Fraction(x) for x in c]
-        c += [Fraction(0)] * (lev.phi - len(c))
-        self.L = L
-        self.coeffs = tuple(c)
+        c = [(x, 1) if type(x) is int else Fraction(x).as_integer_ratio()
+             for x in coeffs]
+        den = lcm(*(d for _, d in c))
+        x = self._make(L, [n * (den // d) for n, d in c], den)
+        self.L, self.num, self.den = L, x.num, x.den
+
+    @classmethod
+    def _make(cls, L: int, num: list, den: int) -> "CyclotomicNumber":
+        """num/den for an int list num of any length and an int den != 0,
+        reduced mod Phi_L and divided by gcd(den, *num) taken with the sign
+        of den."""
+        num = _reduce(_level(L), num)
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        self = object.__new__(cls)
+        self.L, self.den = L, den // g
+        self.num = tuple(num) if g == 1 else tuple(x // g for x in num)
+        return self
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @classmethod
     def from_exponents(cls, L: int, pairs) -> "CyclotomicNumber":
         """Build sum c_m * zeta^m from (exponent, coefficient) pairs."""
-        raw = [Fraction(0)] * L if L > 1 else [Fraction(0)]
+        raw = [0] * max(L, 1)
         for m, c in pairs:
-            raw[m % L] += Fraction(c)
+            raw[m % L] += c
         return cls(L, raw)
 
     @classmethod
@@ -376,7 +312,7 @@ class CyclotomicNumber:
 
     @classmethod
     def rational(cls, L: int, x) -> "CyclotomicNumber":
-        return cls(L, [Fraction(x)])
+        return cls(L, [x])
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -388,24 +324,27 @@ class CyclotomicNumber:
             return CyclotomicNumber.rational(self.L, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(
-            self.L, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+        g = gcd(self.den, other.den)
+        u, v = other.den // g, sign * (self.den // g)
+        return CyclotomicNumber._make(
+            self.L, [x * u + y * v for x, y in zip(self.num, other.num)],
+            self.den * u)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.L, [-x for x in self.coeffs])
+        return CyclotomicNumber._make(self.L, [-x for x in self.num],
+                                      self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.L, [x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -414,53 +353,79 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CyclotomicNumber(self.L, prod)
+        b = other.num
+        out = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return CyclotomicNumber._make(self.L, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        lev = _level(self.L)
-        g, s = _poly_xgcd(_poly_trim(list(self.coeffs)), lev.modulus)
-        if len(g) != 1:
-            raise InvariantViolation("modulus not coprime to element")
-        return CyclotomicNumber(self.L, [c / g[0] for c in s])
+        return _inverse(self)
+
+    def _galois(self, a: int) -> "CyclotomicNumber":
+        """The image under zeta -> zeta^a, for a a unit mod L."""
+        out = [0] * self.L
+        for m, c in enumerate(self.num):
+            out[m * a % self.L] = c
+        return CyclotomicNumber._make(self.L, out, self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        if self.L == 1:
-            return self
-        return CyclotomicNumber.from_exponents(
-            self.L, [((-m) % self.L, c)
-                     for m, c in enumerate(self.coeffs) if c])
+        return self._galois(-1)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError("element is irrational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.L, self.coeffs))
+        return hash((self.L, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
         return "CyclotomicNumber(%d, %r)" % (self.L, list(self.coeffs))
+
+
+def _inverse(x: CyclotomicNumber) -> CyclotomicNumber:
+    """1/x for nonzero x, by the relative norm to Q(zeta_m), m = L/p
+    (Washington, GTM 83, ch. 2).  y, the product of the images of x under
+    zeta -> zeta^a for the units a = 1 mod m, a != 1, makes n = x y fixed by
+    all of them, so n lies in Q(zeta_m): its coefficients sit at multiples
+    of p.  Then 1/x = y / n, with 1/n inverted at level m."""
+    L = x.L
+    if x.is_rational():
+        return CyclotomicNumber._make(L, [x.den], x.num[0])
+    lev = _level(L)
+    p, m = lev.p, L // lev.p
+    y = reduce(mul, [x._galois(a) for a in range(1 + m, L, m) if a % p])
+    n = x * y
+    if any(c for i, c in enumerate(n.num) if i % p):
+        raise InvariantViolation("relative norm of a cyclotomic number is "
+                                 "not in the subfield")
+    sub = _inverse(CyclotomicNumber._make(m, list(n.num[::p]), n.den))
+    spread = [0] * lev.phi
+    spread[::p] = sub.num
+    return CyclotomicNumber._make(L, spread, sub.den) * y
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +544,14 @@ class CyclotomicReal:
         self.embedding = embedding % max(number.L, 1)
 
     def sign(self) -> int:
-        num = self.number
-        if num.is_zero():
+        x = self.number
+        if x.is_zero():
             return 0
-        if num.is_rational():
-            v = num.coeffs[0]
-            return 1 if v > 0 else -1
-        L = num.L
+        if x.is_rational():
+            return 1 if x.num[0] > 0 else -1
+        L = x.L
         r = self.embedding
-        den = lcm(*(c.denominator for c in num.coeffs))
-        terms = [(c.numerator * (den // c.denominator), (r * m) % L)
-                 for m, c in enumerate(num.coeffs) if c]
+        terms = [(a, (r * m) % L) for m, a in enumerate(x.num) if a]
         bits = 64
         while bits <= (1 << 20):
             table = _cos_table(L, bits)

@@ -341,6 +341,18 @@ def test_cli_rejects_non_utf8_input(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "multisig", "transfer"])
+def test_cli_deeply_nested_json_is_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = [command, str(path)] if command == "verify" else [
+        command, "--form", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 SKEW_FORM = {"p": 3, "k": 1, "parity": -1,
              "matrix": [["g - g^2", "1"], ["-1", "g - g^2"]],
              "refinement": ["g", "g"]}

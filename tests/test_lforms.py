@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -359,13 +360,16 @@ def test_group_ring_rejects_non_odd_prime_orders(p):
      "e5ed612863cbdab8b83e1fea7d6e3ef6edd197da9b9820f2f85790eb935135f0"),
     (((7, 1, 6), (5, 2, 6)),
      "bb11409e8706a62eeb9912637efcfea6258c3d3ec739017fc3aee79f3387dc75"),
-], ids=["rank4", "rank6"])
+    (((7, 2, 6),),
+     "67ed917f58df94db261d7bc0adae949eb6612fd4c8c2444b58a1aedf39c145ef"),
+], ids=["rank4", "rank6", "level49"])
 def test_multisignature_digest_frozen(cells, expected):
     """SHA-256 of the multisignatures of seeded forms and, at level k > 1,
     their transfers.  The first digest was frozen from an independent
     computation (skew pivots divided by zeta - zeta^-1, signs from mpmath
     interval arithmetic), the second from the row-and-column elimination
-    that preceded the Schur-complement one."""
+    that preceded the Schur-complement one, the third from the Fraction
+    coefficients and Euclidean inverse that preceded the integer ones."""
     digest = hashlib.sha256()
     for p, k, rank in cells:
         for parity in (1, -1):
@@ -375,6 +379,15 @@ def test_multisignature_digest_frozen(cells, expected):
                     digest.update(json.dumps(
                         multisignature(g).serialize()).encode() + b"\n")
     assert digest.hexdigest() == expected
+
+
+def test_multisignature_slowest_transfer_budget():
+    """The slowest operation of the forms benchmark: a rank-42 form over
+    Z[C_7], whose pivots are all at level 7."""
+    g = transfer(random_form(7, 2, 1, 6, 1))
+    start = time.perf_counter()
+    multisignature(g)
+    assert time.perf_counter() - start < 0.5
 
 
 def _hermitian_draw(rng, L, rank, zero_diagonal):

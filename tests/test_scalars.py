@@ -280,6 +280,88 @@ def test_cyclotomic_norm_is_positive():
                 assert CyclotomicReal(norm, embedding).sign() == 1
 
 
+CYCLOTOMIC_LEVELS = (1, 3, 5, 7, 9, 25, 27, 49)
+
+
+def _cyclotomic_modulus(L):
+    """Phi_L = sum_{j<p} x^(jL/p), or x - 1 at L = 1, low degree first."""
+    if L == 1:
+        return [-1, 1]
+    p = next(q for q in range(3, L + 1, 2) if L % q == 0)
+    mod = [0] * ((p - 1) * (L // p) + 1)
+    for j in range(p):
+        mod[j * (L // p)] = 1
+    return mod
+
+
+def _reference_product(L, a, b):
+    """Dense Fraction product of two coefficient tuples, then long division
+    by the monic Phi_L."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    mod = _cyclotomic_modulus(L)
+    d = len(mod) - 1
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i]
+        for j in range(d + 1):
+            prod[i - d + j] -= c * mod[j]
+    return tuple(prod[:d])
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    """Two elements of Q(zeta_L) at one level L, each with integer
+    coefficients of up to 200 bits over a random denominator."""
+    L = draw(st.sampled_from(CYCLOTOMIC_LEVELS))
+    phi = len(_cyclotomic_modulus(L)) - 1
+    bits = draw(st.sampled_from((1, 8, 64, 200)))
+    pair = []
+    for _ in range(2):
+        den = draw(st.integers(1, 1 << 64))
+        nums = draw(st.lists(st.integers(-(1 << bits), 1 << bits),
+                             min_size=phi, max_size=phi))
+        pair.append(CyclotomicNumber(L, [Fraction(n, den) for n in nums]))
+    return tuple(pair)
+
+
+def _is_canonical(x):
+    return (x.den > 0 and gcd(x.den, *x.num) == 1
+            and all(type(n) is int for n in x.num))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(cyclotomic_pairs())
+def test_cyclotomic_integer_arithmetic_oracle(pair):
+    x, y = pair
+    one = CyclotomicNumber.rational(x.L, 1)
+    assert (x * y).coeffs == _reference_product(x.L, x.coeffs, y.coeffs)
+    assert x.conjugate().conjugate() == x
+    results = [x, y, x * y, x + y, x - y, -x, x.conjugate()]
+    if x:
+        assert x * x.inverse() == one
+        results.append(x.inverse())
+    if y:
+        back = (x * y) * y.inverse()
+        assert back == x and hash(back) == hash(x)
+        results.append(back)
+    assert all(_is_canonical(z) for z in results)
+
+
+def test_cyclotomic_negative_rational_inverse():
+    for L in (1, 7, 49):
+        x = CyclotomicNumber.rational(L, Fraction(-6, 35))
+        inv = x.inverse()
+        assert inv.den == 6 and inv.num[0] == -35 and _is_canonical(inv)
+        assert inv == CyclotomicNumber.rational(L, Fraction(-35, 6))
+        assert x * inv == CyclotomicNumber.rational(L, 1)
+        # the same rational reached through the relative norms
+        z = CyclotomicNumber.zeta(L)
+        w = (z * x).inverse() * z
+        assert w == inv and _is_canonical(w)
+
+
 def test_cyclotomic_real_rejects_non_real():
     z = CyclotomicNumber.zeta(7)
     with pytest.raises(InvariantViolation):
