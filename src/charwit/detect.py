@@ -126,10 +126,10 @@ def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
     assignment = {}
     for name in l_polynomial.variables():
         if name == "e":
-            mono = GradedPolynomial.constant(1)
-            for j in range(1, n + 1):
-                mono = mono * GradedPolynomial.variable("a%d" % j, 1)
-            assignment["e"] = mono
+            names = ["a%d" % j for j in range(1, n + 1)]
+            assignment["e"] = GradedPolynomial(
+                dict.fromkeys(names, 1),
+                {tuple((a, 1) for a in names): Fraction(1)})
         elif name.startswith("x") and int(name[1:]) < k:
             assignment[name] = ell_polynomial(int(name[1:]), n)
     out = l_polynomial.substitute(assignment)

@@ -61,10 +61,6 @@ class GroupRingElement:
     def one(cls, p: int, k: int) -> "GroupRingElement":
         return cls(p, k, {0: 1})
 
-    @classmethod
-    def generator_power(cls, p: int, k: int, r: int) -> "GroupRingElement":
-        return cls(p, k, {r: 1})
-
     def _coerce(self, other):
         if isinstance(other, GroupRingElement):
             if (other.p, other.k) != (self.p, self.k):
@@ -539,10 +535,12 @@ def transfer(form: HermitianForm) -> HermitianForm:
         for i in range(p):
             row = []
             for b in range(q):
+                lam = form.matrix[a][b]
                 for j in range(p):
-                    shifted = form.matrix[a][b] * \
-                        GroupRingElement.generator_power(p, k, j - i)
-                    row.append(_trace(shifted))
+                    # Tr(lam g^(j-i)): the terms of lam g^(j-i) in the subgroup
+                    row.append(GroupRingElement(p, k - 1, {
+                        (r + j - i) // p: c for r, c in lam.coeffs.items()
+                        if (r + j - i) % p == 0}))
             rows.append(row)
     refinement = None
     if form.parity == -1:

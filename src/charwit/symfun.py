@@ -1,10 +1,15 @@
 """Graded polynomials, the Hirzebruch L-polynomials, and their inversion.
 
 A GradedPolynomial is a sparse polynomial over Q in named variables, each
-carrying an integer weight (half the cohomological degree).  The L-table
-takes the logarithm of the series t/tanh(t), writes the power sums of the
-squared roots in the Pontryagin variables by Newton's identities, and
-exponentiates by a one-line recurrence, yielding
+carrying an integer weight (half the cohomological degree).  Each monomial
+is keyed by its variable names, as a tuple of (name, exponent) pairs in
+natural name order with e last, so operands with different variables
+combine by merging term dicts; terms print by increasing weight, then by
+exponent tuple over the sorted variables.
+
+The L-table takes the logarithm of the series t/tanh(t), writes the power
+sums of the squared roots in the Pontryagin variables by Newton's
+identities, and exponentiates by a one-line recurrence, yielding
 
     L_1 = 1/3*p1,   L_2 = 7/45*p2 - 1/45*p1^2,   ...
 
@@ -33,83 +38,69 @@ def _name_key(name: str):
     return (name == "e", prefix, int(suffix) if suffix.isdigit() else -1, name)
 
 
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Product of two monomials, kept in natural name order."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple((name, exps[name]) for name in sorted(exps, key=_name_key))
+
+
 class GradedPolynomial:
     """Sparse polynomial over Q with weighted variables.
 
-    Variables are (name, weight) pairs; the monomial weight is the sum of
-    exponent times variable weight.  The canonical form sorts variables by
-    natural name order (with "e" last) and prints terms in increasing
-    (weight, exponent-tuple) order, which reproduces the customary way of
-    writing L-polynomials.
+    `weights` maps each variable that occurs to its integer weight, and the
+    weight of a monomial is the sum of exponent times variable weight.
+    `terms` maps monomials to nonzero Fraction coefficients.  A monomial is
+    a tuple of (name, exponent) pairs with positive exponents, in natural
+    name order with "e" last (p2 < p10 < x1 < e); the constant monomial is
+    ().  The constructor stores both dicts as given: every caller hands it
+    canonical data, and since results share these dicts with their
+    operands, neither is changed after construction.  Terms print in
+    increasing (weight, exponent tuple over variables()) order, which
+    reproduces the customary way of writing L-polynomials.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("weights", "terms")
 
-    def __init__(self, variables, terms):
-        vars_ = []
-        seen = {}
-        for name, w in variables:
-            if name in seen:
-                if seen[name] != w:
-                    raise DomainError("variable %r declared with weights %d and %d"
-                                      % (name, seen[name], w))
-            else:
-                seen[name] = w
-                vars_.append((name, int(w)))
-        clean = {}
-        for mono, c in terms.items():
-            c = Fraction(c)
-            if len(mono) != len(vars_):
-                raise DomainError("exponent tuple of wrong length")
-            if c:
-                mono = tuple(int(e) for e in mono)
-                if any(e < 0 for e in mono):
-                    raise DomainError("negative exponent")
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-        clean = {m: c for m, c in clean.items() if c}
-        # prune unused variables, then sort canonically
-        used = [i for i in range(len(vars_))
-                if any(m[i] for m in clean)]
-        vars_ = [vars_[i] for i in used]
-        order = sorted(range(len(vars_)), key=lambda i: _name_key(vars_[i][0]))
-        self.vars = tuple(vars_[i] for i in order)
-        remap = {}
-        for mono, c in clean.items():
-            kept = tuple(mono[used[i]] for i in order)
-            remap[kept] = c
-        self.terms = remap
+    def __init__(self, weights: dict, terms: dict):
+        self.weights = weights
+        self.terms = terms
 
     # --- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "GradedPolynomial":
-        return cls((), {})
+        return cls({}, {})
 
     @classmethod
     def constant(cls, c) -> "GradedPolynomial":
         c = Fraction(c)
-        return cls((), {(): c} if c else {})
+        return cls({}, {(): c} if c else {})
 
     @classmethod
     def variable(cls, name: str, weight: int) -> "GradedPolynomial":
-        return cls(((name, weight),), {(1,): Fraction(1)})
+        return cls({name: int(weight)}, {((name, 1),): Fraction(1)})
 
     # --- structure --------------------------------------------------------
 
     def variables(self) -> tuple:
-        return tuple(name for name, _ in self.vars)
+        return tuple(sorted(self.weights, key=_name_key))
 
     def var_weight(self, name: str) -> int:
-        for n, w in self.vars:
-            if n == name:
-                return w
-        raise DomainError("no variable %r" % (name,))
+        if name not in self.weights:
+            raise DomainError("no variable %r" % (name,))
+        return self.weights[name]
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def monomial_weight(self, mono) -> int:
-        return sum(e * w for e, (_, w) in zip(mono, self.vars))
+        return sum(e * self.weights[name] for name, e in mono)
 
     def is_homogeneous(self) -> bool:
         weights = {self.monomial_weight(m) for m in self.terms}
@@ -124,44 +115,22 @@ class GradedPolynomial:
 
     def coefficient(self, mono: dict) -> Fraction:
         """Coefficient of the monomial given as {name: exponent}."""
-        names = self.variables()
-        for n in mono:
-            if n not in names and mono[n]:
-                return Fraction(0)
-        key = tuple(mono.get(n, 0) for n in names)
+        key = tuple((name, mono[name])
+                    for name in sorted(mono, key=_name_key) if mono[name])
         return self.terms.get(key, Fraction(0))
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if self.vars:
-            raise DomainError("polynomial is not constant")
-        return self.terms[()]
 
     # --- arithmetic -------------------------------------------------------
 
-    def _align(self, other: "GradedPolynomial"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = dict(self.vars)
-        for name, w in other.vars:
+    def _weights_with(self, other: "GradedPolynomial") -> dict:
+        """Both operands' weights in one dict; a variable with two weights
+        raises."""
+        if self.weights == other.weights:
+            return self.weights
+        merged = dict(self.weights)
+        for name, w in other.weights.items():
             if merged.setdefault(name, w) != w:
                 raise DomainError("variable %r carries two weights" % (name,))
-        names = sorted(merged, key=_name_key)
-        vars_ = tuple((n, merged[n]) for n in names)
-        pos = {n: i for i, n in enumerate(names)}
-
-        def remap(poly):
-            idx = [pos[n] for n, _ in poly.vars]
-            out = {}
-            for mono, c in poly.terms.items():
-                key = [0] * len(names)
-                for i, e in zip(idx, mono):
-                    key[i] = e
-                out[tuple(key)] = c
-            return out
-
-        return vars_, remap(self), remap(other)
+        return merged
 
     def _coerce(self, other):
         if isinstance(other, GradedPolynomial):
@@ -174,16 +143,25 @@ class GradedPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vars_, a, b = self._align(other)
-        out = dict(a)
-        for mono, c in b.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return GradedPolynomial(vars_, out)
+        weights = self._weights_with(other)
+        out = dict(self.terms)
+        cancelled = False
+        for mono, c in other.terms.items():
+            c += out.get(mono, 0)
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+                cancelled = True
+        if cancelled:
+            weights = {name: weights[name]
+                       for mono in out for name, _ in mono}
+        return GradedPolynomial(weights, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPolynomial(self.vars,
+        return GradedPolynomial(self.weights,
                                 {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -199,13 +177,16 @@ class GradedPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vars_, a, b = self._align(other)
+        weights = self._weights_with(other)
         out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(m1, m2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return GradedPolynomial(vars_, out)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                key = _mono_mul(m1, m2)
+                out[key] = out.get(key, 0) + c1 * c2
+        out = {m: c for m, c in out.items() if c}
+        # the degree in each variable adds up, so only a zero product loses
+        # variables
+        return GradedPolynomial(weights if out else {}, out)
 
     __rmul__ = __mul__
 
@@ -231,11 +212,11 @@ class GradedPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        _, a, b = self._align(other)
-        return a == b
+        self._weights_with(other)
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # --- substitution and evaluation ---------------------------------------
 
@@ -246,8 +227,7 @@ class GradedPolynomial:
         and each nonzero image must be homogeneous of the same weight as
         the variable it replaces.
         """
-        names = self.variables()
-        unknown = set(assignment) - set(names)
+        unknown = set(assignment) - set(self.weights)
         if unknown:
             raise DomainError("assignment mentions unknown variable%s %s"
                               % ("s" if len(unknown) > 1 else "",
@@ -274,56 +254,52 @@ class GradedPolynomial:
 
         total = GradedPolynomial.zero()
         for mono, c in self.terms.items():
-            term = GradedPolynomial.constant(c)
-            for (name, w), e in zip(self.vars, mono):
-                if not e:
-                    continue
+            kept = tuple((name, e) for name, e in mono if name not in images)
+            term = GradedPolynomial(
+                {name: self.weights[name] for name, _ in kept}, {kept: c})
+            for name, e in mono:
                 if name in images:
                     term = term * image_power(name, e)
-                else:
-                    term = term * GradedPolynomial(((name, w),), {(e,): Fraction(1)})
             total = total + term
         return total
 
     def evaluate(self, point: dict) -> Fraction:
         """Evaluate at rational coordinates; every variable must be assigned."""
-        names = self.variables()
-        missing = set(names) - set(point)
+        missing = set(self.weights) - set(point)
         if missing:
             raise DomainError("no value for variable%s %s"
                               % ("s" if len(missing) > 1 else "",
                                  ", ".join(sorted(missing))))
-        unknown = set(point) - set(names)
+        unknown = set(point) - set(self.weights)
         if unknown:
             raise DomainError("value supplied for unknown variable%s %s"
                               % ("s" if len(unknown) > 1 else "",
                                  ", ".join(sorted(unknown))))
+        values = {name: Fraction(point[name]) for name in self.weights}
         total = Fraction(0)
         for mono, c in self.terms.items():
             v = c
-            for name, e in zip(names, mono):
-                if e:
-                    v *= Fraction(point[name]) ** e
+            for name, e in mono:
+                v *= values[name] ** e
             total += v
         return total
 
     # --- printing ----------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (self.monomial_weight(kv[0]), kv[0]))
-
     def __str__(self):
         if not self.terms:
             return "0"
+        names = self.variables()
+
+        def order(term):
+            exps = dict(term[0])
+            return (self.monomial_weight(term[0]),
+                    tuple(exps.get(name, 0) for name in names))
+
         pieces = []
-        for mono, c in self._sorted_terms():
-            factors = []
-            for (name, _), e in zip(self.vars, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
+        for mono, c in sorted(self.terms.items(), key=order):
+            factors = [name if e == 1 else "%s^%d" % (name, e)
+                       for name, e in mono]
             mag = abs(c)
             if factors and mag == 1:
                 body = "*".join(factors)
@@ -497,17 +473,15 @@ def ell_polynomial(i: int, n: int) -> GradedPolynomial:
     if i < 1 or n < 1:
         raise DomainError("ell_polynomial wants i >= 1 and n >= 1")
     li = l_table(i).l(i)
-    avars = tuple(("a%d" % j, 1) for j in range(1, n + 1))
+    names = ["a%d" % j for j in range(1, n + 1)]
     esubs = {}
     for j in range(1, i + 1):
         name = "p%d" % j
         if name not in li.variables():
             continue
-        terms = {}
-        for subset in combinations(range(n), j):
-            mono = [0] * n
-            for t in subset:
-                mono[t] = 2
-            terms[tuple(mono)] = Fraction(1)
-        esubs[name] = GradedPolynomial(avars, terms)  # zero when j > n
+        terms = {tuple((names[t], 2) for t in subset): Fraction(1)
+                 for subset in combinations(range(n), j)}
+        # zero when j > n; otherwise every a_t occurs
+        weights = dict.fromkeys(names, 1) if terms else {}
+        esubs[name] = GradedPolynomial(weights, terms)
     return li.substitute(esubs)

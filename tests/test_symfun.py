@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -211,6 +212,81 @@ def test_l_table_7_matches_root_expansion(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == L_TABLE_7_SHA256
 
 
+# SHA-256 of `charwit l-table --max 12`, frozen before monomials were keyed
+# by variable name; it prints the two-digit names p10..p12 and x10..x12.
+L_TABLE_12_SHA256 = \
+    "e0b6ef240a2190294b107ab2d01bcc6a9df5bfda73dff15be9462853cfae2ce6"
+
+
+def test_l_table_12_prints_two_digit_names_in_natural_order(capsys):
+    assert main(["l-table", "--max", "12"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == L_TABLE_12_SHA256
+
+
+def avar(j):
+    return GradedPolynomial.variable("a%d" % j, 1)
+
+
+def canonical_corpus():
+    """Seeded sums, differences, products, powers, quotients and
+    substitutions over e, p1..p12, x1..x12 and a1..a11, followed by
+    ell_polynomial(i, n) for i <= 3 and n <= 11."""
+    rng = random.Random(12)
+    e = GradedPolynomial.variable("e", 3)
+    pool = ([e] + [pvar(i) for i in range(1, 13)]
+            + [xvar(i) for i in range(1, 13)] + [avar(j) for j in range(1, 12)])
+
+    def random_poly(terms, factors, top):
+        out = GradedPolynomial.zero()
+        for _ in range(terms):
+            mono = GradedPolynomial.constant(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            for _ in range(rng.randint(0, factors)):
+                mono = mono * rng.choice(pool) ** rng.randint(1, top)
+            out = out + mono
+        return out
+
+    corpus = []
+    for _ in range(30):
+        f = random_poly(rng.randint(1, 5), 3, 3)
+        g = random_poly(rng.randint(1, 5), 3, 3)
+        corpus += [f, f + g, f - g, g - f, f * g, f ** rng.randint(2, 3),
+                   f / Fraction(rng.randint(1, 9), rng.randint(-4, -1)),
+                   f - f, (f + g) - g]
+    table = l_table(12)
+    ell = {(i, n): ell_polynomial(i, n) for n in range(1, 12)
+           for i in range(1, 4)}
+    for _ in range(30):
+        f = random_poly(rng.randint(1, 4), 2, 2)
+        images = {}
+        for name in f.variables():
+            i = int(name[1:] or 0)
+            if rng.random() < 0.3 or i > 5:
+                continue
+            if name == "e":
+                images[name] = avar(1) * avar(2) * avar(3)
+            elif name[0] == "p":
+                images[name] = table.p(i)
+            elif name[0] == "x":
+                images[name] = (ell[i, rng.randint(1, 11)] if i <= 3
+                                else table.l(i))
+        corpus.append(f.substitute(images))
+    corpus += list(ell.values())
+    return corpus
+
+
+# SHA-256 of the corpus above, one str() per line, frozen before monomials
+# were keyed by variable name.
+CORPUS_SHA256 = \
+    "f6b79b1e972e4a509789d5a7b19d62739d71e6c75ad713fea6826d6a125fb56d"
+
+
+def test_canonical_text_of_seeded_corpus():
+    text = "".join(str(poly) + "\n" for poly in canonical_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+
 def test_l_genus_of_even_projective_spaces():
     """p(CP^{2k}) = (1 + x^2)^(2k+1), so p_j = C(2k+1, j), and the
     signature L_k[CP^{2k}] is 1."""
@@ -236,3 +312,99 @@ def test_l_at_squares_matches_series_product(m, roots):
              if "p%d" % j in table.l(m).variables()}
     assert table.l(m).evaluate(point) == expected
     assert table.ell(m, roots) == expected
+
+
+# ---------------------------------------------------------------------------
+# An oracle that reads polynomials only through evaluate, substitute and
+# variables(), never through their representation.
+
+ORACLE_WEIGHTS = {"a1": 1, "a2": 1, "a10": 1, "p1": 2, "p2": 4, "p10": 20,
+                  "x1": 2, "x3": 6, "x11": 22, "e": 3}
+ORACLE_NAMES = sorted(ORACLE_WEIGHTS)
+LINEAR_NAMES = [n for n in ORACLE_NAMES if ORACLE_WEIGHTS[n] == 1]
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def build(terms):
+    """Sum of c * prod(name^k) through the public constructors."""
+    out = GradedPolynomial.zero()
+    for c, factors in terms:
+        term = GradedPolynomial.constant(c)
+        for name, k in factors:
+            var = GradedPolynomial.variable(name, ORACLE_WEIGHTS[name])
+            term = term * var ** k
+        out = out + term
+    return out
+
+
+polynomials = st.lists(
+    st.tuples(rationals,
+              st.lists(st.tuples(st.sampled_from(ORACLE_NAMES),
+                                 st.integers(1, 3)), max_size=3)),
+    max_size=4).map(build)
+points = st.fixed_dictionaries({name: rationals for name in ORACLE_NAMES})
+
+
+def homogeneous(weight):
+    """Polynomials in the weight-1 names, every term of the given weight."""
+    factors = st.lists(st.sampled_from(LINEAR_NAMES).map(lambda n: (n, 1)),
+                       min_size=weight, max_size=weight)
+    return st.lists(st.tuples(rationals, factors), max_size=3).map(build)
+
+
+def at(poly, point):
+    return poly.evaluate({name: point[name] for name in poly.variables()})
+
+
+def natural_key(name):
+    prefix, digits = re.fullmatch(r"([a-z]+)([0-9]*)", name).groups()
+    return (name == "e", prefix, int(digits) if digits else -1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polynomials, polynomials, rationals.filter(bool), st.integers(0, 3),
+       points)
+def test_evaluate_commutes_with_arithmetic(f, g, q, k, point):
+    vf, vg = at(f, point), at(g, point)
+    assert at(f + g, point) == vf + vg
+    assert at(f - g, point) == vf - vg
+    assert at(f * g, point) == vf * vg
+    assert at(f ** k, point) == vf ** k
+    assert at(f / q, point) == vf / q
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(polynomials, st.data(), points)
+def test_substitute_then_evaluate(f, data, point):
+    images = {name: data.draw(homogeneous(ORACLE_WEIGHTS[name]))
+              for name in f.variables() if data.draw(st.booleans())}
+    values = {name: at(images[name], point) if name in images else point[name]
+              for name in f.variables()}
+    assert at(f.substitute(images), point) == f.evaluate(values)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(polynomials, polynomials)
+def test_variables_in_natural_order_with_e_last(f, g):
+    for h in (f, g, f + g, f * g):
+        names = list(h.variables())
+        assert names == sorted(set(names), key=natural_key)
+    assert (f - f).variables() == ()
+    assert (f * GradedPolynomial.zero()).variables() == ()
+    assert (f + g - g).variables() == f.variables()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_NAMES), st.integers(1, 5))
+def test_variable_with_two_weights_raises(name, shift):
+    good = GradedPolynomial.variable(name, ORACLE_WEIGHTS[name])
+    bad = GradedPolynomial.variable(name, ORACLE_WEIGHTS[name] + shift)
+    with pytest.raises(DomainError):
+        good + bad
+    with pytest.raises(DomainError):
+        good * bad
+    with pytest.raises(DomainError):
+        good == bad
+    holder = GradedPolynomial.variable("q1", ORACLE_WEIGHTS[name] + shift)
+    with pytest.raises(DomainError):
+        (good * holder).substitute({"q1": bad})
