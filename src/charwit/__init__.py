@@ -18,15 +18,24 @@ from .cyclic_coh import (LinearRepData, chern_character, euler_class,
 from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      build_certificate, find_rational_witness, run_pipeline,
                      specialize, to_l_coordinates, verify_certificate)
-from .lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
-                     coefficient_form, congruence, direct_sum,
-                     format_group_ring, hyperbolic, integer_expansion,
-                     multisignature, parse_group_ring, random_form,
-                     signature_int, transfer)
 from .cli import (certificate_from_json, certificate_to_json, form_from_json,
                   form_to_json, parse_polynomial)
 
 __version__ = "0.1.0"
+
+# The forms module loads on first use of one of its names, so that the
+# certificate commands of the CLI never compile it.
+_LFORMS = ("GroupRingElement", "HermitianForm", "IntegerForm", "arf",
+           "coefficient_form", "congruence", "direct_sum", "format_group_ring",
+           "hyperbolic", "integer_expansion", "multisignature",
+           "parse_group_ring", "random_form", "signature_int", "transfer")
+
+
+def __getattr__(name):
+    if name in _LFORMS:
+        from . import lforms
+        return getattr(lforms, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "CharwitError", "DomainError", "InternalConsistencyError",

@@ -19,8 +19,6 @@ from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      build_certificate, find_rational_witness,
                      verify_certificate)
 from .errors import CharwitError, InvariantViolation, ParseError
-from .lforms import (HermitianForm, format_group_ring, multisignature,
-                     transfer)
 from .repring import VirtualRep
 from .scalars import (int_from_digits, odd_primes_above, rational_from_string,
                       rational_to_string)
@@ -253,6 +251,9 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 
 # ---------------------------------------------------------------------------
 # form files
+#
+# lforms is imported inside the form functions only, so that certify,
+# witness, verify and l-table never load it.
 
 
 def _group_ring_entries(values, where):
@@ -265,6 +266,8 @@ def _group_ring_entries(values, where):
 
 
 def form_from_json(text: str) -> HermitianForm:
+    from .lforms import HermitianForm
+
     doc = _json_document(text)
     p = _field(doc, "p", int, "form")
     k = _field(doc, "k", int, "form")
@@ -278,6 +281,8 @@ def form_from_json(text: str) -> HermitianForm:
 
 
 def form_to_json(form: HermitianForm) -> str:
+    from .lforms import format_group_ring
+
     doc = {
         "p": form.p,
         "k": form.k,
@@ -371,6 +376,8 @@ def _load_form(path):
 
 
 def _cmd_multisig(args):
+    from .lforms import multisignature
+
     sign = multisignature(_load_form(args.form))
     doc = {
         "p": sign.p,
@@ -382,6 +389,8 @@ def _cmd_multisig(args):
 
 
 def _cmd_transfer(args):
+    from .lforms import transfer
+
     print(form_to_json(transfer(_load_form(args.form))), end="")
     return 0
 

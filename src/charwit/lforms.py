@@ -49,6 +49,17 @@ class GroupRingElement:
         self.k = k
         self.coeffs = {r: c for r, c in clean.items() if c}
 
+    @classmethod
+    def _make(cls, p: int, k: int, coeffs: dict) -> "GroupRingElement":
+        """The element with the given int coefficients at distinct
+        exponents in [0, p^k), for p and k already checked.  Arithmetic
+        builds its results this way, without the constructor's checks.
+        Zero coefficients are dropped."""
+        self = object.__new__(cls)
+        self.p, self.k = p, k
+        self.coeffs = {r: c for r, c in coeffs.items() if c}
+        return self
+
     @property
     def order(self) -> int:
         return self.p ** self.k
@@ -77,13 +88,13 @@ class GroupRingElement:
         out = dict(self.coeffs)
         for r, c in other.coeffs.items():
             out[r] = out.get(r, 0) + c
-        return GroupRingElement(self.p, self.k, out)
+        return GroupRingElement._make(self.p, self.k, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.p, self.k,
-                                {r: -c for r, c in self.coeffs.items()})
+        return GroupRingElement._make(self.p, self.k,
+                                      {r: -c for r, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -98,18 +109,20 @@ class GroupRingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        order = self.order
         out = {}
         for r, c in self.coeffs.items():
             for s, d in other.coeffs.items():
-                key = (r + s) % self.order
+                key = (r + s) % order
                 out[key] = out.get(key, 0) + c * d
-        return GroupRingElement(self.p, self.k, out)
+        return GroupRingElement._make(self.p, self.k, out)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GroupRingElement":
-        return GroupRingElement(self.p, self.k,
-                                {-r: c for r, c in self.coeffs.items()})
+        order = self.order
+        return GroupRingElement._make(
+            self.p, self.k, {-r % order: c for r, c in self.coeffs.items()})
 
     def coefficient(self, r: int) -> int:
         return self.coeffs.get(r % self.order, 0)
@@ -122,8 +135,10 @@ class GroupRingElement:
         if d < 1 or self.order % d != 0:
             raise DomainError("%d does not divide the group order %d"
                               % (d, self.order))
-        return CyclotomicNumber.from_exponents(
-            d, [(r % d, c) for r, c in self.coeffs.items()])
+        raw = [0] * d
+        for r, c in self.coeffs.items():
+            raw[r % d] += c
+        return CyclotomicNumber._make(d, raw, 1)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -274,9 +289,14 @@ class HermitianForm:
         self.parity = parity
         self.matrix = tuple(rows)
         self.rank = q
+        order = p ** k
         for a in range(q):
-            for b in range(q):
-                if self.matrix[b][a] != parity * self.matrix[a][b].conjugate():
+            # the condition at (b, a) is the one at (a, b), so the first
+            # failure in row-major order always has a <= b
+            for b in range(a, q):
+                mirror = {(-r) % order: parity * c
+                          for r, c in self.matrix[a][b].coeffs.items()}
+                if self.matrix[b][a].coeffs != mirror:
                     raise InvariantViolation(
                         "matrix is not %s-symmetric at (%d, %d)"
                         % ("hermitian" if parity == 1 else "skew", a, b))
@@ -456,56 +476,66 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     Lambda(zeta^r) for hermitian forms, of i * Lambda(zeta^r) for skew
     ones.  Characters of the same order are Galois conjugates of a single
     exact evaluation, so the form is diagonalized once per divisor of the
-    group order and only the pivot signs depend on r.  A skew evaluation
-    at order d > 1 is first multiplied by u = zeta - zeta^(-1), which makes
-    it hermitian: at zeta^t, u Lambda = 2 sin(2 pi t / d) * i Lambda, so
-    the pivot signs flip exactly when t > d/2.  A singular evaluation at
-    any character means the form was not unimodular and raises.  The pivot
-    order does not matter: every step is a congruence, and each embedding
-    respects conjugation, so the signs obey Sylvester's law of inertia.
+    group order and only the pivot signs depend on r.  At order d > 1 a
+    skew form is evaluated as (g - g^(-1)) Lambda, whose image u Lambda with
+    u = zeta - zeta^(-1) is hermitian: at zeta^t, u Lambda =
+    2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
+    t > d/2.  A singular evaluation at any character means the form was not
+    unimodular and raises.  The pivot order does not matter: every step is
+    a congruence, and each embedding respects conjugation, so the signs
+    obey Sylvester's law of inertia.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
+    skew = form.parity == -1
+    evaluate = _skew_evaluate if skew else GroupRingElement.evaluate
     mults = {}
     for j in range(k + 1):
         d = p ** j
-        mat = [[form.matrix[a][b].evaluate(d) for b in range(q)]
-               for a in range(q)]
-        if form.parity == -1:
-            if d == 1:
-                _check_nonsingular_rational(mat)
-                mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
-                continue
-            u = CyclotomicNumber.zeta(d) - CyclotomicNumber.zeta(d).conjugate()
-            mat = [[u * x for x in row] for row in mat]
-        pivots = _diagonalize(mat, d)
+        if skew and d == 1:
+            # g -> 1 sends an entry to the sum of its coefficients
+            _check_nonsingular_rational(
+                [[sum(x.coeffs.values()) for x in row] for row in form.matrix])
+            mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
+            continue
+        pivots = _diagonalize([[evaluate(x, d) for x in row]
+                               for row in form.matrix], d)
         for t in range(d):
             if gcd(t, d) != 1:
                 continue
-            flip = -1 if form.parity == -1 and 2 * t > d else 1
+            flip = -1 if skew and 2 * t > d else 1
             mults[(L // d) * t] = flip * sum(CyclotomicReal(x, t).sign()
                                              for x in pivots)
     return VirtualRep(p, k, mults)
 
 
+def _skew_evaluate(x: GroupRingElement, d: int) -> CyclotomicNumber:
+    """(zeta_d - zeta_d^(-1)) * x.evaluate(d), as the image of (g - g^(-1)) x:
+    a coefficient c at g^r adds c at r + 1 and -c at r - 1."""
+    raw = [0] * d
+    for r, c in x.coeffs.items():
+        raw[(r + 1) % d] += c
+        raw[(r - 1) % d] -= c
+    return CyclotomicNumber._make(d, raw, 1)
+
+
 def _check_nonsingular_rational(mat):
-    """Rank check over Q for the skew evaluation at the trivial character."""
-    q = len(mat)
-    a = [[x.rational_value() for x in row] for row in mat]
-    for col in range(q):
-        piv = None
-        for i in range(col, q):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
+    """Rank check of an integer matrix, the skew evaluation at the trivial
+    character, by fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
+    each step divides exactly by the previous pivot."""
+    rows = [list(row) for row in mat]
+    prev = 1
+    for col in range(len(rows)):
+        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        if i is None:
             raise InvariantViolation("form is singular at the trivial character")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        for i in range(col + 1, q):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+        top = rows.pop(i)
+        pivot = top[col]
+        for row in rows:
+            f = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
 
 
 # ---------------------------------------------------------------------------

@@ -485,3 +485,28 @@ def test_cli_witness_unfactorable_value_ends(xi, n):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: cannot factor ")
     assert "Traceback" not in proc.stderr
+
+
+def test_certificate_commands_do_not_load_lforms():
+    """The CLI loads the forms module only for the form commands; the
+    package still serves its names, through `from charwit import *` too."""
+    code = "\n".join([
+        "import sys, charwit, charwit.cli",
+        "assert 'charwit.lforms' not in sys.modules",
+        "assert charwit.multisignature.__module__ == 'charwit.lforms'",
+        "names = {}",
+        "exec('from charwit import *', names)",
+        "assert set(charwit.__all__) <= set(names)",
+        "assert names['transfer'] is charwit.lforms.transfer",
+        "try:",
+        "    charwit.no_such_name",
+        "except AttributeError:",
+        "    pass",
+        "else:",
+        "    raise AssertionError('unknown name resolved')",
+    ])
+    src = os.path.dirname(os.path.dirname(charwit.__file__))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr

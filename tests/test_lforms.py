@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from charwit.errors import DomainError, InvariantViolation, ParseError
 from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
@@ -12,7 +13,8 @@ from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             format_group_ring, hyperbolic, integer_expansion,
                             multisignature, parse_group_ring, random_form,
                             reduce_refinement, signature_int, transfer)
-from charwit.lforms import _diagonalize
+from charwit.lforms import (_check_nonsingular_rational, _diagonalize,
+                            _skew_evaluate)
 from charwit.repring import VirtualRep, restrict
 from charwit.scalars import CyclotomicNumber
 
@@ -450,3 +452,110 @@ def test_diagonalize_pivot_oracle():
             product = product * x
         assert product == det
     assert counts[False] >= 100 and counts[True] >= 10
+
+
+# ---------------------------------------------------------------------------
+# fast paths: direct evaluation, the folded skew factor, the symmetry check
+
+ORDERS = ((3, 1), (3, 2), (5, 2), (3, 3), (7, 2))   # 3, 9, 25, 27, 49
+
+
+@st.composite
+def group_ring_draws(draw):
+    """A group-ring element of order 3 to 49 and a divisor d of its order."""
+    p, k = draw(st.sampled_from(ORDERS))
+    coeffs = draw(st.dictionaries(st.integers(0, p ** k - 1),
+                                  st.integers(-10 ** 6, 10 ** 6), max_size=8))
+    return GroupRingElement(p, k, coeffs), p ** draw(st.integers(0, k))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(group_ring_draws())
+def test_evaluate_matches_public_constructor(case):
+    x, d = case
+    fast = x.evaluate(d)
+    slow = CyclotomicNumber.from_exponents(d, list(x.coeffs.items()))
+    assert fast == slow and hash(fast) == hash(slow)
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(group_ring_draws())
+def test_skew_evaluation_is_the_product_by_u(case):
+    x, d = case
+    u = CyclotomicNumber.zeta(d) - CyclotomicNumber.zeta(d).conjugate()
+    folded, product = _skew_evaluate(x, d), u * x.evaluate(d)
+    assert folded == product and hash(folded) == hash(product)
+    assert folded.den == 1
+
+
+def _first_asymmetry(rows, parity):
+    """The first (a, b) in row-major order with rows[b][a] !=
+    parity * conj(rows[a][b]), in group-ring arithmetic."""
+    q = len(rows)
+    return next(((a, b) for a in range(q) for b in range(q)
+                 if rows[b][a] != parity * rows[a][b].conjugate()), None)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(ORDERS[:4]), st.sampled_from((1, -1)),
+       st.sampled_from((2, 4)), st.integers(0, 50), st.data())
+def test_single_asymmetry_names_the_first_pair(order, parity, rank, seed, data):
+    p, k = order
+    form = random_form(p, k, parity, rank, seed)
+    a = data.draw(st.integers(0, rank - 1))
+    b = data.draw(st.integers(0, rank - 1))
+    r = data.draw(st.integers(0, p ** k - 1))
+    c = data.draw(st.sampled_from((-2, -1, 1, 2)))
+    assume(a != b or r != 0 or parity == -1)  # else c stays hermitian
+    rows = [list(row) for row in form.matrix]
+    rows[a][b] = rows[a][b] + GroupRingElement(p, k, {r: c})
+    expected = _first_asymmetry(rows, parity)
+    assert expected == (min(a, b), max(a, b))
+    with pytest.raises(InvariantViolation,
+                       match=r"symmetric at \(%d, %d\)$" % expected):
+        HermitianForm(p, k, parity, rows, form.refinement)
+
+
+def _rank_by_fractions(m):
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(a)):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def test_integer_rank_check_matches_fraction_elimination():
+    """Integer skew matrices, some of them P^T B P with P singular, checked
+    against elimination over Fractions."""
+    rng = random.Random(4243)
+    counts = {True: 0, False: 0}
+    for n in range(300):
+        q = rng.randint(1, 8)
+        b = [[0] * q for _ in range(q)]
+        for i in range(q):
+            for j in range(i):
+                b[i][j] = rng.randint(-3 * n, 3 * n)
+                b[j][i] = -b[i][j]
+        if n % 3 == 0:
+            t = [[rng.randint(-2, 2) for _ in range(q)] for _ in range(q)]
+            t[-1] = [2 * x for x in t[0]]
+            b = [[sum(t[s][i] * b[s][u] * t[u][j]
+                      for s in range(q) for u in range(q))
+                  for j in range(q)] for i in range(q)]
+        regular = _rank_by_fractions(b) == q
+        counts[regular] += 1
+        if regular:
+            _check_nonsingular_rational(b)
+        else:
+            with pytest.raises(InvariantViolation,
+                               match="form is singular at the trivial character"):
+                _check_nonsingular_rational(b)
+    assert counts[True] >= 100 and counts[False] >= 100, counts
