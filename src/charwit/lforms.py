@@ -222,6 +222,8 @@ def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
                 pos += 1
                 while pos < n and text[pos].isspace():
                     pos += 1
+                if pos >= n or text[pos] != "g":
+                    raise ParseError("expected g after '*'", offset=pos)
             elif pos < n and text[pos] == "g":
                 raise ParseError("missing '*' between coefficient and g",
                                  offset=pos)
@@ -424,48 +426,65 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
 def _diagonalize(mat, level: int):
     """Congruence-diagonalize a hermitian matrix over Q(zeta_level).
 
+    Only the lower triangle is read: row i may stop at a[i][i], and any
+    entry above the diagonal stands for the conjugate of its mirror.
     Symmetric Schur-complement elimination, as in LDL* (Golub-Van Loan,
     4.1-4.2): pivot on the first remaining s with a[s][s] != 0 and replace
-    the remaining block by a[i][j] - a[i][s] a[s][s]^-1 a[s][j], computed on
-    the lower triangle and mirrored by conjugation.  If the remaining
-    diagonal is zero, v_i <- v_i + v_j lam first makes a[i][i] nonzero for
-    the first a[i][j] != 0: lam = 1, or zeta when a[i][j] + conj(a[i][j]) = 0.
+    each remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].
+    The pivot column a[i][s] is built once, and the pivot row is its
+    conjugate, so nothing is mirrored.  If the remaining diagonal is zero,
+    v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first s < j
+    with a[j][s] != 0: lam = 1, or zeta when a[j][s] + conj(a[j][s]) = 0.
+    In lower storage that adds a[c][j] lam to a[c][s] for c > s, and sets
+    a[s][s] = t + conj(t) with t = lam_bar a[j][s], a[s][s] and a[j][j]
+    being zero.  Row s is left as it is: for b < s, a[j][b] = 0, since s
+    is the first column with a nonzero entry below the diagonal.
 
     Returns the pivots, each nonzero and fixed by conjugation; raises
     InvariantViolation when the matrix is singular.
     """
-    a = [list(row) for row in mat]
+    a = [list(row[:i + 1]) for i, row in enumerate(mat)]
     rest = list(range(len(a)))
     pivots = []
     while rest:
         s = next((i for i in rest if a[i][i]), None)
         if s is None:
             pair = next(((i, j) for i in rest for j in rest
-                         if j > i and a[i][j]), None)
+                         if j > i and a[j][i]), None)
             if pair is None:
                 raise InvariantViolation(
                     "form is singular at a character of order %d" % level)
             s, j = pair
+            x = a[j][s]
             lam = CyclotomicNumber.rational(level, 1)
-            if not a[s][j] + a[s][j].conjugate():
+            if not x + x.conjugate():
                 lam = CyclotomicNumber.zeta(level)
             lam_bar = lam.conjugate()
-            for b in rest:
-                a[s][b] = a[s][b] + lam_bar * a[j][b]
             for c in rest:
-                a[c][s] = a[c][s] + a[c][j] * lam
+                if c > s:
+                    y = a[c][j] if c >= j else a[j][c].conjugate()
+                    a[c][s] = a[c][s] + y * lam
+            t = lam_bar * x
+            a[s][s] = t + t.conjugate()
         rest.remove(s)
         pivots.append(a[s][s])
-        below = [i for i in rest if a[i][s]]
+        # the pivot column a[i][s] and row a[s][i] = conj(a[i][s]) over
+        # rest; off `below` both are zero and nothing moves
+        below, column, row = [], [], []
+        for i in rest:
+            x = a[i][s] if i > s else a[s][i]
+            if x:
+                y = x.conjugate()
+                below.append(i)
+                column.append(x if i > s else y)
+                row.append(y if i > s else x)
         if below:
-            # a[s][j] = conj(a[j][s]) is zero off `below`: nothing else moves
             inv = a[s][s].inverse()
             for n, i in enumerate(below):
-                f = a[i][s] * inv
-                for j in below[:n + 1]:
-                    a[i][j] = a[i][j] - f * a[s][j]
-                    if j < i:
-                        a[j][i] = a[i][j].conjugate()
+                f = column[n] * inv
+                ai = a[i]
+                for j, y in zip(below[:n + 1], row):
+                    ai[j] = ai[j] - f * y
     return pivots
 
 
@@ -475,8 +494,10 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     The multiplicity of chi^r is the signature of the complex matrix
     Lambda(zeta^r) for hermitian forms, of i * Lambda(zeta^r) for skew
     ones.  Characters of the same order are Galois conjugates of a single
-    exact evaluation, so the form is diagonalized once per divisor of the
-    group order and only the pivot signs depend on r.  At order d > 1 a
+    exact evaluation, so the lower triangle of the form is evaluated and
+    diagonalized once per divisor of the group order and only the pivot
+    signs depend on r; each pivot is checked once to be fixed by
+    conjugation, then signed at every embedding.  At order d > 1 a
     skew form is evaluated as (g - g^(-1)) Lambda, whose image u Lambda with
     u = zeta - zeta^(-1) is hermitian: at zeta^t, u Lambda =
     2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
@@ -498,14 +519,17 @@ def multisignature(form: HermitianForm) -> VirtualRep:
                 [[sum(x.coeffs.values()) for x in row] for row in form.matrix])
             mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
             continue
-        pivots = _diagonalize([[evaluate(x, d) for x in row]
-                               for row in form.matrix], d)
+        pivots = _diagonalize([[evaluate(x, d) for x in row[:i + 1]]
+                               for i, row in enumerate(form.matrix)], d)
+        if any(x.conjugate() != x for x in pivots):
+            raise InvariantViolation(
+                "element is not fixed by conjugation, so not real")
         for t in range(d):
             if gcd(t, d) != 1:
                 continue
             flip = -1 if skew and 2 * t > d else 1
-            mults[(L // d) * t] = flip * sum(CyclotomicReal(x, t).sign()
-                                             for x in pivots)
+            mults[(L // d) * t] = flip * sum(
+                CyclotomicReal._make(x, t).sign() for x in pivots)
     return VirtualRep(p, k, mults)
 
 

@@ -543,6 +543,16 @@ class CyclotomicReal:
         self.number = number
         self.embedding = embedding % max(number.L, 1)
 
+    @classmethod
+    def _make(cls, number: CyclotomicNumber,
+              embedding: int) -> "CyclotomicReal":
+        """The real for a number already known to be fixed by conjugation
+        and an embedding index in [0, L) coprime to L, without the
+        constructor's checks."""
+        self = object.__new__(cls)
+        self.number, self.embedding = number, embedding
+        return self
+
     def sign(self) -> int:
         x = self.number
         if x.is_zero():

@@ -423,6 +423,17 @@ def test_cli_multisig(tmp_path, capsys):
                                "multiplicities": [[0, 1], [1, 1], [2, 1]]}
 
 
+@pytest.mark.parametrize("entry", ["3*", "3* + g"])
+def test_cli_multisig_dangling_star_is_parse_error(tmp_path, capsys, entry):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"p": 3, "k": 1, "parity": 1,
+                                "matrix": [[entry]]}))
+    code, out, err = run(capsys, "multisig", "--form", str(form))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "expected g after '*'" in err
+    assert "Traceback" not in err
+
+
 def test_cli_multisig_singular_is_failure(tmp_path, capsys):
     form = tmp_path / "form.json"
     form.write_text(form_to_json(HermitianForm(3, 1, 1, [["1 + g + g^2"]])))

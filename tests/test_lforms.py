@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from charwit import lforms
 from charwit.errors import DomainError, InvariantViolation, ParseError
 from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             coefficient_form, congruence, direct_sum,
@@ -98,6 +99,16 @@ def test_group_ring_parse_errors():
         gre("g + + g")
     with pytest.raises(ParseError):
         gre("h")
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("3*", 2), ("3* + g", 3), ("3 *  ", 5), ("g + 2*3", 6), ("2*g^2 - 4*", 10),
+])
+def test_group_ring_dangling_star(text, offset):
+    """A '*' must be followed by g: "3*" is not 3, nor "3* + g" 3 + g."""
+    with pytest.raises(ParseError, match="expected g after '\\*'") as err:
+        gre(text)
+    assert "offset %d" % offset in str(err.value)
 
 
 def test_group_ring_levels():
@@ -423,11 +434,10 @@ def _cofactor_det(m):
     return total
 
 
-def test_diagonalize_pivot_oracle():
-    """Every pivot is nonzero and real, and their product is det(A): each
-    congruence the elimination applies has determinant 1.  A singular A
-    raises.  The hand case needs lam = zeta: its off-diagonal entry
-    u = zeta - zeta^-1 has u + conj(u) = 0."""
+def _pivot_oracle_draws():
+    """A hand case needing lam = zeta, whose off-diagonal entry
+    u = zeta - zeta^-1 has u + conj(u) = 0, and 150 seeded draws, every
+    other one with a zero diagonal."""
     rng = random.Random(2208)
     u = CyclotomicNumber.zeta(5) - CyclotomicNumber.zeta(5).conjugate()
     zero = CyclotomicNumber.rational(5, 0)
@@ -436,6 +446,15 @@ def test_diagonalize_pivot_oracle():
         L = (1, 3, 5, 7, 9)[n % 5]
         draws.append((L, _hermitian_draw(rng, L, rng.randint(1, 4),
                                          zero_diagonal=n % 2 == 1)))
+    return draws
+
+
+def test_diagonalize_pivot_oracle():
+    """Every pivot is nonzero and real, and their product is det(A): each
+    congruence the elimination applies has determinant 1.  A singular A
+    raises.  The hand case needs lam = zeta: its off-diagonal entry
+    u = zeta - zeta^-1 has u + conj(u) = 0."""
+    draws = _pivot_oracle_draws()
     counts = {True: 0, False: 0}
     for L, a in draws:
         det = _cofactor_det(a)
@@ -452,6 +471,77 @@ def test_diagonalize_pivot_oracle():
             product = product * x
         assert product == det
     assert counts[False] >= 100 and counts[True] >= 10
+
+
+def _garbled_upper(a):
+    """The matrix with every entry above the diagonal replaced by a value
+    that is not the conjugate of its mirror."""
+    L = a[0][0].L
+    junk = CyclotomicNumber.from_exponents(L, [(1 % L, 5), (0, -3)])
+    return [[x if j <= i else junk for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+
+
+def test_diagonalize_reads_only_the_lower_triangle():
+    """On the oracle's draws, zero-diagonal ones included, ragged rows
+    a[i][:i + 1] and a full matrix with a garbled upper triangle give the
+    pivots of the full matrix, and raise on the same singular draws."""
+    singular = 0
+    for L, a in _pivot_oracle_draws():
+        lower = [row[:i + 1] for i, row in enumerate(a)]
+        try:
+            expected = _diagonalize(a, L)
+        except InvariantViolation:
+            singular += 1
+            for m in (lower, _garbled_upper(a)):
+                with pytest.raises(InvariantViolation):
+                    _diagonalize(m, L)
+            continue
+        assert _diagonalize(lower, L) == expected
+        assert _diagonalize(_garbled_upper(a), L) == expected
+    assert singular >= 10
+
+
+def test_multisignature_rejects_non_real_pivot(monkeypatch):
+    """Each pivot is checked once to be fixed by conjugation before it is
+    signed at every embedding: zeta_1 = 1 passes, zeta_7 does not."""
+    monkeypatch.setattr(lforms, "_diagonalize",
+                        lambda mat, level: [CyclotomicNumber.zeta(level)])
+    with pytest.raises(InvariantViolation, match="not fixed by conjugation"):
+        multisignature(random_form(7, 1, 1, 2, 1))
+
+
+@pytest.mark.parametrize("parity, evaluations, inverses", [
+    (1, 1806, 54), (-1, 903, 35),
+], ids=["hermitian", "skew"])
+def test_multisignature_work_counts(monkeypatch, parity, evaluations,
+                                    inverses):
+    """The rank-42 transfer of the budget test: one evaluation per entry of
+    the lower triangle, 42 * 43 / 2 = 903, at each order evaluated (1 and 7
+    for the hermitian form, 7 for the skew one), an unchanged number of
+    inverses, and no conjugate per updated entry or per embedding of a
+    pivot.  These are counts, not timings."""
+    g = transfer(random_form(7, 2, parity, 6, 1))
+    counts = {}
+
+    def count(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return method(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(GroupRingElement, "evaluate")
+    count(lforms, "_skew_evaluate")
+    count(CyclotomicNumber, "inverse")
+    count(CyclotomicNumber, "_galois")
+    multisignature(g)
+    assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
+        == evaluations
+    assert counts.pop("inverse") == inverses
+    assert counts.pop("_galois") <= 700
+    assert not counts
 
 
 # ---------------------------------------------------------------------------
