@@ -8,7 +8,8 @@ witness, and emit per-prime certificates that an auditor can re-check.
 
 from charwit import (DetectionProblem, GradedPolynomial, build_certificate,
                      certificate_from_json, certificate_to_json,
-                     find_rational_witness, run_pipeline, verify_certificate)
+                     find_rational_witness, run_pipeline, specialize,
+                     to_l_coordinates, verify_certificate)
 
 
 def evar(n):
@@ -26,8 +27,11 @@ def pvar(i):
 problem = DetectionProblem(evar(2) ** 2 - pvar(2), 2)
 print("problem:", problem)
 print("coordinates:", problem.coordinate_names())
-print("in L-coordinates:", problem.l_form())
-print("specialized:", problem.specialized())
+# the pipeline evaluates Xi numerically, at p_i = P_i(x) from
+# l_table(i).p_values(x); the symbolic forms below are for reading only
+l_form = to_l_coordinates(problem.polynomial)
+print("in L-coordinates:", l_form)
+print("specialized:", specialize(l_form, problem.n))
 
 witness = find_rational_witness(problem)
 print("witness:", witness)

@@ -50,7 +50,7 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
 
     def parse_digits(pos, what):
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and "0" <= text[pos] <= "9":
             pos += 1
         if start == pos:
             raise ParseError("expected " + what, offset=pos)
@@ -105,7 +105,7 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
             raise ParseError("expected a term", offset=pos)
         coeff = Fraction(sign)
         term = None
-        if text[pos].isdigit():
+        if "0" <= text[pos] <= "9":
             value, pos = parse_rational(pos)
             coeff *= value
             pos = skip_space(pos)

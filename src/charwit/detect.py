@@ -5,12 +5,13 @@ and Pontryagin classes p_i (weight 2i), the pipeline certifies, one odd
 prime at a time, that Xi survives evaluation against data constructed from
 representations of C_p:
 
-  1. rewrite Xi in L-class coordinates x_i via the inverse polynomials P_i,
+  1. read Xi in L-class coordinates x_i: at given numbers x_i, evaluate Xi
+     at p_i = P_i(x_1..x_i), computed numerically by LTable.p_values,
   2. search a deterministic rational grid of points z = (a, x_k..x_m) for
-     one where the L-form is nonzero at e = a_1...a_n and x_i = ell_i(a)
+     one where that L-form is nonzero at e = a_1...a_n and x_i = ell_i(a)
      for i below the threshold k = ceil(n/2), x_k..x_m being free; each
-     point is evaluated numerically (specialize() gives the same
-     polynomial symbolically, for reference),
+     point is evaluated numerically (to_l_coordinates() and specialize()
+     give the same polynomial symbolically; the pipeline never calls them),
   3. record the prime bound N from the point and the value,
   4. for each odd prime p > N, realize the free coordinates by a virtual
      representation xi: solve for Chern-character targets and symmetrize,
@@ -80,22 +81,11 @@ class DetectionProblem:
                                   "index %d" % (m, self.m))
             self.m = m
         self.weight = r
-        self._l_form = None
-        self._specialized = None
+        self._top = top
 
     def coordinate_names(self) -> list:
         return (["a%d" % j for j in range(1, self.n + 1)]
                 + ["x%d" % i for i in range(self.k, self.m + 1)])
-
-    def l_form(self) -> GradedPolynomial:
-        if self._l_form is None:
-            self._l_form = to_l_coordinates(self.polynomial)
-        return self._l_form
-
-    def specialized(self) -> GradedPolynomial:
-        if self._specialized is None:
-            self._specialized = specialize(self.l_form(), self.n)
-        return self._specialized
 
     def __repr__(self):
         return ("DetectionProblem(%s, n=%d, k=%d, m=%d, weight=%d)"
@@ -169,10 +159,13 @@ def _grid_values(shell: int) -> list:
 
 
 def _l_form_at(problem, e, x):
-    """The L-form of Xi at e and x_i = x(i), over Q."""
-    xi_l = problem.l_form()
-    return xi_l.evaluate({name: e if name == "e" else x(int(name[1:]))
-                          for name in xi_l.variables()})
+    """The L-form of Xi at e and x_i = x(i), over Q: Xi at e and
+    p_i = P_i(x_1..x_i), for i up to Xi's largest p index."""
+    top = problem._top
+    p = l_table(top).p_values([x(i) for i in range(1, top + 1)]) if top else ()
+    poly = problem.polynomial
+    return poly.evaluate({name: e if name == "e" else p[int(name[1:]) - 1]
+                          for name in poly.variables()})
 
 
 def _witness_value(problem, z):
@@ -198,16 +191,15 @@ def _witness_bound(problem, z, value):
 def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
     """First grid point z = (a, x_k..x_m) where Xi is nonzero on Chern roots.
 
-    The value at z is _witness_value, i.e. problem.specialized() at z,
-    computed without expanding that polynomial.  Points are ranked by
-    max-norm and then lexicographically, coordinates drawn from 1, -1, 2,
-    -2, ...; the search is deterministic and finite because ell_1, ...,
-    ell_(k-1) and a_1...a_n are algebraically independent, so a nonzero
-    L-form specializes to a nonzero polynomial, which cannot vanish on
+    The value at z is _witness_value, i.e. specialize(to_l_coordinates(Xi),
+    n) at z, computed without expanding either polynomial.  Points are
+    ranked by max-norm and then lexicographically, coordinates drawn from
+    1, -1, 2, -2, ...; the search is deterministic and finite because the
+    P_i are invertible, so the L-form of a nonzero Xi is nonzero, and
+    ell_1, ..., ell_(k-1) and a_1...a_n are algebraically independent, so
+    it specializes to a nonzero polynomial, which cannot vanish on
     arbitrarily large grids.
     """
-    if problem.l_form().is_zero():
-        raise InternalConsistencyError("L-form of a nonzero polynomial vanished")
     names = problem.coordinate_names()
     value, point = None, None
     shell = 0

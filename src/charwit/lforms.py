@@ -210,9 +210,9 @@ def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
             continue
         coeff = 1
         have_coeff = False
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             coeff = int_from_digits(text[start:pos], start)
             have_coeff = True
@@ -236,7 +236,7 @@ def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
                 start = pos
                 if pos < n and text[pos] == "-":
                     pos += 1
-                while pos < n and text[pos].isdigit():
+                while pos < n and "0" <= text[pos] <= "9":
                     pos += 1
                 if start == pos or text[start:pos] == "-":
                     raise ParseError("expected exponent digits", offset=pos)

@@ -7,25 +7,25 @@ natural name order with e last, so operands with different variables
 combine by merging term dicts; terms print by increasing weight, then by
 exponent tuple over the sorted variables.
 
-The L-table takes the logarithm of the series t/tanh(t), writes the power
-sums of the squared roots in the Pontryagin variables by Newton's
-identities, and exponentiates by a one-line recurrence, yielding
+Every L-series quantity comes from one logarithm and one exponential
+recurrence on power series in u = t^2, over Fractions or polynomials alike.
+The L-table takes the logarithm of t/tanh(t), reads the power sums of the
+squared roots off log(1 + sum_j p_j u^j) and exponentiates, yielding
 
     L_1 = 1/3*p1,   L_2 = 7/45*p2 - 1/45*p1^2,   ...
 
-together with the triangular inverse polynomials P_i expressing p_i in the
-L_j.  Substituting elementary symmetric polynomials of squares gives the
-symmetric forms ell_i used on the cyclic-group side; LTable.ell evaluates
-them at rational roots without expanding them.
+together with the inverse polynomials P_i expressing p_i in the L_j.  The
+same recurrences give the symmetric forms ell_i used on the cyclic-group
+side, and LTable.ell and LTable.p_values evaluate ell_i and P_i at rational
+numbers without expanding any polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .scalars import bernoulli
 
 
@@ -322,17 +322,55 @@ class GradedPolynomial:
 # the multiplicative sequence of t/tanh(t)
 
 
-def _f_series(order: int) -> list[Fraction]:
-    """Coefficients of u^i, u = t^2, in t/tanh(t) = cosh(t) / (sinh(t)/t)."""
-    cosh = [Fraction(1, factorial(2 * i)) for i in range(order + 1)]
-    sinh_over_t = [Fraction(1, factorial(2 * i + 1)) for i in range(order + 1)]
-    quot = []
-    for i in range(order + 1):
-        acc = cosh[i]
-        for s in range(i):
-            acc -= quot[s] * sinh_over_t[i - s]
-        quot.append(acc)  # sinh_over_t[0] == 1
-    return quot
+def _log_series(a, order: int) -> list:
+    """k g_k for k = 0..order, where log(1 + sum_{k>0} a_k u^k) = sum_k g_k
+    u^k (a[0] is ignored): u f' = f u (log f)' gives k g_k = k a_k -
+    sum_{0<i<k} i g_i a_(k-i)."""
+    kg = [0]
+    for k in range(1, order + 1):
+        acc = k * a[k]
+        for i in range(1, k):
+            acc = acc - kg[i] * a[k - i]
+        kg.append(acc)
+    return kg
+
+
+def _exp_series(kg, one, order: int) -> list:
+    """E_0 = one, E_1, ..., E_order, where sum_m E_m u^m = exp(sum_k g_k u^k),
+    from k g_k (kg[0] is ignored): m E_m = sum_{0<k<=m} k g_k E_(m-k)."""
+    e = [one]
+    for m in range(1, order + 1):
+        acc = kg[1] * e[m - 1]
+        for k in range(2, m + 1):
+            acc = acc + kg[k] * e[m - k]
+        e.append(acc / m)
+    return e
+
+
+def _log_f_series(order: int) -> list:
+    """k c_k for k = 0..order, where log(t/tanh(t)) = sum_k c_k u^k, as
+    log(cosh t) - log(sinh(t)/t)."""
+    cosh = _log_series([Fraction(1, factorial(2 * i))
+                        for i in range(order + 1)], order)
+    sinh_over_t = _log_series([Fraction(1, factorial(2 * i + 1))
+                               for i in range(order + 1)], order)
+    return [a - b for a, b in zip(cosh, sinh_over_t)]
+
+
+def _l_series(kc, s, one, order: int) -> list:
+    """1, L_1, ..., L_order at the power sums s_k of the squared roots:
+    L = exp(sum_k c_k s_k u^k)."""
+    return _exp_series([0] + [kc[k] * s[k] for k in range(1, order + 1)],
+                       one, order)
+
+
+def _p_series(kc, x, one, order: int) -> list:
+    """1, P_1, ..., P_order at x_1..x_order (x[0] is ignored): the power
+    sums are s_k = k [log(1 + sum_i x_i u^i)]_k / (k c_k), and
+    1 + sum_j p_j u^j = exp(sum_k (-1)^(k-1) s_k u^k / k)."""
+    log_x = _log_series(x, order)
+    return _exp_series([0] + [(-1) ** (k - 1) * log_x[k] / kc[k]
+                              for k in range(1, order + 1)], one, order)
 
 
 def l_leading_coefficient(i: int) -> Fraction:
@@ -343,145 +381,91 @@ def l_leading_coefficient(i: int) -> Fraction:
             * abs(bernoulli(2 * i)))
 
 
-def _log_f_series(order: int) -> list[Fraction]:
-    """k * c_k for k = 0..order, where log(t/tanh(t)) = sum_k c_k u^k.
-
-    With f = t/tanh(t) = sum_k f_k u^k and f_0 = 1, the identity
-    u f' = f * u (log f)' gives k c_k = k f_k - sum_{i<k} i c_i f_{k-i}.
-    """
-    f = _f_series(order)
-    kc = [Fraction(0)]
-    for k in range(1, order + 1):
-        kc.append(k * f[k] - sum((kc[i] * f[k - i] for i in range(1, k)),
-                                 Fraction(0)))
-    return kc
-
-
-def _elementary_values(values, top: int) -> list:
-    """e_0, e_1, ..., e_top of the given numbers (zero beyond their count)."""
-    e = [Fraction(1)] + [Fraction(0)] * top
-    for v in values:
-        for j in range(min(top, len(values)), 0, -1):
-            e[j] += v * e[j - 1]
-    return e
-
-
 class LTable:
-    """L-polynomials L_1..L_M in the p_i and their inverses P_1..P_M in x_i."""
+    """L-polynomials L_1..L_M in the p_i and their inverses P_1..P_M in x_i.
 
-    def __init__(self, max_index: int, l_polys, p_polys):
+    A table holds only k c_k up to k = M.  ell() and p_values() evaluate
+    ell_i and the P_i at numbers from it; l() and p() expand the
+    polynomials on their first call.
+    """
+
+    def __init__(self, max_index: int):
         self.max_index = max_index
-        self._l = list(l_polys)
-        self._p = list(p_polys)
+        self._kc = _log_f_series(max_index)
+        self._polys = None
+
+    def _check(self, i: int) -> int:
+        if not 1 <= i <= self.max_index:
+            raise DomainError("index %d outside table range 1..%d"
+                              % (i, self.max_index))
+        return i
+
+    def _expand(self):
+        """(L_0..L_M, P_0..P_M); Newton's identities read the power sums
+        off log(1 + sum_j p_j u^j) as (-1)^(k-1) s_k / k."""
+        if self._polys is None:
+            M, one = self.max_index, GradedPolynomial.constant(1)
+            pv, xv = ([None] + [GradedPolynomial.variable(v + str(j), 2 * j)
+                                for j in range(1, M + 1)] for v in "px")
+            log_p = _log_series(pv, M)
+            s = [0] + [(-1) ** (k - 1) * log_p[k] for k in range(1, M + 1)]
+            self._polys = (_l_series(self._kc, s, one, M),
+                           _p_series(self._kc, xv, one, M))
+        return self._polys
 
     def l(self, i: int) -> GradedPolynomial:
-        if not 1 <= i <= self.max_index:
-            raise DomainError("index %d outside table range 1..%d"
-                              % (i, self.max_index))
-        return self._l[i - 1]
+        return self._expand()[0][self._check(i)]
 
     def p(self, i: int) -> GradedPolynomial:
-        if not 1 <= i <= self.max_index:
-            raise DomainError("index %d outside table range 1..%d"
-                              % (i, self.max_index))
-        return self._p[i - 1]
+        return self._expand()[1][self._check(i)]
 
     def ell(self, i: int, roots) -> Fraction:
-        """ell_i(a) at rational roots a: L_i at p_j = e_j(a_1^2, ..., a_n^2).
+        """ell_i(a) at rational roots a: L_i at p_j = e_j(a_1^2, ..., a_n^2),
+        from the power sums s_k = sum_j a_j^(2k), over one denominator D."""
+        self._check(i)
+        roots = [Fraction(a) for a in roots]
+        D = lcm(*(a.denominator for a in roots))
+        nums = [a.numerator * (D // a.denominator) for a in roots]
+        s = [Fraction(sum(v ** (2 * k) for v in nums), D ** (2 * k))
+             for k in range(i + 1)]
+        return _l_series(self._kc, s, Fraction(1), i)[i]
 
-        This is the numeric value of ell_polynomial(i, n) at a, without
-        expanding that polynomial.
-        """
-        li = self.l(i)
-        e = _elementary_values([Fraction(a) ** 2 for a in roots], i)
-        return li.evaluate({name: e[int(name[1:])] for name in li.variables()})
+    def p_values(self, x) -> list:
+        """[P_1(x), ..., P_M(x)] at rational x = (x_1, ..., x_M)."""
+        if len(x) != self.max_index:
+            raise DomainError("p_values wants %d values, got %d"
+                              % (self.max_index, len(x)))
+        return _p_series(self._kc, [None] + [Fraction(v) for v in x],
+                         Fraction(1), self.max_index)[1:]
 
 
 _l_table_cache: dict[int, LTable] = {}
 
 
 def l_table(max_index: int) -> LTable:
-    """Compute L_1..L_M and the inverse polynomials P_1..P_M.
+    """The table of L_1..L_M and of the inverse polynomials P_1..P_M.
 
     L is the multiplicative sequence of t/tanh(t): with b_j the squared
     roots and p_j = e_j(b), L = prod_j f(b_j u) = exp(sum_k c_k s_k u^k),
     where c_k are the coefficients of log f(u) and s_k = sum_j b_j^k are
-    the power sums.  Newton's identities write s_k in the p_j, and
-    differentiating the exponential gives m L_m = sum_k k c_k s_k L_(m-k)
-    (Milnor-Stasheff, Characteristic Classes, section 19; Macdonald,
-    Symmetric Functions and Hall Polynomials, I.2).  P_i follows by
-    solving L_i for p_i, one index at a time.
+    the power sums; P inverts L through log(1 + sum_i x_i u^i) =
+    sum_k c_k s_k u^k (Milnor-Stasheff, Characteristic Classes, section 19;
+    Macdonald, Symmetric Functions and Hall Polynomials, I.2).  One table is
+    cached per M, and building it computes only the c_k.
     """
     M = int(max_index)
     if M < 1:
         raise DomainError("l_table wants max_index >= 1")
-    if M in _l_table_cache:
-        return _l_table_cache[M]
-    for bigger in sorted(_l_table_cache):
-        if bigger > M:
-            big = _l_table_cache[bigger]
-            table = LTable(M, big._l[:M], big._p[:M])
-            _l_table_cache[M] = table
-            return table
-
-    kc = _log_f_series(M)
-    pv = [None] + [GradedPolynomial.variable("p%d" % j, 2 * j)
-                   for j in range(1, M + 1)]
-    # Newton: s_k = sum_{i<k} (-1)^(i-1) p_i s_(k-i) + (-1)^(k-1) k p_k;
-    # weighted[k] holds k c_k s_k
-    power_sums = [None]
-    weighted = [None]
-    for k in range(1, M + 1):
-        s = (-1) ** (k - 1) * k * pv[k]
-        for i in range(1, k):
-            s = s + (-1) ** (i - 1) * pv[i] * power_sums[k - i]
-        power_sums.append(s)
-        weighted.append(kc[k] * s)
-    ls = [GradedPolynomial.constant(1)]
-    for m in range(1, M + 1):
-        acc = GradedPolynomial.zero()
-        for k in range(1, m + 1):
-            acc = acc + weighted[k] * ls[m - k]
-        ls.append(acc / m)
-    l_polys = ls[1:]
-
-    p_polys = []
-    for i in range(1, M + 1):
-        li = l_polys[i - 1]
-        ci = li.coefficient({"p%d" % i: 1})
-        if not ci:
-            raise InternalConsistencyError("L_%d has no p_%d term" % (i, i))
-        pi_var = GradedPolynomial.variable("p%d" % i, 2 * i)
-        qi = li - ci * pi_var
-        assign = {"p%d" % j: p_polys[j - 1] for j in range(1, i)
-                  if "p%d" % j in qi.variables()}
-        xi = GradedPolynomial.variable("x%d" % i, 2 * i)
-        p_polys.append((xi - qi.substitute(assign))
-                       * (Fraction(1) / ci))
-
-    table = LTable(M, l_polys, p_polys)
-    _l_table_cache[M] = table
-    return table
+    if M not in _l_table_cache:
+        _l_table_cache[M] = LTable(M)
+    return _l_table_cache[M]
 
 
 def ell_polynomial(i: int, n: int) -> GradedPolynomial:
-    """The symmetric form ell_i(a_1..a_n): L_i with p_j -> e_j(a_1^2..a_n^2).
-
-    Stable once n >= 2i; elementary symmetric polynomials of index beyond n
-    are zero, which is how small n truncates the answer.
-    """
+    """The symmetric form ell_i(a_1..a_n): L_i with p_j -> e_j(a_1^2..a_n^2),
+    from the power sums s_k = sum_j a_j^(2k).  Stable once n >= 2i."""
     if i < 1 or n < 1:
         raise DomainError("ell_polynomial wants i >= 1 and n >= 1")
-    li = l_table(i).l(i)
-    names = ["a%d" % j for j in range(1, n + 1)]
-    esubs = {}
-    for j in range(1, i + 1):
-        name = "p%d" % j
-        if name not in li.variables():
-            continue
-        terms = {tuple((names[t], 2) for t in subset): Fraction(1)
-                 for subset in combinations(range(n), j)}
-        # zero when j > n; otherwise every a_t occurs
-        weights = dict.fromkeys(names, 1) if terms else {}
-        esubs[name] = GradedPolynomial(weights, terms)
-    return li.substitute(esubs)
+    a = [GradedPolynomial.variable("a%d" % j, 1) for j in range(1, n + 1)]
+    s = [sum(x ** (2 * k) for x in a) for k in range(i + 1)]
+    return _l_series(l_table(i)._kc, s, GradedPolynomial.constant(1), i)[i]

@@ -18,7 +18,8 @@ import pytest
 from charwit.cli import certificate_from_json, main, parse_polynomial
 from charwit.cyclic_coh import chern_character
 from charwit.detect import (DetectionProblem, find_rational_witness,
-                            run_pipeline, verify_certificate)
+                            run_pipeline, specialize, to_l_coordinates,
+                            verify_certificate)
 from charwit.errors import InvariantViolation
 from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             congruence, direct_sum, hyperbolic,
@@ -330,7 +331,8 @@ def forward_value(doc):
     names = problem.coordinate_names()
     if len(names) != len(z):
         raise ValueError("coordinate count mismatch")
-    value = problem.specialized().evaluate(dict(zip(names, z)))
+    value = specialize(to_l_coordinates(problem.polynomial),
+                       problem.n).evaluate(dict(zip(names, z)))
     return reduce_mod(value, doc["prime"])
 
 

@@ -414,6 +414,35 @@ def test_cli_over_long_integer_literal_is_parse_error(tmp_path, capsys, argv,
     assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, entry, message, offset", [
+    (["witness", "--xi", "e^2 - p\u0662", "--n", "2"], None,
+     "expected an index after p", 7),
+    (["witness", "--xi", "p\u00b2", "--n", "2"], None,
+     "expected an index after p", 1),
+    (["witness", "--xi", "e^\u00b2 - p1", "--n", "2"], None,
+     "expected an exponent", 2),
+    (["witness", "--xi", "\u0663*e^2 - p2", "--n", "2"], None,
+     "expected a variable", 0),
+    (["multisig", "--form", "{path}"], "\u0663",
+     "expected a coefficient or g", 0),
+    (["multisig", "--form", "{path}"], "g^\u00b2",
+     "expected exponent digits", 2),
+], ids=["p index", "superscript index", "exponent", "coefficient",
+        "form coefficient", "form exponent"])
+def test_cli_non_ascii_digit_is_parse_error(tmp_path, capsys, argv, entry,
+                                            message, offset):
+    """Only 0-9 are digits, in polynomials and in group-ring entries."""
+    path = tmp_path / "form.json"
+    if entry is not None:
+        path.write_text(json.dumps({"p": 3, "k": 1, "parity": 1,
+                                    "matrix": [[entry]]}))
+    code, out, err = run(capsys, *(a.replace("{path}", str(path))
+                                   for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "Traceback" not in err
+    assert err.endswith("%s (at offset %d)\n" % (message, offset))
+
+
 def test_cli_multisig(tmp_path, capsys):
     form = tmp_path / "form.json"
     form.write_text(form_to_json(HermitianForm(3, 1, 1, [["1"]])))
@@ -495,6 +524,42 @@ def test_cli_witness_unfactorable_value_ends(xi, n):
     proc = charwit_process("witness", "--xi", xi, "--n", str(n), timeout=10)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: cannot factor ")
+    assert "Traceback" not in proc.stderr
+
+
+def doctored(xi, n, m):
+    """The flagship certificate with another Xi, n and m, and z padded with
+    ones to the coordinate count they need."""
+    doc = json.loads(FLAGSHIP_TEXT)
+    k = (n + 1) // 2
+    doc["problem"].update(xi=xi, n=n, m=m, k=k)
+    doc["witness"]["z"] = ["1/1"] * (n + m - k + 1)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("xi, n, m, report", [
+    ("p8^8", 2, 8, "targets do not reduce the witness coordinates"),
+    ("e", 60, 30, "invalid certificate data: ell_26 has denominators "
+     "divisible by primes up to 53; p = 53 is too small to reduce"),
+], ids=["p8^8", "n=60"])
+def test_cli_verify_high_weight_ends(tmp_path, xi, n, m, report):
+    """Xi is evaluated at p_i = P_i(x) and ell_i through its series, so
+    neither a high power of p8 nor 60 roots expand a polynomial: exit 1
+    with the failing check named, in well under a second of work."""
+    path = tmp_path / "doctored.json"
+    path.write_text(doctored(xi, n, m))
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "verification failed: %s\n" % report
+    start = time.perf_counter()
+    assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_witness_high_power_ends():
+    proc = charwit_process("witness", "--xi", "p8^6", "--n", "2", timeout=5)
+    assert proc.returncode in (0, 1)
+    assert proc.returncode == 0 or proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -298,10 +298,10 @@ def trial_largest_prime_factor(n):
 
 
 def oracle_witness(problem):
-    """First nonzero point of problem.specialized() over the grid: shells
+    """First nonzero point of the specialized L-form over the grid: shells
     of growing max-norm, each in lexicographic order of the ranks
     1 < -1 < 2 < -2 < ..."""
-    poly = problem.specialized()
+    poly = specialize(to_l_coordinates(problem.polynomial), problem.n)
     names = problem.coordinate_names()
     rank = lambda c: 2 * abs(c) - (c > 0)
     for shell in itertools.count(1):

@@ -111,6 +111,21 @@ def test_group_ring_dangling_star(text, offset):
     assert "offset %d" % offset in str(err.value)
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("\u0663", "expected a coefficient or g", 0),
+    ("g^\u00b2", "expected exponent digits", 2),
+    ("g^-\u00b2", "expected exponent digits", 3),
+    ("1 + \u0663*g", "expected a coefficient or g", 4),
+    ("2\u0663", "expected '+' or '-'", 1),
+])
+def test_group_ring_digits_are_ascii(text, message, offset):
+    """Only 0-9 are digits: an Arabic-Indic three or a superscript two is
+    not read as a number."""
+    with pytest.raises(ParseError) as err:
+        gre(text)
+    assert str(err.value) == "%s (at offset %d)" % (message, offset)
+
+
 def test_group_ring_levels():
     x = GroupRingElement(3, 2, {10: 1})
     assert x.coefficient(1) == 1  # 10 mod 9

@@ -7,7 +7,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charwit.cli import main
+import charwit.symfun as symfun
+from charwit.cli import main, parse_polynomial
+from charwit.detect import (DetectionProblem, find_rational_witness,
+                            run_pipeline, verify_certificate)
 from charwit.errors import DomainError
 from charwit.symfun import (GradedPolynomial, ell_polynomial,
                             l_leading_coefficient, l_table)
@@ -408,3 +411,62 @@ def test_variable_with_two_weights_raises(name, shift):
     holder = GradedPolynomial.variable("q1", ORACLE_WEIGHTS[name] + shift)
     with pytest.raises(DomainError):
         (good * holder).substitute({"q1": bad})
+
+
+# ---------------------------------------------------------------------------
+# The numeric bridge: LTable.p_values against the expanded P_i, and
+# LTable.ell followed by p_values against the elementary symmetric values.
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda m: st.lists(small_fractions, min_size=m, max_size=m)))
+def test_p_values_match_p_polynomials(x):
+    table = l_table(len(x))
+    expected = [table.p(i).evaluate({name: x[int(name[1:]) - 1]
+                                     for name in table.p(i).variables()})
+                for i in range(1, len(x) + 1)]
+    assert table.p_values(x) == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.lists(small_fractions, min_size=1, max_size=6))
+def test_p_values_of_ell_are_elementary_in_squares(m, roots):
+    table = l_table(m)
+    ells = [l_table(i).ell(i, roots) for i in range(1, m + 1)]
+    squares = [a * a for a in roots]
+    assert table.p_values(ells) == [elementary(squares, j)
+                                    for j in range(1, m + 1)]
+
+
+def test_p_values_wants_one_value_per_index():
+    with pytest.raises(DomainError):
+        l_table(3).p_values([Fraction(1), Fraction(2)])
+
+
+# The certify and witness problems of the benchmark suite.
+CERTIFY_SUITE = [("e^2 - p2", 2), ("p3 - e^2", 3), ("e*p1^2 - p5", 6),
+                 ("e^2 - p1^8", 8), ("e^2 - p1^5", 5), ("e^2 - p1^6", 6),
+                 ("e^2 - p2^2", 4)]
+WITNESS_SUITE = [("e^4 - p6", 3), ("e^6 - p6", 2), ("e^2 - p1^8", 8),
+                 ("e^2 - p5", 5), ("e^2 - p4", 4), ("e*p1^2 - p5", 6),
+                 ("e^2 - p1*p4", 5), ("e^2 - p1^6", 6)]
+
+
+def test_certificate_path_expands_no_polynomial(monkeypatch):
+    """Certify, verify and the witness search evaluate numerically: they
+    neither substitute into a polynomial nor expand an L or P polynomial."""
+    def refuse(*args):
+        raise AssertionError("symbolic call on the certificate path")
+
+    monkeypatch.setattr(GradedPolynomial, "substitute", refuse)
+    monkeypatch.setattr(symfun.LTable, "_expand", refuse)
+    monkeypatch.setattr(symfun, "_l_table_cache", {})
+    for xi, n in CERTIFY_SUITE:
+        for cert in run_pipeline(parse_polynomial(xi, n), n, 2):
+            assert verify_certificate(cert) == (True, "ok")
+    for xi, n in WITNESS_SUITE:
+        problem = DetectionProblem(parse_polynomial(xi, n), n)
+        assert find_rational_witness(problem).value
