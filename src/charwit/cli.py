@@ -20,8 +20,8 @@ from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      verify_certificate)
 from .errors import CharwitError, InvariantViolation, ParseError
 from .repring import VirtualRep
-from .scalars import (int_from_digits, odd_primes_above, rational_from_string,
-                      rational_to_string)
+from .scalars import (_read_digits, _read_rational, odd_primes_above,
+                      rational_from_string, rational_to_string)
 from .symfun import GradedPolynomial, l_table
 
 
@@ -48,30 +48,13 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
             pos += 1
         return pos
 
-    def parse_digits(pos, what):
-        start = pos
-        while pos < n and "0" <= text[pos] <= "9":
-            pos += 1
-        if start == pos:
-            raise ParseError("expected " + what, offset=pos)
-        return int_from_digits(text[start:pos], start), pos
-
-    def parse_rational(pos):
-        num, pos = parse_digits(pos, "a number")
-        if pos < n and text[pos] == "/":
-            den, end = parse_digits(pos + 1, "a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", offset=pos + 1)
-            return Fraction(num, den), end
-        return Fraction(num), pos
-
     def parse_factor(pos):
         if pos >= n:
             raise ParseError("expected a variable", offset=pos)
         if text[pos] == "e":
             name, weight, pos = "e", e_weight, pos + 1
         elif text[pos] == "p":
-            i, end = parse_digits(pos + 1, "an index after p")
+            i, end = _read_digits(text, pos + 1, "an index after p")
             if i < 1:
                 raise ParseError("Pontryagin indices start at 1", offset=pos + 1)
             name, weight, pos = "p%d" % i, 2 * i, end
@@ -79,7 +62,7 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
             raise ParseError("expected a variable", offset=pos)
         exponent = 1
         if pos < n and text[pos] == "^":
-            exponent, pos = parse_digits(pos + 1, "an exponent")
+            exponent, pos = _read_digits(text, pos + 1, "an exponent")
         return GradedPolynomial.variable(name, weight) ** exponent, pos
 
     first = True
@@ -106,7 +89,7 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
         coeff = Fraction(sign)
         term = None
         if "0" <= text[pos] <= "9":
-            value, pos = parse_rational(pos)
+            value, pos = _read_rational(text, pos)
             coeff *= value
             pos = skip_space(pos)
             if pos < n and text[pos] == "*":
@@ -313,12 +296,27 @@ def _problem_from_args(args):
     return DetectionProblem(polynomial, args.n, m=args.m)
 
 
+def _text(render, *args) -> str:
+    """render(*args), where an integer with more digits than str() converts
+    (sys.get_int_max_str_digits(), the limit verify reads under) is a
+    CharwitError rather than a ValueError."""
+    try:
+        return render(*args)
+    except ValueError as err:
+        raise CharwitError("the witness has a number of more than %d digits, "
+                           "which verify cannot read"
+                           % sys.get_int_max_str_digits()) from err
+
+
+def _witness_text(witness: WitnessPoint) -> str:
+    return "z = (%s)\nvalue = %s\nN = %d" % (
+        ", ".join(str(c) for c in witness.coordinates), witness.value,
+        witness.N)
+
+
 def _cmd_witness(args):
     problem = _problem_from_args(args)
-    witness = find_rational_witness(problem)
-    print("z = (%s)" % ", ".join(str(c) for c in witness.coordinates))
-    print("value = %s" % witness.value)
-    print("N = %d" % witness.N)
+    print(_text(_witness_text, find_rational_witness(problem)))
     return 0
 
 
@@ -335,9 +333,10 @@ def _cmd_certify(args):
         if not ok:
             print("p=%d FAILED: %s" % (p, report), file=sys.stderr)
             return 1
+        text = _text(certificate_to_json, cert)
         path = "%s_p%d.json" % (args.out, p)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(certificate_to_json(cert))
+            handle.write(text)
         print(cert.summary())
     return 0
 

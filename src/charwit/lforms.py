@@ -19,13 +19,11 @@ values are kept so that congruences transport the refinement exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InvariantViolation
-from .repring import VirtualRep
-from .scalars import (CyclotomicNumber, CyclotomicReal, int_from_digits,
-                      is_odd_prime)
+from .repring import VirtualRep, _canonical
+from .scalars import CyclotomicNumber, CyclotomicReal, int_from_digits
 
 
 class GroupRingElement:
@@ -34,20 +32,9 @@ class GroupRingElement:
     __slots__ = ("p", "k", "coeffs")
 
     def __init__(self, p: int, k: int, coeffs: dict):
-        if k < 1:
-            raise DomainError("level exponent k must be >= 1")
-        if not is_odd_prime(p):
-            raise DomainError("group order must be a power of an odd prime")
-        order = p ** k
-        clean = {}
-        for r, c in coeffs.items():
-            c = int(c)
-            if c:
-                r = int(r) % order
-                clean[r] = clean.get(r, 0) + c
+        self.coeffs = _canonical(p, k, coeffs)
         self.p = p
         self.k = k
-        self.coeffs = {r: c for r, c in clean.items() if c}
 
     @classmethod
     def _make(cls, p: int, k: int, coeffs: dict) -> "GroupRingElement":
@@ -566,12 +553,13 @@ def _check_nonsingular_rational(mat):
 # transfer to the subgroup of index p
 
 
-def _trace(x: GroupRingElement) -> GroupRingElement:
-    """Z[C_{p^k}] -> Z[C_{p^(k-1)}], keeping only the subgroup's coefficients."""
+def _trace(x: GroupRingElement, shift: int = 0) -> GroupRingElement:
+    """Tr(x g^shift) in Z[C_{p^(k-1)}]: the terms of x g^shift that lie in
+    the subgroup generated by h = g^p, a term c g^(pr) read as c h^r."""
     p = x.p
     return GroupRingElement(
-        p, x.k - 1,
-        {r // p: c for r, c in x.coeffs.items() if r % p == 0})
+        p, x.k - 1, {(r + shift) // p: c for r, c in x.coeffs.items()
+                     if (r + shift) % p == 0})
 
 
 def transfer(form: HermitianForm) -> HermitianForm:
@@ -587,15 +575,8 @@ def transfer(form: HermitianForm) -> HermitianForm:
     rows = []
     for a in range(q):
         for i in range(p):
-            row = []
-            for b in range(q):
-                lam = form.matrix[a][b]
-                for j in range(p):
-                    # Tr(lam g^(j-i)): the terms of lam g^(j-i) in the subgroup
-                    row.append(GroupRingElement(p, k - 1, {
-                        (r + j - i) // p: c for r, c in lam.coeffs.items()
-                        if (r + j - i) % p == 0}))
-            rows.append(row)
+            rows.append([_trace(lam, j - i) for lam in form.matrix[a]
+                         for j in range(p)])
     refinement = None
     if form.parity == -1:
         refinement = []
@@ -711,49 +692,20 @@ def random_form(p: int, k: int, parity: int, rank: int, seed: int) -> HermitianF
 
 
 def signature_int(b: IntegerForm) -> int:
-    """Signature of a nondegenerate symmetric integer matrix, exactly."""
+    """Signature of a nondegenerate symmetric integer matrix, exactly.
+
+    The matrix is the hermitian form at the trivial character, so its
+    lower triangle goes through _diagonalize at level 1 and the pivots are
+    signed as multisignature signs them there; by Sylvester's law of
+    inertia their signs count the positive and negative eigenvalues.  A
+    singular matrix raises InvariantViolation.
+    """
     if b.parity != 1:
         raise DomainError("signature is for symmetric forms")
-    q = b.rank
-    a = [[Fraction(x) for x in row] for row in b.matrix]
-    sig = 0
-    for step in range(q):
-        piv = None
-        for i in range(step, q):
-            if a[i][i]:
-                piv = i
-                break
-        if piv is None:
-            found = None
-            for i in range(step, q):
-                for j in range(i + 1, q):
-                    if a[i][j]:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                raise InvariantViolation("matrix is degenerate")
-            i, j = found
-            for b_ in range(q):
-                a[i][b_] += a[j][b_]
-            for c in range(q):
-                a[c][i] += a[c][j]
-            piv = i
-        if piv != step:
-            a[step], a[piv] = a[piv], a[step]
-            for row in a:
-                row[step], row[piv] = row[piv], row[step]
-        pivot = a[step][step]
-        sig += 1 if pivot > 0 else -1
-        for below in range(step + 1, q):
-            if a[below][step]:
-                f = -a[below][step] / pivot
-                for b_ in range(q):
-                    a[below][b_] += f * a[step][b_]
-                for c in range(q):
-                    a[c][below] += f * a[c][step]
-    return sig
+    pivots = _diagonalize([[CyclotomicNumber._make(1, [x], 1)
+                            for x in row[:i + 1]]
+                           for i, row in enumerate(b.matrix)], 1)
+    return sum(CyclotomicReal._make(x, 0).sign() for x in pivots)
 
 
 def arf(b: IntegerForm) -> int:

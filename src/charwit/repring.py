@@ -15,26 +15,35 @@ from .errors import DomainError
 from .scalars import is_odd_prime
 
 
+def _canonical(p: int, k: int, values: dict) -> dict:
+    """The canonical int dict on Z/p^k of a VirtualRep or GroupRingElement.
+
+    Checks k >= 1 and that p is an odd prime, reduces the int keys mod p^k,
+    sums the int values that land on one key and drops zeros.
+    """
+    if k < 1:
+        raise DomainError("level exponent k must be >= 1")
+    if not is_odd_prime(p):
+        raise DomainError("group order must be a power of an odd prime")
+    order = p ** k
+    clean = {}
+    for r, c in values.items():
+        c = int(c)
+        if c:
+            r = int(r) % order
+            clean[r] = clean.get(r, 0) + c
+    return {r: c for r, c in clean.items() if c}
+
+
 class VirtualRep:
     """Integer multiplicities m_r of the characters chi^r of C_{p^k}."""
 
     __slots__ = ("p", "k", "mults")
 
     def __init__(self, p: int, k: int, mults: dict):
-        if k < 1:
-            raise DomainError("level exponent k must be >= 1")
-        if not is_odd_prime(p):
-            raise DomainError("group order must be a power of an odd prime")
+        self.mults = _canonical(p, k, mults)
         self.p = p
         self.k = k
-        order = p ** k
-        clean = {}
-        for r, m in mults.items():
-            m = int(m)
-            if m:
-                r = int(r) % order
-                clean[r] = clean.get(r, 0) + m
-        self.mults = {r: m for r, m in clean.items() if m}
 
     @property
     def order(self) -> int:

@@ -38,12 +38,39 @@ def int_from_digits(digits: str, offset: int) -> int:
                          % len(digits), offset=offset) from exc
 
 
+def _read_digits(text: str, pos: int, what: str):
+    """(int of the ASCII digits at pos, the position after them); no digit
+    there is the ParseError "expected <what>"."""
+    end = pos
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    if end == pos:
+        raise ParseError("expected " + what, offset=pos)
+    return int_from_digits(text[pos:end], pos), end
+
+
+def _read_rational(text: str, pos: int):
+    """(the Fraction digits[/digits] at pos, the position after it)."""
+    num, pos = _read_digits(text, pos, "a number")
+    if pos < len(text) and text[pos] == "/":
+        den, end = _read_digits(text, pos + 1, "a denominator")
+        if den == 0:
+            raise ParseError("zero denominator", offset=pos + 1)
+        return Fraction(num, den), end
+    return Fraction(num), pos
+
+
 def rational_from_string(text: str) -> Fraction:
-    text = text.strip()
+    """The rational [-]digits[/digits], ASCII digits only and nothing
+    around them; any other text is a ParseError."""
+    start = 1 if text[:1] == "-" else 0
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("bad rational literal %r: %s" % (text, exc))
+        value, end = _read_rational(text, start)
+        if end != len(text):
+            raise ParseError("expected the end of the literal", offset=end)
+    except ParseError as err:
+        raise ParseError("bad rational literal: %s" % err) from err
+    return -value if start else value
 
 
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]

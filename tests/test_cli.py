@@ -527,6 +527,55 @@ def test_cli_witness_unfactorable_value_ends(xi, n):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field", ["z", "value"])
+def test_cli_verify_exponent_rational_is_parse_error(tmp_path, field):
+    """Certificate rationals are [-]digits[/digits]: "1e10000000" is a parse
+    error at once, not ten million digits to build and factor."""
+    doc = json.loads(FLAGSHIP_TEXT)
+    if field == "z":
+        doc["witness"]["z"][0] = "1e10000000"
+    else:
+        doc["witness"]["value"] = "1e10000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("parse error: bad rational literal: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["2/2", "3"])
+def test_cli_verify_non_canonical_rational_fails_verification(tmp_path, text):
+    doc = json.loads(FLAGSHIP_TEXT)
+    doc["witness"]["z"][0] = text
+    path = tmp_path / "noncanonical.json"
+    assert verify_text(path, json.dumps(doc, indent=2) + "\n") == (
+        1, "", "verification failed: not the canonical certificate text\n")
+
+
+OVERLONG = "error: the witness has a number of more than "
+
+
+def test_cli_witness_overlong_value_is_named_error():
+    """Xi(z) = 3^30000 has more digits than str() converts: exit 1 with a
+    named error and nothing on stdout, not z and then a traceback."""
+    proc = charwit_process("witness", "--xi", "p1^30000", "--n", "2",
+                           timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(OVERLONG)
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_certify_overlong_value_leaves_no_file(tmp_path):
+    proc = charwit_process("certify", "--xi", "p1^30000", "--n", "2",
+                           "--primes", "1", "--out", str(tmp_path / "cw"),
+                           timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(OVERLONG)
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def doctored(xi, n, m):
     """The flagship certificate with another Xi, n and m, and z padded with
     ones to the coordinate count they need."""

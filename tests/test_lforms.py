@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -664,3 +665,186 @@ def test_integer_rank_check_matches_fraction_elimination():
                                match="form is singular at the trivial character"):
                 _check_nonsingular_rational(b)
     assert counts[True] >= 100 and counts[False] >= 100, counts
+
+
+# ---------------------------------------------------------------------------
+# integer forms and coefficient dicts, against independent oracles
+
+
+def _congruent(a, p):
+    """P^T A P for square integer matrices."""
+    q = len(a)
+    ap = [[sum(a[i][s] * p[s][j] for s in range(q)) for j in range(q)]
+          for i in range(q)]
+    return [[sum(p[s][i] * ap[s][j] for s in range(q)) for j in range(q)]
+            for i in range(q)]
+
+
+@st.composite
+def unimodular_matrices(draw, q):
+    """A product of row swaps, sign flips and elementary transvections."""
+    p = [[int(i == j) for j in range(q)] for i in range(q)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+        move = draw(st.sampled_from(("swap", "flip", "add")))
+        if move == "swap":
+            p[i], p[j] = p[j], p[i]
+        elif move == "flip":
+            p[i] = [-x for x in p[i]]
+        elif i != j:
+            c = draw(st.integers(-3, 3))
+            p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return p
+
+
+@st.composite
+def symmetric_matrices(draw):
+    q = draw(st.integers(1, 6))
+    a = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i + 1):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    return a
+
+
+def jacobi_signature(a):
+    """Jacobi's rule: with every leading minor D_s nonzero, the negative
+    eigenvalues are the sign changes in 1, D_1, ..., D_q.  None when a
+    minor vanishes."""
+    minors = leading_minors(a)
+    if not all(minors):
+        return None
+    signs = [1] + [1 if d > 0 else -1 for d in minors]
+    return len(a) - 2 * sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_signature_int_matches_jacobi_rule(a):
+    expected = jacobi_signature(a)
+    assume(expected is not None)
+    assert signature_int(IntegerForm(1, a)) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_signature_int_zero_diagonal_matches_jacobi_after_mixing(q, data):
+    """A symmetric A with zero diagonal starts on the fallback, with rows
+    coupled and odd cycles allowed.  B = P^T A P for P = L U, L and U unit
+    lower and upper triangular, mostly has nonzero leading minors, and
+    Jacobi's rule on B gives the signature of A."""
+    entry = st.integers(-3, 3)
+    a = [[0] * q for _ in range(q)]
+    low = [[int(i == j) for j in range(q)] for i in range(q)]
+    up = [[int(i == j) for j in range(q)] for i in range(q)]
+    for i in range(q):
+        for j in range(i):
+            a[i][j] = a[j][i] = data.draw(entry)
+            low[i][j], up[j][i] = data.draw(entry), data.draw(entry)
+    p = [[sum(low[i][s] * up[s][j] for s in range(q)) for j in range(q)]
+         for i in range(q)]
+    expected = jacobi_signature(_congruent(a, p))
+    assume(expected is not None)  # this also drops every singular A
+    assert signature_int(IntegerForm(1, a)) == expected
+
+
+@st.composite
+def hyperbolic_sums(draw):
+    """[[0, M], [M^T, 0]] + diag(units) for a unimodular M, in a permuted
+    basis, and its signature sum(units).  The first block is congruent to
+    hyperbolic planes by diag(I, M) and keeps a zero diagonal, so the
+    elimination reaches the zero-diagonal fallback with rows still
+    coupled."""
+    planes = draw(st.integers(1, 3))
+    m = draw(unimodular_matrices(planes))
+    units = draw(st.lists(st.sampled_from((1, -1)), max_size=3))
+    q = 2 * planes + len(units)
+    a = [[0] * q for _ in range(q)]
+    for i in range(planes):
+        for j in range(planes):
+            a[i][planes + j] = a[planes + j][i] = m[i][j]
+    for n, u in enumerate(units):
+        a[2 * planes + n][2 * planes + n] = u
+    order = draw(st.permutations(range(q)))
+    return [[a[i][j] for j in order] for i in order], sum(units)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hyperbolic_sums(), st.data())
+def test_signature_int_congruence_invariance(case, data):
+    a, expected = case
+    p = data.draw(unimodular_matrices(len(a)))
+    assert signature_int(IntegerForm(1, a)) == expected
+    assert signature_int(IntegerForm(1, _congruent(a, p))) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_signature_int_rejects_singular_matrices(q, data):
+    """B^T D B with B of r < q rows has rank at most r."""
+    r = data.draw(st.integers(0, q - 1))
+    b = [[data.draw(st.integers(-3, 3)) for _ in range(q)] for _ in range(r)]
+    d = [data.draw(st.sampled_from((1, -1))) for _ in range(r)]
+    a = [[sum(b[s][i] * d[s] * b[s][j] for s in range(r)) for j in range(q)]
+         for i in range(q)]
+    with pytest.raises(InvariantViolation):
+        signature_int(IntegerForm(1, a))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_arf_is_the_majority_value(planes, data):
+    """Arf(q) = 1 exactly when q = 1 on more than half of F_2^rank, with
+    q(x) = sum_i x_i mu_i + sum_{i<j} x_i x_j b_ij mod 2."""
+    q = 2 * planes
+    j = [[0] * q for _ in range(q)]
+    for h in range(planes):
+        j[2 * h][2 * h + 1], j[2 * h + 1][2 * h] = 1, -1
+    b = _congruent(j, data.draw(unimodular_matrices(q)))
+    mu = [data.draw(st.integers(0, 1)) for _ in range(q)]
+    ones = 0
+    for x in itertools.product((0, 1), repeat=q):
+        value = sum(x[i] * mu[i] for i in range(q))
+        value += sum(x[i] * x[k] * b[i][k]
+                     for i in range(q) for k in range(i + 1, q))
+        ones += value % 2
+    assert arf(IntegerForm(-1, b, mu)) == int(2 * ones > 2 ** q)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(ORDERS), st.data())
+def test_group_ring_and_virtual_rep_share_one_canonical_dict(order, data):
+    """Negative and out-of-range keys reduce mod p^k, values on one class
+    sum, and classes that cancel are dropped, alike in both types."""
+    p, k = order
+    n = p ** k
+    raw = data.draw(st.dictionaries(st.integers(-3 * n, 3 * n),
+                                    st.integers(-5, 5), max_size=10))
+    for r, c in list(raw.items())[:3]:
+        raw.setdefault(r + n, -c)  # cancels r's class unless already set
+    expected = {}
+    for r, c in raw.items():
+        expected[r % n] = expected.get(r % n, 0) + c
+    expected = {r: c for r, c in expected.items() if c}
+    assert GroupRingElement(p, k, raw).coeffs == expected
+    assert VirtualRep(p, k, raw).mults == expected
+
+
+@pytest.mark.parametrize("p, k, message", [
+    (3, 0, "level exponent k must be >= 1"),
+    (9, 1, "group order must be a power of an odd prime"),
+])
+def test_group_ring_and_virtual_rep_reject_alike(p, k, message):
+    for build in (GroupRingElement, VirtualRep):
+        with pytest.raises(DomainError, match="^%s$" % message):
+            build(p, k, {0: 1})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(group_ring_draws(), st.data())
+def test_trace_with_shift_is_the_trace_of_the_product(case, data):
+    x, _ = case
+    assume(x.k >= 2)
+    shift = data.draw(st.integers(1 - x.p, x.p - 1))
+    g = GroupRingElement(x.p, x.k, {shift: 1})
+    assert lforms._trace(x, shift) == lforms._trace(x * g)

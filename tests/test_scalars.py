@@ -220,6 +220,32 @@ def test_rational_strings():
         rational_from_string("")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("2/2", Fraction(1)), ("-0/1", Fraction(0)),
+    ("007/010", Fraction(7, 10)), ("-47/7", Fraction(-47, 7)),
+])
+def test_rational_from_string_reads_digits_over_digits(text, value):
+    assert rational_from_string(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "1E3", "1.5", ".5", " 1/2", "1/2 ", "1/2\n", "1_0/1", "1/1_0",
+    "+1", "--1", "-", "1/", "/1", "1/-1", "1//2", "1/2/3", "0x10", "inf",
+    "nan", "\u0663", "1/\u0663", "\uff11",
+])
+def test_rational_from_string_rejects_every_other_form(text):
+    """Only [-]digits[/digits] in ASCII: Fraction's exponents, decimals,
+    spaces, underscores, signs after the first and non-ASCII digits are
+    parse errors."""
+    with pytest.raises(ParseError, match="^bad rational literal: "):
+        rational_from_string(text)
+
+
+def test_rational_from_string_names_an_over_long_literal():
+    with pytest.raises(ParseError, match="too long"):
+        rational_from_string("1" * 5000 + "/1")
+
+
 def test_cyclotomic_reduction_level5():
     z = CyclotomicNumber.zeta(5)
     x = z + z.conjugate()
