@@ -314,6 +314,9 @@ def _verify(cert: WitnessCertificate):
     z = witness.coordinates
     if len(z) != n + (m - k + 1):
         return False, "witness has the wrong number of coordinates"
+    # ahead of _derive, whose evaluation of Xi grows with its degree
+    if cert.degree_2r != 2 * problem.weight:
+        return False, "degree bookkeeping is inconsistent"
     derived = _derive(problem, witness, p, cert.xi)
     if cert.residues != derived.residues:
         return False, "residues do not reduce the witness coordinates"
@@ -337,8 +340,6 @@ def _verify(cert: WitnessCertificate):
 
     if not derived.evaluation:
         return False, "evaluation vanished mod p"
-    if cert.degree_2r != derived.degree_2r:
-        return False, "degree bookkeeping is inconsistent"
     if cert.evaluation != derived.evaluation:
         return False, "evaluation differs from the stored value"
     if derived.evaluation != from_rational(p, witness.value):

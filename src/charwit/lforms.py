@@ -416,62 +416,86 @@ def _diagonalize(mat, level: int):
     Only the lower triangle is read: row i may stop at a[i][i], and any
     entry above the diagonal stands for the conjugate of its mirror.
     Symmetric Schur-complement elimination, as in LDL* (Golub-Van Loan,
-    4.1-4.2): pivot on the first remaining s with a[s][s] != 0 and replace
-    each remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].
-    The pivot column a[i][s] is built once, and the pivot row is its
+    4.1-4.2): pivot on a remaining s with a[s][s] != 0 and replace each
+    remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].
+    The pivot is chosen by the symmetric minimum-degree rule (Markowitz,
+    Management Sci. 3, 1957; George-Liu, SIAM Review 31, 1989): the s
+    with the fewest remaining nonzero a[i][s], the lowest index on ties,
+    which keeps the fill-in of a sparse matrix small.  adj[i] holds the
+    remaining j != i with a[i][j] != 0; it is built from the matrix given,
+    and kept exact wherever an update creates or cancels an entry.  The
+    pivot column a[i][s] is built once, and the pivot row is its
     conjugate, so nothing is mirrored.  If the remaining diagonal is zero,
-    v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first s < j
-    with a[j][s] != 0: lam = 1, or zeta when a[j][s] + conj(a[j][s]) = 0.
-    In lower storage that adds a[c][j] lam to a[c][s] for c > s, and sets
-    a[s][s] = t + conj(t) with t = lam_bar a[j][s], a[s][s] and a[j][j]
-    being zero.  Row s is left as it is: for b < s, a[j][b] = 0, since s
-    is the first column with a nonzero entry below the diagonal.
+    v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first
+    remaining s with a nonzero entry, not the one of least degree, and the
+    least j in adj[s]: lam = 1, or zeta when a[j][s] + conj(a[j][s]) = 0.
+    In lower storage that adds a[c][j] lam to a[c][s] for the c in adj[j]
+    other than s, and sets a[s][s] = t + conj(t) with t = lam_bar a[j][s],
+    a[s][s] and a[j][j] being zero.  Row s is left as it is: for remaining
+    b < s, a[j][b] = 0, since s is the first remaining index with a nonzero
+    entry, so every c in adj[j] and in adj[s] is above s.  Minimum degree
+    would not give that, so this step keeps the first s.
 
     Returns the pivots, each nonzero and fixed by conjugation; raises
     InvariantViolation when the matrix is singular.
     """
     a = [list(row[:i + 1]) for i, row in enumerate(mat)]
+    adj = [set() for _ in a]
+
+    def link(i, j, x):
+        """Record whether a[i][j], i > j, is the nonzero x."""
+        if x:
+            adj[i].add(j)
+            adj[j].add(i)
+        else:
+            adj[i].discard(j)
+            adj[j].discard(i)
+
+    for i, row in enumerate(a):
+        for j in range(i):
+            link(i, j, row[j])
     rest = list(range(len(a)))
     pivots = []
     while rest:
-        s = next((i for i in rest if a[i][i]), None)
+        s = min((i for i in rest if a[i][i]), key=lambda i: len(adj[i]),
+                default=None)
         if s is None:
-            pair = next(((i, j) for i in rest for j in rest
-                         if j > i and a[j][i]), None)
-            if pair is None:
+            s = next((i for i in rest if adj[i]), None)
+            if s is None:
                 raise InvariantViolation(
                     "form is singular at a character of order %d" % level)
-            s, j = pair
+            j = min(adj[s])
             x = a[j][s]
             lam = CyclotomicNumber.rational(level, 1)
             if not x + x.conjugate():
                 lam = CyclotomicNumber.zeta(level)
             lam_bar = lam.conjugate()
-            for c in rest:
-                if c > s:
-                    y = a[c][j] if c >= j else a[j][c].conjugate()
-                    a[c][s] = a[c][s] + y * lam
+            for c in adj[j] - {s}:
+                y = a[c][j] if c > j else a[j][c].conjugate()
+                a[c][s] = a[c][s] + y * lam
+                link(c, s, a[c][s])
             t = lam_bar * x
             a[s][s] = t + t.conjugate()
         rest.remove(s)
         pivots.append(a[s][s])
         # the pivot column a[i][s] and row a[s][i] = conj(a[i][s]) over
-        # rest; off `below` both are zero and nothing moves
-        below, column, row = [], [], []
-        for i in rest:
+        # adj[s]; off it both are zero and nothing moves
+        below, column, row = sorted(adj[s]), [], []
+        for i in below:
+            adj[i].discard(s)
             x = a[i][s] if i > s else a[s][i]
-            if x:
-                y = x.conjugate()
-                below.append(i)
-                column.append(x if i > s else y)
-                row.append(y if i > s else x)
+            y = x.conjugate()
+            column.append(x if i > s else y)
+            row.append(y if i > s else x)
         if below:
             inv = a[s][s].inverse()
             for n, i in enumerate(below):
                 f = column[n] * inv
                 ai = a[i]
-                for j, y in zip(below[:n + 1], row):
+                for j, y in zip(below[:n], row):
                     ai[j] = ai[j] - f * y
+                    link(i, j, ai[j])
+                ai[i] = ai[i] - f * row[n]
     return pivots
 
 
@@ -484,7 +508,10 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     exact evaluation, so the lower triangle of the form is evaluated and
     diagonalized once per divisor of the group order and only the pivot
     signs depend on r; each pivot is checked once to be fixed by
-    conjugation, then signed at every embedding.  At order d > 1 a
+    conjugation, then signed at every embedding.  Only the nonzero
+    group-ring entries are evaluated: the zero ones share one zero per
+    order, and _diagonalize reads the sparsity from the evaluated matrix,
+    since a nonzero entry may still vanish at a character.  At order d > 1 a
     skew form is evaluated as (g - g^(-1)) Lambda, whose image u Lambda with
     u = zeta - zeta^(-1) is hermitian: at zeta^t, u Lambda =
     2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
@@ -506,7 +533,9 @@ def multisignature(form: HermitianForm) -> VirtualRep:
                 [[sum(x.coeffs.values()) for x in row] for row in form.matrix])
             mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
             continue
-        pivots = _diagonalize([[evaluate(x, d) for x in row[:i + 1]]
+        zero = CyclotomicNumber.rational(d, 0)
+        pivots = _diagonalize([[evaluate(x, d) if x.coeffs else zero
+                                for x in row[:i + 1]]
                                for i, row in enumerate(form.matrix)], d)
         if any(x.conjugate() != x for x in pivots):
             raise InvariantViolation(

@@ -576,30 +576,48 @@ def test_cli_certify_overlong_value_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def doctored(xi, n, m):
-    """The flagship certificate with another Xi, n and m, and z padded with
-    ones to the coordinate count they need."""
+def doctored(xi, n, m, degree_2r):
+    """The flagship certificate with another Xi, n, m and degree 2r, and z
+    padded with ones to the coordinate count they need."""
     doc = json.loads(FLAGSHIP_TEXT)
     k = (n + 1) // 2
-    doc["problem"].update(xi=xi, n=n, m=m, k=k)
+    doc["problem"].update(xi=xi, n=n, m=m, k=k, degree_2r=degree_2r)
     doc["witness"]["z"] = ["1/1"] * (n + m - k + 1)
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("xi, n, m, report", [
-    ("p8^8", 2, 8, "targets do not reduce the witness coordinates"),
-    ("e", 60, 30, "invalid certificate data: ell_26 has denominators "
+@pytest.mark.parametrize("xi, n, m, degree_2r, report", [
+    ("p8^8", 2, 8, 256, "targets do not reduce the witness coordinates"),
+    ("e", 60, 30, 120, "invalid certificate data: ell_26 has denominators "
      "divisible by primes up to 53; p = 53 is too small to reduce"),
 ], ids=["p8^8", "n=60"])
-def test_cli_verify_high_weight_ends(tmp_path, xi, n, m, report):
+def test_cli_verify_high_weight_ends(tmp_path, xi, n, m, degree_2r, report):
     """Xi is evaluated at p_i = P_i(x) and ell_i through its series, so
     neither a high power of p8 nor 60 roots expand a polynomial: exit 1
-    with the failing check named, in well under a second of work."""
+    with the failing check named, in well under a second of work.  The
+    degree 2r is consistent, so both reach the derivation."""
     path = tmp_path / "doctored.json"
-    path.write_text(doctored(xi, n, m))
+    path.write_text(doctored(xi, n, m, degree_2r))
     proc = charwit_process("verify", str(path), timeout=10)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "verification failed: %s\n" % report
+    start = time.perf_counter()
+    assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_verify_inconsistent_degree_fails_fast(tmp_path):
+    """The flagship certificate with Xi = p1^10000000 still claims degree
+    2r = 8: the degree check runs before the derivation, so verify does not
+    raise 3 x_1 to the ten millionth power before it exits 1."""
+    doc = json.loads(FLAGSHIP_TEXT)
+    doc["problem"]["xi"] = "p1^10000000"
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "verification failed: degree bookkeeping is inconsistent\n")
     start = time.perf_counter()
     assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
     assert time.perf_counter() - start < 1.0

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,7 @@ from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
 from charwit.lforms import (_check_nonsingular_rational, _diagonalize,
                             _skew_evaluate)
 from charwit.repring import VirtualRep, restrict
-from charwit.scalars import CyclotomicNumber
+from charwit.scalars import CyclotomicNumber, CyclotomicReal
 
 
 def gre(text, p=3, k=1):
@@ -399,15 +400,29 @@ def test_multisignature_digest_frozen(cells, expected):
     interval arithmetic), the second from the row-and-column elimination
     that preceded the Schur-complement one, the third from the Fraction
     coefficients and Euclidean inverse that preceded the integer ones."""
+    assert _multisignature_digest(cells, (1, 2)) == expected
+
+
+def test_multisignature_wide_digest_frozen():
+    """Ten cells, both parities, seeds 1-6: frozen from the elimination
+    that pivoted on the first nonzero diagonal entry, so it pins the
+    minimum-degree pivot order against first-nonzero pivots."""
+    cells = ((3, 2, 4), (5, 2, 4), (3, 3, 4), (7, 2, 6), (3, 2, 6),
+             (5, 2, 6), (3, 3, 6), (3, 4, 4), (7, 1, 8), (5, 1, 10))
+    assert _multisignature_digest(cells, range(1, 7)) == (
+        "83097c1f3e43f590c85656def9230dd36c4f87e8d28b56673a5186ed8c603194")
+
+
+def _multisignature_digest(cells, seeds):
     digest = hashlib.sha256()
     for p, k, rank in cells:
         for parity in (1, -1):
-            for seed in (1, 2):
+            for seed in seeds:
                 f = random_form(p, k, parity, rank, seed)
                 for g in (f, transfer(f)) if k > 1 else (f,):
                     digest.update(json.dumps(
                         multisignature(g).serialize()).encode() + b"\n")
-    assert digest.hexdigest() == expected
+    return digest.hexdigest()
 
 
 def test_multisignature_slowest_transfer_budget():
@@ -518,6 +533,58 @@ def test_diagonalize_reads_only_the_lower_triangle():
     assert singular >= 10
 
 
+def _permutation(rng, n):
+    """A seeded permutation of range(n), other than the identity when n > 1."""
+    perm = list(range(n))
+    while n > 1 and perm == sorted(perm):
+        rng.shuffle(perm)
+    return perm
+
+
+def test_pivots_and_multisignature_are_permutation_invariant():
+    """A basis permutation changes which pivots minimum degree picks and
+    when the zero-diagonal step runs, but not what they certify.  On the
+    oracle's draws, P A P* has pivots whose product is det(A) and whose
+    signs count at every embedding as A's do, and it is singular with A.
+    Congruence by a permutation leaves the multisignature of seeded forms,
+    and of their transfers, unchanged."""
+    rng = random.Random(1957)
+    singular = 0
+    for L, a in _pivot_oracle_draws():
+        perm = _permutation(rng, len(a))
+        b = [[a[i][j] for j in perm] for i in perm]
+        det = _cofactor_det(a)
+        if det.is_zero():
+            singular += 1
+            with pytest.raises(InvariantViolation):
+                _diagonalize(b, L)
+            continue
+        pivots = _diagonalize(b, L)
+        product = CyclotomicNumber.rational(L, 1)
+        for x in pivots:
+            product = product * x
+        assert product == det
+        expected = _diagonalize(a, L)
+        for t in range(L):
+            if gcd(t, L) == 1:
+                assert (sum(CyclotomicReal._make(x, t).sign() for x in pivots)
+                        == sum(CyclotomicReal._make(x, t).sign()
+                               for x in expected))
+    assert singular >= 10
+    for p, k, parity, rank in ((3, 1, 1, 5), (7, 1, 1, 6), (5, 1, -1, 6),
+                               (3, 2, 1, 4), (3, 2, -1, 4), (5, 2, -1, 2)):
+        for seed in (1, 2, 3):
+            f = random_form(p, k, parity, rank, seed)
+            perm = _permutation(rng, rank)
+            g = congruence(f, [[int(c == perm[a]) for c in range(rank)]
+                               for a in range(rank)])
+            assert g.matrix == tuple(tuple(f.matrix[a][b] for b in perm)
+                                     for a in perm)
+            for f1, g1 in ((f, g), (transfer(f), transfer(g))) if k > 1 \
+                    else ((f, g),):
+                assert multisignature(g1) == multisignature(f1)
+
+
 def test_multisignature_rejects_non_real_pivot(monkeypatch):
     """Each pivot is checked once to be fixed by conjugation before it is
     signed at every embedding: zeta_1 = 1 passes, zeta_7 does not."""
@@ -527,17 +594,22 @@ def test_multisignature_rejects_non_real_pivot(monkeypatch):
         multisignature(random_form(7, 1, 1, 2, 1))
 
 
-@pytest.mark.parametrize("parity, evaluations, inverses", [
-    (1, 1806, 54), (-1, 903, 35),
+@pytest.mark.parametrize("parity, levels, evaluations, inverses, updates", [
+    (1, 2, 602, 54, 1308), (-1, 1, 56, 35, 210),
 ], ids=["hermitian", "skew"])
-def test_multisignature_work_counts(monkeypatch, parity, evaluations,
-                                    inverses):
-    """The rank-42 transfer of the budget test: one evaluation per entry of
-    the lower triangle, 42 * 43 / 2 = 903, at each order evaluated (1 and 7
-    for the hermitian form, 7 for the skew one), an unchanged number of
-    inverses, and no conjugate per updated entry or per embedding of a
-    pivot.  These are counts, not timings."""
+def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
+                                    inverses, updates):
+    """The rank-42 transfer of the budget test: one evaluation per nonzero
+    entry of the lower triangle (301 of 903 for the hermitian form, 56 for
+    the skew one) at each order evaluated (1 and 7 for the hermitian form,
+    7 for the skew one), an unchanged number of inverses, no conjugate per
+    updated entry or per embedding of a pivot, and at most `updates` Schur
+    updates, one subtraction each: minimum-degree pivots do 1308 on the
+    hermitian form, where first-nonzero pivots fill it in and do 3532.
+    These are counts, not timings."""
     g = transfer(random_form(7, 2, parity, 6, 1))
+    nonzero = sum(1 for i, row in enumerate(g.matrix)
+                  for x in row[:i + 1] if x)
     counts = {}
 
     def count(owner, name):
@@ -552,11 +624,13 @@ def test_multisignature_work_counts(monkeypatch, parity, evaluations,
     count(lforms, "_skew_evaluate")
     count(CyclotomicNumber, "inverse")
     count(CyclotomicNumber, "_galois")
+    count(CyclotomicNumber, "__sub__")
     multisignature(g)
     assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
-        == evaluations
+        == levels * nonzero == evaluations
     assert counts.pop("inverse") == inverses
     assert counts.pop("_galois") <= 700
+    assert counts.pop("__sub__") <= updates
     assert not counts
 
 
