@@ -20,8 +20,9 @@ from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      verify_certificate)
 from .errors import CharwitError, InvariantViolation, ParseError
 from .repring import VirtualRep
-from .scalars import (_read_digits, _read_rational, odd_primes_above,
-                      rational_from_string, rational_to_string)
+from .scalars import (_read_digits, _read_rational, _read_sum, _skip_space,
+                      odd_primes_above, rational_from_string,
+                      rational_to_string)
 from .symfun import GradedPolynomial, l_table
 
 
@@ -35,25 +36,15 @@ CERTIFICATE_VERSION = 1
 def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
     """Parse "7/45*p2 - 1/45*p1^2" style expressions.
 
-    Terms are sums of rational coefficients times products of e and p<i>
-    with optional ^ powers.  The weight of e is not part of the text and
-    must be supplied by the caller.
+    The text is a signed sum (scalars._read_sum) of terms: a rational
+    coefficient digits[/digits], a product of factors e and p<i> with
+    optional ^ powers joined by '*', or coefficient*product.  The weight
+    of e is not part of the text and must be supplied by the caller.
     """
-    n = len(text)
-    pos = 0
-    total = GradedPolynomial.zero()
-
-    def skip_space(pos):
-        while pos < n and text[pos].isspace():
-            pos += 1
-        return pos
-
-    def parse_factor(pos):
-        if pos >= n:
-            raise ParseError("expected a variable", offset=pos)
-        if text[pos] == "e":
+    def read_factor(pos):
+        if text[pos:pos + 1] == "e":
             name, weight, pos = "e", e_weight, pos + 1
-        elif text[pos] == "p":
+        elif text[pos:pos + 1] == "p":
             i, end = _read_digits(text, pos + 1, "an index after p")
             if i < 1:
                 raise ParseError("Pontryagin indices start at 1", offset=pos + 1)
@@ -61,55 +52,31 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
         else:
             raise ParseError("expected a variable", offset=pos)
         exponent = 1
-        if pos < n and text[pos] == "^":
+        if text[pos:pos + 1] == "^":
             exponent, pos = _read_digits(text, pos + 1, "an exponent")
         return GradedPolynomial.variable(name, weight) ** exponent, pos
 
-    first = True
-    while True:
-        pos = skip_space(pos)
-        if pos >= n:
-            if first:
-                raise ParseError("empty polynomial", offset=pos)
-            break
-        sign = 1
-        if not first:
-            if text[pos] == "+":
-                pos += 1
-            elif text[pos] == "-":
-                sign, pos = -1, pos + 1
-            else:
-                raise ParseError("expected '+' or '-'", offset=pos)
-            pos = skip_space(pos)
-        while pos < n and text[pos] == "-":
-            sign, pos = -sign, pos + 1
-            pos = skip_space(pos)
-        if pos >= n:
-            raise ParseError("expected a term", offset=pos)
-        coeff = Fraction(sign)
-        term = None
+    def read_term(text, pos):
+        coeff = Fraction(1)
         if "0" <= text[pos] <= "9":
-            value, pos = _read_rational(text, pos)
-            coeff *= value
-            pos = skip_space(pos)
-            if pos < n and text[pos] == "*":
-                pos = skip_space(pos + 1)
-                term, pos = parse_factor(pos)
-            elif pos < n and text[pos] in "ep":
+            coeff, pos = _read_rational(text, pos)
+            pos = _skip_space(text, pos)
+            if text[pos:pos + 1] not in ("*", "e", "p"):
+                return GradedPolynomial.constant(coeff), pos
+            if text[pos] != "*":
                 raise ParseError("missing '*' after the coefficient", offset=pos)
-        else:
-            term, pos = parse_factor(pos)
-        if term is not None:
-            pos = skip_space(pos)
-            while pos < n and text[pos] == "*":
-                pos = skip_space(pos + 1)
-                factor, pos = parse_factor(pos)
-                term = term * factor
-                pos = skip_space(pos)
-            total = total + term * coeff
-        else:
-            total = total + GradedPolynomial.constant(coeff)
-        first = False
+            pos = _skip_space(text, pos + 1)
+        term, pos = read_factor(pos)
+        pos = _skip_space(text, pos)
+        while text[pos:pos + 1] == "*":
+            factor, pos = read_factor(_skip_space(text, pos + 1))
+            term = term * factor
+            pos = _skip_space(text, pos)
+        return term * coeff, pos
+
+    total = GradedPolynomial.zero()
+    for sign, term in _read_sum(text, read_term, "empty polynomial"):
+        total = total + term if sign == 1 else total - term
     return total
 
 
@@ -296,18 +263,6 @@ def _problem_from_args(args):
     return DetectionProblem(polynomial, args.n, m=args.m)
 
 
-def _text(render, *args) -> str:
-    """render(*args), where an integer with more digits than str() converts
-    (sys.get_int_max_str_digits(), the limit verify reads under) is a
-    CharwitError rather than a ValueError."""
-    try:
-        return render(*args)
-    except ValueError as err:
-        raise CharwitError("the witness has a number of more than %d digits, "
-                           "which verify cannot read"
-                           % sys.get_int_max_str_digits()) from err
-
-
 def _witness_text(witness: WitnessPoint) -> str:
     return "z = (%s)\nvalue = %s\nN = %d" % (
         ", ".join(str(c) for c in witness.coordinates), witness.value,
@@ -316,7 +271,7 @@ def _witness_text(witness: WitnessPoint) -> str:
 
 def _cmd_witness(args):
     problem = _problem_from_args(args)
-    print(_text(_witness_text, find_rational_witness(problem)))
+    print(_witness_text(find_rational_witness(problem)))
     return 0
 
 
@@ -333,7 +288,15 @@ def _cmd_certify(args):
         if not ok:
             print("p=%d FAILED: %s" % (p, report), file=sys.stderr)
             return 1
-        text = _text(certificate_to_json, cert)
+        # an integer of Xi or of 2r may have more digits than str() converts
+        # (sys.get_int_max_str_digits(), the limit verify reads under); the
+        # witness numbers were checked in detect
+        try:
+            text = certificate_to_json(cert)
+        except ValueError as err:
+            raise CharwitError("the certificate has a number of more than %d "
+                               "digits, which verify cannot read"
+                               % sys.get_int_max_str_digits()) from err
         path = "%s_p%d.json" % (args.out, p)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

@@ -25,6 +25,7 @@ Verification derives every field again from the certificate's own
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, prod
@@ -178,9 +179,15 @@ def _witness_value(problem, z):
 
 
 def _prime_support(values):
-    """The largest prime factor of any numerator or denominator."""
-    return max(largest_prime_factor(part) for c in values
-               for part in (c.numerator, c.denominator))
+    """The largest prime factor of any numerator or denominator.  A part of
+    more digits than sys.get_int_max_str_digits() is refused before it is
+    factored: verify could not read it back."""
+    digits = sys.get_int_max_str_digits()
+    parts = [part for c in values for part in (c.numerator, c.denominator)]
+    if digits and any(abs(part) >= 10 ** digits for part in parts):
+        raise CharwitError("the witness has a number of more than %d "
+                           "digits, which verify cannot read" % digits)
+    return max(largest_prime_factor(part) for part in parts)
 
 
 def _witness_bound(problem, z, value):

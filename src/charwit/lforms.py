@@ -21,9 +21,10 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, ParseError
 from .repring import VirtualRep, _canonical
-from .scalars import CyclotomicNumber, CyclotomicReal, int_from_digits
+from .scalars import (CyclotomicNumber, CyclotomicReal, _format_sum,
+                      _read_digits, _read_sum, _skip_space)
 
 
 class GroupRingElement:
@@ -147,9 +148,9 @@ class GroupRingElement:
 
 
 def format_group_ring(x: GroupRingElement) -> str:
-    """Canonical text form "c0 + c1*g + c2*g^2 + ..." with zeros omitted."""
-    if x.is_zero():
-        return "0"
+    """Canonical text form "c0 + c1*g + c2*g^2 + ...": the signed sum
+    (scalars._format_sum) of the nonzero terms by increasing exponent in
+    [0, p^k), a coefficient of magnitude 1 not written before g."""
     pieces = []
     for r in sorted(x.coeffs):
         c = x.coeffs[r]
@@ -160,79 +161,42 @@ def format_group_ring(x: GroupRingElement) -> str:
         else:
             body = "%d*g" % abs(c) if r == 1 else "%d*g^%d" % (abs(c), r)
         pieces.append((c < 0, body))
-    neg, first = pieces[0]
-    out = ("-" if neg else "") + first
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return _format_sum(pieces)
+
+
+def _read_group_ring_term(text: str, pos: int):
+    """((exponent, coefficient), the position after it) for the term c, g,
+    g^r or c*g^r at pos; c and r are ASCII digits, r with an optional
+    leading '-'."""
+    coeff = 1
+    if "0" <= text[pos] <= "9":
+        coeff, pos = _read_digits(text, pos, "a number")
+        pos = _skip_space(text, pos)
+        if text[pos:pos + 1] == "g":
+            raise ParseError("missing '*' between coefficient and g",
+                             offset=pos)
+        if text[pos:pos + 1] != "*":
+            return (0, coeff), pos
+        pos = _skip_space(text, pos + 1)
+        if text[pos:pos + 1] != "g":
+            raise ParseError("expected g after '*'", offset=pos)
+    elif text[pos] != "g":
+        raise ParseError("expected a coefficient or g", offset=pos)
+    exponent, pos = 1, pos + 1
+    if text[pos:pos + 1] == "^":
+        exponent, pos = _read_digits(text, pos + 1, "exponent digits",
+                                     signed=True)
+    return (exponent, coeff), pos
 
 
 def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
-    """Inverse of format_group_ring; also accepts explicit 1* coefficients."""
-    from .errors import ParseError
-
+    """Inverse of format_group_ring: a signed sum (scalars._read_sum) of
+    terms c, g, g^r and c*g^r, with any integer exponent r, read mod p^k;
+    also accepts explicit 1* coefficients."""
     coeffs = {}
-    pos = 0
-    n = len(text)
-    sign = 1
-    expect_term = True
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if expect_term:
-                raise ParseError("expected a term", offset=pos)
-            break
-        ch = text[pos]
-        if not expect_term:
-            if ch == "+":
-                sign, expect_term, pos = 1, True, pos + 1
-                continue
-            if ch == "-":
-                sign, expect_term, pos = -1, True, pos + 1
-                continue
-            raise ParseError("expected '+' or '-'", offset=pos)
-        if ch == "-":
-            sign, pos = -sign, pos + 1
-            continue
-        coeff = 1
-        have_coeff = False
-        if "0" <= ch <= "9":
-            start = pos
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            coeff = int_from_digits(text[start:pos], start)
-            have_coeff = True
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos < n and text[pos] == "*":
-                pos += 1
-                while pos < n and text[pos].isspace():
-                    pos += 1
-                if pos >= n or text[pos] != "g":
-                    raise ParseError("expected g after '*'", offset=pos)
-            elif pos < n and text[pos] == "g":
-                raise ParseError("missing '*' between coefficient and g",
-                                 offset=pos)
-        exponent = 0
-        if pos < n and text[pos] == "g":
-            pos += 1
-            exponent = 1
-            if pos < n and text[pos] == "^":
-                pos += 1
-                start = pos
-                if pos < n and text[pos] == "-":
-                    pos += 1
-                while pos < n and "0" <= text[pos] <= "9":
-                    pos += 1
-                if start == pos or text[start:pos] == "-":
-                    raise ParseError("expected exponent digits", offset=pos)
-                exponent = int_from_digits(text[start:pos], start)
-        elif not have_coeff:
-            raise ParseError("expected a coefficient or g", offset=pos)
-        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
-        sign = 1
-        expect_term = False
+    for sign, (r, c) in _read_sum(text, _read_group_ring_term,
+                                  "expected a term"):
+        coeffs[r] = coeffs.get(r, 0) + sign * c
     return GroupRingElement(p, k, coeffs)
 
 

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: rationals, Bernoulli numbers, primes and the
 reduction of rationals mod p, and real cyclotomic numbers with certified
-signs.
+signs; and the text grammar every format shares: ASCII digits, rationals
+and signed sums of terms.
 
 Rationals are ``fractions.Fraction``, an element of F_p is a plain int in
 [0, p), a cyclotomic number is an integer coefficient tuple over one
@@ -28,25 +29,22 @@ def rational_to_string(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def int_from_digits(digits: str, offset: int) -> int:
-    """int(digits), where more digits than sys.get_int_max_str_digits()
-    raise ParseError at offset instead of ValueError."""
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise ParseError("integer literal of %d digits is too long"
-                         % len(digits), offset=offset) from exc
-
-
-def _read_digits(text: str, pos: int, what: str):
-    """(int of the ASCII digits at pos, the position after them); no digit
-    there is the ParseError "expected <what>"."""
-    end = pos
+def _read_digits(text: str, pos: int, what: str, signed: bool = False):
+    """(int of the ASCII digits at pos, the position after them); signed
+    also takes one leading '-'.  No digit there is the ParseError "expected
+    <what>", and more digits than sys.get_int_max_str_digits() are a
+    ParseError at pos rather than a ValueError."""
+    start = pos + 1 if signed and text[pos:pos + 1] == "-" else pos
+    end = start
     while end < len(text) and "0" <= text[end] <= "9":
         end += 1
-    if end == pos:
-        raise ParseError("expected " + what, offset=pos)
-    return int_from_digits(text[pos:end], pos), end
+    if end == start:
+        raise ParseError("expected " + what, offset=end)
+    try:
+        return int(text[pos:end]), end
+    except ValueError as exc:
+        raise ParseError("integer literal of %d digits is too long"
+                         % (end - pos), offset=pos) from exc
 
 
 def _read_rational(text: str, pos: int):
@@ -58,6 +56,53 @@ def _read_rational(text: str, pos: int):
             raise ParseError("zero denominator", offset=pos + 1)
         return Fraction(num, den), end
     return Fraction(num), pos
+
+
+def _skip_space(text: str, pos: int) -> int:
+    """The first position from pos on that does not hold whitespace."""
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _read_sum(text: str, read_term, empty: str) -> list:
+    """The (sign, term) pairs, sign 1 or -1, of a signed sum "t - t + t".
+
+    Polynomials and group-ring elements share this grammar: whitespace may
+    stand between any two tokens, terms are joined by '+' or '-', and each
+    term may carry any number of leading '-'.  read_term(text, pos) reads
+    one term at pos, which holds neither whitespace nor '-', and returns
+    (term, the position after it).  Blank text is the ParseError empty.
+    """
+    pos = _skip_space(text, 0)
+    if pos == len(text):
+        raise ParseError(empty, offset=pos)
+    terms = []
+    while True:
+        sign = 1
+        while text[pos:pos + 1] == "-":
+            sign, pos = -sign, _skip_space(text, pos + 1)
+        if pos == len(text):
+            raise ParseError("expected a term", offset=pos)
+        term, pos = read_term(text, pos)
+        terms.append((sign, term))
+        pos = _skip_space(text, pos)
+        if pos == len(text):
+            return terms
+        if text[pos] == "+":
+            pos = _skip_space(text, pos + 1)
+        elif text[pos] != "-":  # a '-' separator is read as a leading '-'
+            raise ParseError("expected '+' or '-'", offset=pos)
+
+
+def _format_sum(pieces) -> str:
+    """The text _read_sum reads back from (negative, body) pairs:
+    "-a + b - c", or "0" when there are none."""
+    out = []
+    for neg, body in pieces:
+        out.append((" - " if neg else " + ") if out else ("-" if neg else ""))
+        out.append(body)
+    return "".join(out) or "0"
 
 
 def rational_from_string(text: str) -> Fraction:
@@ -245,11 +290,11 @@ def _check_odd_prime(p: int) -> None:
 def from_rational(p: int, x) -> int:
     """x mod p, in [0, p), for an odd prime p and a rational x whose
     denominator is a unit mod p."""
+    _check_odd_prime(p)
     x = Fraction(x)
     if x.denominator % p == 0:
         raise DomainError(
             "denominator of %s vanishes mod %d" % (x, p))
-    _check_odd_prime(p)
     return x.numerator * pow(x.denominator, -1, p) % p
 
 

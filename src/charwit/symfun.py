@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError
-from .scalars import bernoulli
+from .scalars import _format_sum, bernoulli
 
 
 def _name_key(name: str):
@@ -287,8 +287,6 @@ class GradedPolynomial:
     # --- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = self.variables()
 
         def order(term):
@@ -300,19 +298,10 @@ class GradedPolynomial:
         for mono, c in sorted(self.terms.items(), key=order):
             factors = [name if e == 1 else "%s^%d" % (name, e)
                        for name, e in mono]
-            mag = abs(c)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            else:
-                coeff = str(mag.numerator) if mag.denominator == 1 \
-                    else "%d/%d" % (mag.numerator, mag.denominator)
-                body = "*".join([coeff] + factors)
-            pieces.append((c < 0, body))
-        first_neg, first = pieces[0]
-        out = ("-" if first_neg else "") + first
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            pieces.append((c < 0, "*".join(factors)))
+        return _format_sum(pieces)
 
     def __repr__(self):
         return "<GradedPolynomial %s>" % self

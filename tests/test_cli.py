@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from charwit.cli import (certificate_from_json, certificate_to_json,
                          form_from_json, form_to_json, main, parse_polynomial)
 from charwit.detect import DetectionProblem, build_certificate, find_rational_witness
 from charwit.errors import ParseError
-from charwit.lforms import HermitianForm, hyperbolic
+from charwit.lforms import (HermitianForm, format_group_ring, hyperbolic,
+                            parse_group_ring)
 from charwit.symfun import GradedPolynomial
 
 
@@ -57,6 +60,80 @@ def test_parse_polynomial_errors():
         parse_polynomial("1/0*p1", 2)
     with pytest.raises(ParseError):
         parse_polynomial("", 2)
+
+
+@st.composite
+def polynomials(draw):
+    """A random polynomial in e (weight n) and p1..p4, not homogeneous."""
+    n = draw(st.integers(1, 6))
+    total = GradedPolynomial.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        coeff = draw(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                  max_denominator=10 ** 4))
+        term = GradedPolynomial.constant(coeff)
+        for name in draw(st.lists(st.sampled_from(["e", "p1", "p2", "p3",
+                                                   "p4"]), max_size=4)):
+            term = term * (evar(n) if name == "e" else pvar(int(name[1:])))
+        total = total + term
+    return total, n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(polynomials())
+def test_parse_polynomial_round_trip_random(case):
+    poly, n = case
+    text = str(poly)
+    parsed = parse_polynomial(text, n)
+    assert parsed == poly and str(parsed) == text
+
+
+# Seeded strings over each text format's alphabet: ASCII digits, its
+# variables, "^", "*", "/", signs and spaces, and the non-ASCII digits
+# U+0663 and U+00B2; then signed sums of whole terms, so that many strings
+# parse; then over-long literals.
+_SUM_TOKENS = list("0123456789^*/-") + [" + ", " - ", " * ", " ", "\u0663",
+                                        "\u00b2"]
+_SEPARATORS = [" + ", " - ", "+", "-", " - -", "--", "\n+\t", " -  - - "]
+_POLYNOMIAL_TERMS = ["e", "p1", "p2^3", "2*e^2", "3/4*p1*p2", "7", "0*p3",
+                     "1/2 * e * p1", "p10^2", "12/8", "-e"]
+_GROUP_RING_TERMS = ["g", "g^5", "2*g^-4", "3", "0*g", "g^12", "1 * g^8",
+                     "-g", "10*g^0", "g^-1"]
+
+
+def _outcome_lines(parse, show, letters, terms, seed, long_texts):
+    """One line per text: the canonical text of what parse returns, or the
+    parse error with its offset."""
+    rng = random.Random(seed)
+    tokens = _SUM_TOKENS + letters + terms
+    texts = ["".join(rng.choice(tokens) for _ in range(rng.randrange(10)))
+             for _ in range(3000)]
+    for _ in range(1000):
+        text = rng.choice(["", "-", " ", "- "]) + rng.choice(terms)
+        for _ in range(rng.randrange(4)):
+            text += rng.choice(_SEPARATORS) + rng.choice(terms)
+        texts.append(text)
+    lines = []
+    for text in texts + long_texts:
+        try:
+            lines.append(show(parse(text)))
+        except ParseError as err:
+            lines.append("error: %s" % err)
+    return lines
+
+
+def test_parser_outcome_digest_frozen():
+    """Every result and every error text and offset of both text parsers on
+    a seeded corpus, hashed; the digest was computed before the two parsers
+    shared their signed-sum reader and must not move."""
+    lines = _outcome_lines(lambda t: parse_polynomial(t, 2), str,
+                           ["e", "p"], _POLYNOMIAL_TERMS, 15,
+                           [HUGE + "*e", "e^" + HUGE, "p" + HUGE, "1/" + HUGE])
+    lines += _outcome_lines(lambda t: parse_group_ring(t, 3, 2),
+                            format_group_ring, ["g"], _GROUP_RING_TERMS, 16,
+                            [HUGE, "2*g^" + HUGE, "g^-" + HUGE, "- " + HUGE])
+    assert sum(not line.startswith("error: ") for line in lines) > 2000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "c94e54f08fab086a0e613993f9e977e4e4621b4b7ad888c07d4e80487368f040")
 
 
 def flagship_certificate():
@@ -573,6 +650,36 @@ def test_cli_certify_overlong_value_leaves_no_file(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(OVERLONG)
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["witness", "certify"])
+def test_cli_overlong_power_is_refused_before_factoring(tmp_path, command):
+    """Xi(z) = 3^1000000 is refused as too long for verify before it is
+    factored, not trial-divided by 3 a million times."""
+    argv = ["--xi", "p1^1000000", "--n", "2"]
+    if command == "certify":
+        argv += ["--primes", "1", "--out", str(tmp_path / "cw")]
+    start = time.perf_counter()
+    proc = charwit_process(command, *argv, timeout=10)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(OVERLONG)
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_certify_overlong_xi_coefficient_leaves_no_file(tmp_path, capsys):
+    """Xi = 3*10^4300 e - 10^4300 p1 + e is 1 at z = (1, 1, 1), so the
+    witness is small, but Xi itself has a coefficient too long to write."""
+    half = "5" + "0" * (sys.get_int_max_str_digits() - 1)
+    xi = " + ".join(["%s*e" % half] * 6 + ["e"]) + " - %s*p1" % half * 2
+    assert run(capsys, "witness", "--xi", xi, "--n", "2") == (
+        0, "z = (1, 1, 1)\nvalue = 1\nN = 3\n", "")
+    code, out, err = run(capsys, "certify", "--xi", xi, "--n", "2",
+                         "--primes", "1", "--out", str(tmp_path / "cw"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: the certificate has a number of more than ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -89,6 +89,23 @@ def test_group_ring_format_round_trip():
     assert format_group_ring(GroupRingElement(3, 1, {2: -1})) == "-g^2"
 
 
+@st.composite
+def group_ring_elements(draw):
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]))
+    coeffs = draw(st.dictionaries(st.integers(0, p ** k - 1),
+                                  st.integers(-10 ** 6, 10 ** 6), max_size=8))
+    return GroupRingElement(p, k, coeffs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(group_ring_elements())
+def test_group_ring_format_round_trip_random(x):
+    """Negative coefficients and exponents above p^k/2 included."""
+    text = format_group_ring(x)
+    y = parse_group_ring(text, x.p, x.k)
+    assert y == x and format_group_ring(y) == text
+
+
 def test_group_ring_parse_errors():
     with pytest.raises(ParseError) as err:
         gre("2g")

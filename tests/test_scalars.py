@@ -192,6 +192,15 @@ def test_from_rational():
         from_rational(9, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_from_rational_checks_the_modulus_first(p):
+    """The modulus is checked before the denominator: 1/2 mod 0 is not a
+    ZeroDivisionError, nor 1/2 mod 1 a vanishing denominator."""
+    with pytest.raises(DomainError, match="modulus %d is not an odd prime"
+                       % p):
+        from_rational(p, Fraction(1, 2))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from((3, 5, 7, 53, 733, 4751, 10 ** 9 + 7)),
        st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
