@@ -381,16 +381,18 @@ def _diagonalize(mat, level: int):
     entry above the diagonal stands for the conjugate of its mirror.
     Symmetric Schur-complement elimination, as in LDL* (Golub-Van Loan,
     4.1-4.2): pivot on a remaining s with a[s][s] != 0 and replace each
-    remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].
-    The pivot is chosen by the symmetric minimum-degree rule (Markowitz,
-    Management Sci. 3, 1957; George-Liu, SIAM Review 31, 1989): the s
-    with the fewest remaining nonzero a[i][s], the lowest index on ties,
-    which keeps the fill-in of a sparse matrix small.  adj[i] holds the
-    remaining j != i with a[i][j] != 0; it is built from the matrix given,
-    and kept exact wherever an update creates or cancels an entry.  The
-    pivot column a[i][s] is built once, and the pivot row is its
-    conjugate, so nothing is mirrored.  If the remaining diagonal is zero,
-    v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first
+    remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].  The
+    pivot is chosen by the symmetric minimum-degree rule (Markowitz,
+    Management Sci. 3, 1957; George-Liu, SIAM Review 31, 1989): the s with
+    the fewest remaining nonzero a[i][s], the lowest index on ties, which
+    keeps the fill-in of a sparse matrix small.  adj[i] holds the remaining
+    j != i with a[i][j] != 0; it is built from the nonzero entries of the
+    matrix given, and kept exact wherever an update creates or cancels an
+    entry.  live holds the remaining i with a[i][i] != 0, kept exact where
+    an update writes a diagonal entry, so the choice scans only the
+    candidates.  The pivot column a[i][s] is built once, and the pivot row
+    is its conjugate, so nothing is mirrored.  If the remaining diagonal is
+    zero, v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first
     remaining s with a nonzero entry, not the one of least degree, and the
     least j in adj[s]: lam = 1, or zeta when a[j][s] + conj(a[j][s]) = 0.
     In lower storage that adds a[c][j] lam to a[c][s] for the c in adj[j]
@@ -417,12 +419,14 @@ def _diagonalize(mat, level: int):
 
     for i, row in enumerate(a):
         for j in range(i):
-            link(i, j, row[j])
+            if row[j]:
+                adj[i].add(j)
+                adj[j].add(i)
+    live = {i for i, row in enumerate(a) if row[i]}
     rest = list(range(len(a)))
     pivots = []
     while rest:
-        s = min((i for i in rest if a[i][i]), key=lambda i: len(adj[i]),
-                default=None)
+        s = min(live, key=lambda i: (len(adj[i]), i), default=None)
         if s is None:
             s = next((i for i in rest if adj[i]), None)
             if s is None:
@@ -441,6 +445,7 @@ def _diagonalize(mat, level: int):
             t = lam_bar * x
             a[s][s] = t + t.conjugate()
         rest.remove(s)
+        live.discard(s)
         pivots.append(a[s][s])
         # the pivot column a[i][s] and row a[s][i] = conj(a[i][s]) over
         # adj[s]; off it both are zero and nothing moves
@@ -460,6 +465,10 @@ def _diagonalize(mat, level: int):
                     ai[j] = ai[j] - f * y
                     link(i, j, ai[j])
                 ai[i] = ai[i] - f * row[n]
+                if ai[i]:
+                    live.add(i)
+                else:
+                    live.discard(i)
     return pivots
 
 
@@ -472,7 +481,9 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     exact evaluation, so the lower triangle of the form is evaluated and
     diagonalized once per divisor of the group order and only the pivot
     signs depend on r; each pivot is checked once to be fixed by
-    conjugation, then signed at every embedding.  Only the nonzero
+    conjugation, so its images at zeta^t and zeta^(-t) agree, and it is
+    signed once per conjugate pair of embeddings: at the t <= d/2 coprime
+    to d, the sum written at t and at d - t.  Only the nonzero
     group-ring entries are evaluated: the zero ones share one zero per
     order, and _diagonalize reads the sparsity from the evaluated matrix,
     since a nonzero entry may still vanish at a character.  At order d > 1 a
@@ -504,12 +515,12 @@ def multisignature(form: HermitianForm) -> VirtualRep:
         if any(x.conjugate() != x for x in pivots):
             raise InvariantViolation(
                 "element is not fixed by conjugation, so not real")
-        for t in range(d):
-            if gcd(t, d) != 1:
-                continue
-            flip = -1 if skew and 2 * t > d else 1
-            mults[(L // d) * t] = flip * sum(
-                CyclotomicReal._make(x, t).sign() for x in pivots)
+        # at d = 1 the one embedding t = 0 is its own conjugate
+        for t in range(d // 2 + 1):
+            if gcd(t, d) == 1:
+                total = sum(CyclotomicReal._make(x, t).sign() for x in pivots)
+                mults[(L // d) * t] = total
+                mults[(L // d) * (-t % d)] = -total if skew else total
     return VirtualRep(p, k, mults)
 
 
@@ -546,13 +557,24 @@ def _check_nonsingular_rational(mat):
 # transfer to the subgroup of index p
 
 
-def _trace(x: GroupRingElement, shift: int = 0) -> GroupRingElement:
-    """Tr(x g^shift) in Z[C_{p^(k-1)}]: the terms of x g^shift that lie in
-    the subgroup generated by h = g^p, a term c g^(pr) read as c h^r."""
-    p = x.p
-    return GroupRingElement(
-        p, x.k - 1, {(r + shift) // p: c for r, c in x.coeffs.items()
-                     if (r + shift) % p == 0})
+def _trace(x: GroupRingElement) -> list:
+    """The traces Tr(x g^s) in Z[C_{p^(k-1)}] for every shift -p < s < p,
+    as a list t of 2p - 1 elements with t[s] = Tr(x g^s), a negative s
+    indexing from the end.  Tr(x g^s) keeps the terms of x g^s in the
+    subgroup generated by h = g^p, a term c g^(pr) read as c h^r.  A term
+    c g^r of x lands in the shift s = -r mod p in [0, p), with exponent
+    e = (r + s) / p mod p^(k-1), and, when s != 0, also in s - p, with
+    exponent e - 1."""
+    p, k = x.p, x.k
+    m = p ** (k - 1)
+    terms = [{} for _ in range(2 * p - 1)]
+    for r, c in x.coeffs.items():
+        s = -r % p
+        e = (r + s) // p
+        terms[s][e % m] = c
+        if s:
+            terms[s - p][e - 1] = c
+    return [GroupRingElement._make(p, k - 1, t) for t in terms]
 
 
 def transfer(form: HermitianForm) -> HermitianForm:
@@ -561,21 +583,22 @@ def transfer(form: HermitianForm) -> HermitianForm:
     The module keeps its lambda and mu but is viewed over the subgroup,
     with basis v_a, v_a g, ..., v_a g^(p-1); entries are traces
     Tr(lambda_ab g^(j-i)), and the refinement of v_a g^i is Tr(mu_a).
+    Each lambda_ab is traced once at every shift (_trace), and its trace
+    at shift s fills the diagonal j - i = s of the p x p block (a, b).
     """
     if form.k < 2:
         raise DomainError("transfer needs level k >= 2")
     p, k, q = form.p, form.k, form.rank
     rows = []
     for a in range(q):
+        traced = [_trace(lam) for lam in form.matrix[a]]
         for i in range(p):
-            rows.append([_trace(lam, j - i) for lam in form.matrix[a]
-                         for j in range(p)])
+            rows.append([t[j - i] for t in traced for j in range(p)])
     refinement = None
     if form.parity == -1:
         refinement = []
         for a in range(q):
-            traced = _trace(form.refinement[a])
-            refinement.extend([traced] * p)
+            refinement.extend([_trace(form.refinement[a])[0]] * p)
     return HermitianForm(p, k - 1, form.parity, rows, refinement)
 
 
@@ -653,6 +676,8 @@ def random_form(p: int, k: int, parity: int, rank: int, seed: int) -> HermitianF
     coefficients in [-2, 2].  Transvections are invertible over the group
     ring, so the result stays unimodular.
     """
+    if rank < 1:
+        raise DomainError("a form needs rank at least 1")
     rng = random.Random(seed)
     if parity == -1 and rank % 2:
         raise DomainError("skew forms have even rank")

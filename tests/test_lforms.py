@@ -312,6 +312,51 @@ def test_transfer_intertwines_restriction():
         assert restrict(multisignature(f)) == multisignature(transfer(f))
 
 
+TRANSFER_CELLS = ((3, 2, 4), (5, 2, 4), (7, 2, 2), (3, 3, 4), (3, 4, 4))
+
+
+def _transfer_by_entry(form):
+    """The transfer as it was built entry by entry: Tr(lambda_ab g^(j-i))
+    through the public constructor, one trace per entry."""
+    p, k = form.p, form.k
+
+    def trace(x, shift):
+        return GroupRingElement(p, k - 1, {(r + shift) // p: c
+                                           for r, c in x.coeffs.items()
+                                           if (r + shift) % p == 0})
+
+    rows = tuple(tuple(trace(lam, j - i) for lam in form.matrix[a]
+                       for j in range(p))
+                 for a in range(form.rank) for i in range(p))
+    refinement = None
+    if form.parity == -1:
+        refinement = tuple(trace(mu, 0) for mu in form.refinement
+                           for _ in range(p))
+    return rows, refinement
+
+
+@pytest.mark.parametrize("p, k, rank", TRANSFER_CELLS)
+def test_transfer_matches_the_integer_expansion(p, k, rank):
+    """Restriction of scalars leaves the underlying Z-module alone: the
+    integer expansion of transfer(f) is that of f under v_a g^i h^j ->
+    v_a g^(i + p j), h = g^p, in its matrix and its refinement bits.  The
+    transfer also equals the entry-by-entry construction it replaced."""
+    m = p ** (k - 1)
+    for parity in (1, -1):
+        for seed in (1, 2, 3, 4):
+            f = random_form(p, k, parity, rank, seed)
+            t = transfer(f)
+            assert (t.matrix, t.refinement) == _transfer_by_entry(f)
+            big, small = integer_expansion(f), integer_expansion(t)
+            where = [a * p ** k + i + p * j for a in range(rank)
+                     for i in range(p) for j in range(m)]
+            assert small.matrix == tuple(
+                tuple(big.matrix[x][y] for y in where) for x in where)
+            assert small.refinement == (
+                None if parity == 1
+                else tuple(big.refinement[x] for x in where))
+
+
 def test_transfer_carries_refinement():
     f = random_form(3, 2, -1, 2, 99)
     t = transfer(f)
@@ -392,6 +437,16 @@ def test_random_form_is_deterministic():
     assert a.rank == 4 and a.parity == -1
     with pytest.raises(DomainError):
         random_form(3, 1, -1, 3, 1)
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("rank", [0, -2])
+def test_random_form_refuses_rank_below_one(parity, rank):
+    """Refused up front, whatever the seed: the draws used to end in
+    ValueError or DomainError depending on it."""
+    for seed in range(6):
+        with pytest.raises(DomainError, match="^a form needs rank at least 1$"):
+            random_form(3, 2, parity, rank, seed)
 
 
 @pytest.mark.parametrize("p", [2, 9, 733 * 739])
@@ -550,6 +605,94 @@ def test_diagonalize_reads_only_the_lower_triangle():
     assert singular >= 10
 
 
+def _diagonalize_by_scan(mat, level):
+    """The elimination as it chose pivots before the live diagonal was
+    tracked: every choice scans the remaining indices for a nonzero
+    diagonal entry, then takes the least degree, the first on ties."""
+    a = [list(row[:i + 1]) for i, row in enumerate(mat)]
+    adj = [set() for _ in a]
+
+    def link(i, j, x):
+        if x:
+            adj[i].add(j)
+            adj[j].add(i)
+        else:
+            adj[i].discard(j)
+            adj[j].discard(i)
+
+    for i, row in enumerate(a):
+        for j in range(i):
+            link(i, j, row[j])
+    rest = list(range(len(a)))
+    pivots = []
+    while rest:
+        s = min((i for i in rest if a[i][i]), key=lambda i: len(adj[i]),
+                default=None)
+        if s is None:
+            s = next((i for i in rest if adj[i]), None)
+            if s is None:
+                raise InvariantViolation("singular")
+            j = min(adj[s])
+            x = a[j][s]
+            lam = CyclotomicNumber.rational(level, 1)
+            if not x + x.conjugate():
+                lam = CyclotomicNumber.zeta(level)
+            for c in adj[j] - {s}:
+                y = a[c][j] if c > j else a[j][c].conjugate()
+                a[c][s] = a[c][s] + y * lam
+                link(c, s, a[c][s])
+            t = lam.conjugate() * x
+            a[s][s] = t + t.conjugate()
+        rest.remove(s)
+        pivots.append(a[s][s])
+        below, column, row = sorted(adj[s]), [], []
+        for i in below:
+            adj[i].discard(s)
+            x = a[i][s] if i > s else a[s][i]
+            y = x.conjugate()
+            column.append(x if i > s else y)
+            row.append(y if i > s else x)
+        if below:
+            inv = a[s][s].inverse()
+            for n, i in enumerate(below):
+                f = column[n] * inv
+                ai = a[i]
+                for j, y in zip(below[:n], row):
+                    ai[j] = ai[j] - f * y
+                    link(i, j, ai[j])
+                ai[i] = ai[i] - f * row[n]
+    return pivots
+
+
+def _pivots_or_singular(diagonalize, mat, level):
+    try:
+        return diagonalize(mat, level)
+    except InvariantViolation:
+        return "singular"
+
+
+def test_diagonalize_pivot_order_matches_the_scan():
+    """The tracked live diagonal picks the pivots the scan of every
+    remaining index picked, ties included: the same pivot list on the
+    oracle's draws and on the rank-42 transfers of the budget test at
+    orders 1 and 7 (the lower triangle of the skew one at order 1 read
+    as a symmetric matrix), and singular on the same draws."""
+    cases = _pivot_oracle_draws()
+    for parity in (1, -1):
+        g = transfer(random_form(7, 2, parity, 6, 1))
+        for d in (1, 7):
+            evaluate = (_skew_evaluate if parity == -1 and d > 1
+                        else GroupRingElement.evaluate)
+            cases.append((d, [[evaluate(x, d) for x in row[:i + 1]]
+                              for i, row in enumerate(g.matrix)]))
+    singular = 0
+    for L, a in cases:
+        expected = _pivots_or_singular(_diagonalize_by_scan, a, L)
+        singular += expected == "singular"
+        assert _pivots_or_singular(_diagonalize, a, L) == expected
+    assert singular >= 10
+
+
 def _permutation(rng, n):
     """A seeded permutation of range(n), other than the identity when n > 1."""
     perm = list(range(n))
@@ -604,18 +747,20 @@ def test_pivots_and_multisignature_are_permutation_invariant():
 
 def test_multisignature_rejects_non_real_pivot(monkeypatch):
     """Each pivot is checked once to be fixed by conjugation before it is
-    signed at every embedding: zeta_1 = 1 passes, zeta_7 does not."""
+    signed once per conjugate pair of embeddings: zeta_1 = 1 passes,
+    zeta_7 does not."""
     monkeypatch.setattr(lforms, "_diagonalize",
                         lambda mat, level: [CyclotomicNumber.zeta(level)])
     with pytest.raises(InvariantViolation, match="not fixed by conjugation"):
         multisignature(random_form(7, 1, 1, 2, 1))
 
 
-@pytest.mark.parametrize("parity, levels, evaluations, inverses, updates", [
-    (1, 2, 602, 54, 1308), (-1, 1, 56, 35, 210),
-], ids=["hermitian", "skew"])
+@pytest.mark.parametrize(
+    "parity, levels, evaluations, inverses, updates, signs", [
+        (1, 2, 602, 54, 1308, 168), (-1, 1, 56, 35, 210, 126),
+    ], ids=["hermitian", "skew"])
 def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
-                                    inverses, updates):
+                                    inverses, updates, signs):
     """The rank-42 transfer of the budget test: one evaluation per nonzero
     entry of the lower triangle (301 of 903 for the hermitian form, 56 for
     the skew one) at each order evaluated (1 and 7 for the hermitian form,
@@ -623,10 +768,15 @@ def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
     updated entry or per embedding of a pivot, and at most `updates` Schur
     updates, one subtraction each: minimum-degree pivots do 1308 on the
     hermitian form, where first-nonzero pivots fill it in and do 3532.
-    These are counts, not timings."""
+    Each pivot is signed once per conjugate pair of embeddings: once at
+    order 1 and phi(d)/2 times at order d > 1, where signing at every
+    embedding took 294 and 252 signs.  These are counts, not timings."""
     g = transfer(random_form(7, 2, parity, 6, 1))
     nonzero = sum(1 for i, row in enumerate(g.matrix)
                   for x in row[:i + 1] if x)
+    orders = [d for d in (1, 7) if parity == 1 or d > 1]
+    assert len(orders) == levels
+    pairs = sum(g.rank * (1 if d == 1 else (d - d // 7) // 2) for d in orders)
     counts = {}
 
     def count(owner, name):
@@ -642,12 +792,14 @@ def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
     count(CyclotomicNumber, "inverse")
     count(CyclotomicNumber, "_galois")
     count(CyclotomicNumber, "__sub__")
+    count(CyclotomicReal, "sign")
     multisignature(g)
     assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
         == levels * nonzero == evaluations
     assert counts.pop("inverse") == inverses
     assert counts.pop("_galois") <= 700
     assert counts.pop("__sub__") <= updates
+    assert counts.pop("sign") == pairs == signs
     assert not counts
 
 
@@ -938,4 +1090,4 @@ def test_trace_with_shift_is_the_trace_of_the_product(case, data):
     assume(x.k >= 2)
     shift = data.draw(st.integers(1 - x.p, x.p - 1))
     g = GroupRingElement(x.p, x.k, {shift: 1})
-    assert lforms._trace(x, shift) == lforms._trace(x * g)
+    assert lforms._trace(x)[shift] == lforms._trace(x * g)[0]
