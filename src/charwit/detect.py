@@ -159,14 +159,64 @@ def _grid_values(shell: int) -> list:
     return out
 
 
-def _l_form_at(problem, e, x):
-    """The L-form of Xi at e and x_i = x(i), over Q: Xi at e and
-    p_i = P_i(x_1..x_i), for i up to Xi's largest p index."""
+def _l_values(problem, e, x):
+    """The value of each variable of Xi at e and p_i = P_i(x_1..x_i), over
+    Q, where x(i) gives x_i, for i up to Xi's largest p index."""
     top = problem._top
     p = l_table(top).p_values([x(i) for i in range(1, top + 1)]) if top else ()
-    poly = problem.polynomial
-    return poly.evaluate({name: e if name == "e" else p[int(name[1:]) - 1]
-                          for name in poly.variables()})
+    return {name: e if name == "e" else p[int(name[1:]) - 1]
+            for name in problem.polynomial.variables()}
+
+
+def _l_form_at(problem, e, x):
+    """The L-form of Xi at e and x_i = x(i), over Q."""
+    return problem.polynomial.evaluate(_l_values(problem, e, x))
+
+
+def _p_part(p, q):
+    """(t, a, b) with q = p^t * a/b and p dividing neither a nor b, or
+    None for q = 0."""
+    q = Fraction(q)
+    if not q:
+        return None
+    a, b, t = q.numerator, q.denominator, 0
+    while a % p == 0:
+        a, t = a // p, t + 1
+    while b % p == 0:
+        b, t = b // p, t - 1
+    return t, a, b
+
+
+def _l_form_mod(problem, e, x, p):
+    """from_rational(p, _l_form_at(problem, e, x)), without the value over
+    Q.  A term c * prod v^k of Xi is p^t times a unit u; with D the largest
+    -t (0 if none is negative), p^D times the L-form is p-integral and is
+    summed mod p^(D+1), each power by pow(u, k, p^(D+1)), so a power costs
+    the bit length of its exponent, not the digits of its value over Q.
+    Terms with t > 0 vanish mod p.  If p divides the denominator of the
+    sum, the evaluation over Q raises from_rational's error."""
+    values = {name: _p_part(p, v)
+              for name, v in _l_values(problem, e, x).items()}
+    terms = []
+    for mono, c in problem.polynomial.terms.items():
+        factors = [(_p_part(p, c), 1)]
+        factors += [(values[name], k) for name, k in mono]
+        if all(part for part, _ in factors):
+            terms.append((sum(part[0] * k for part, k in factors), factors))
+    depth = max([-t for t, _ in terms] + [0])
+    modulus = p ** (depth + 1)
+    total = 0
+    for t, factors in terms:
+        if t <= 0:
+            term = p ** (t + depth)
+            for (_, a, b), k in factors:
+                unit = a * pow(b, -1, modulus)
+                term = term * pow(unit, k, modulus) % modulus
+            total += term
+    total %= modulus
+    if total % p ** depth:
+        return from_rational(p, _l_form_at(problem, e, x))
+    return total // p ** depth
 
 
 def _witness_value(problem, z):
@@ -184,7 +234,8 @@ def _prime_support(values):
     factored: verify could not read it back."""
     digits = sys.get_int_max_str_digits()
     parts = [part for c in values for part in (c.numerator, c.denominator)]
-    if digits and any(abs(part) >= 10 ** digits for part in parts):
+    limit = 10 ** digits if digits else None
+    if limit and any(abs(part) >= limit for part in parts):
         raise CharwitError("the witness has a number of more than %d "
                            "digits, which verify cannot read" % digits)
     return max(largest_prime_factor(part) for part in parts)
@@ -293,8 +344,7 @@ def _derive(problem, witness, p, xi):
     euler = euler_class(rho)
     l_pullbacks = {i: pullback_l_nonlinear(rho, xi, problem.n, i)
                    for i in range(1, problem.m + 1)}
-    evaluation = from_rational(p, _l_form_at(problem, euler,
-                                             l_pullbacks.__getitem__))
+    evaluation = _l_form_mod(problem, euler, l_pullbacks.__getitem__, p)
     return WitnessCertificate(problem, witness, p, rho.residues, xbars, xi,
                               euler, l_pullbacks, evaluation)
 

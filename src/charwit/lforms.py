@@ -19,6 +19,7 @@ values are kept so that congruences transport the refinement exactly.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import gcd
 
 from .errors import DomainError, InvariantViolation, ParseError
@@ -247,9 +248,12 @@ class HermitianForm:
             # the condition at (b, a) is the one at (a, b), so the first
             # failure in row-major order always has a <= b
             for b in range(a, q):
-                mirror = {(-r) % order: parity * c
-                          for r, c in self.matrix[a][b].coeffs.items()}
-                if self.matrix[b][a].coeffs != mirror:
+                upper = self.matrix[a][b].coeffs
+                lower = self.matrix[b][a].coeffs
+                if not upper and not lower:
+                    continue
+                mirror = {(-r) % order: parity * c for r, c in upper.items()}
+                if lower != mirror:
                     raise InvariantViolation(
                         "matrix is not %s-symmetric at (%d, %d)"
                         % ("hermitian" if parity == 1 else "skew", a, b))
@@ -341,6 +345,9 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
 
     The rows of E express the new basis through conjugated coordinates, so
     mu'(u_a) = sum_c E_ac conj(E_ac) mu_c + sum_{c<d} E_ac Lambda_cd conj(E_ad).
+    The products are taken over the nonzero entries of E only: support[a]
+    lists the c with E_ac != 0 in increasing order, the sums over c and d
+    run over it, and the pairs c < d of the refinement are taken from it.
     """
     p, k, q = form.p, form.k, form.rank
     e = [[HermitianForm._entry(p, k, x) for x in row] for row in change]
@@ -348,24 +355,21 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
         raise DomainError("change of basis must be %d x %d" % (q, q))
     lam = form.matrix
     zero = GroupRingElement.zero(p, k)
-    half = []
-    for a in range(q):
-        half.append([sum((e[a][c] * lam[c][d] for c in range(q)), zero)
-                     for d in range(q)])
-    new = []
-    for a in range(q):
-        new.append([sum((half[a][d] * e[b][d].conjugate() for d in range(q)),
-                        zero) for b in range(q)])
+    support = [[c for c in range(q) if e[a][c]] for a in range(q)]
+    half = [[sum((e[a][c] * lam[c][d] for c in support[a]), zero)
+             for d in range(q)] for a in range(q)]
+    e_star = [[(d, e[b][d].conjugate()) for d in support[b]] for b in range(q)]
+    new = [[sum((half[a][d] * y for d, y in e_star[b]), zero)
+            for b in range(q)] for a in range(q)]
     refinement = None
     if form.parity == -1:
         refinement = []
         for a in range(q):
             acc = zero
-            for c in range(q):
+            for c in support[a]:
                 acc = acc + e[a][c] * e[a][c].conjugate() * form.refinement[c]
-            for c in range(q):
-                for d in range(c + 1, q):
-                    acc = acc + e[a][c] * lam[c][d] * e[a][d].conjugate()
+            for c, d in combinations(support[a], 2):
+                acc = acc + e[a][c] * lam[c][d] * e[a][d].conjugate()
             refinement.append(acc)
     return HermitianForm(p, k, form.parity, new, refinement)
 
@@ -689,9 +693,10 @@ def random_form(p: int, k: int, parity: int, rank: int, seed: int) -> HermitianF
     else:
         form = hyperbolic(p, k, parity, rank // 2)
     order = p ** k
+    zero, one = GroupRingElement.zero(p, k), GroupRingElement.one(p, k)
     for _ in range(rng.randint(1, 6)):
-        e = [[GroupRingElement(p, k, {0: 1 if a == b else 0})
-              for b in range(rank)] for a in range(rank)]
+        e = [[one if a == b else zero for b in range(rank)]
+             for a in range(rank)]
         c = rng.randrange(rank)
         if rank == 1:
             # no transvections in rank one; rescale by a trivial unit

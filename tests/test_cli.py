@@ -229,6 +229,22 @@ def test_cli_certify_and_verify(tmp_path, capsys):
     assert path53.read_bytes() == before
 
 
+def test_cli_certify_where_xi_cancels_a_denominator_of_p2(tmp_path, capsys):
+    """P_2 = (45 x_2 + x_1^2)/7, so at p = 7 a P_2 value is not 7-integral,
+    but Xi = 46 e^2 - 7 p2 + p1^2 cancels the 7: the L-form at z = (1, 1, 1,
+    1) is 1, N = 5, and p = 7 is certified.  The hash is of the
+    certificate written before Xi was evaluated mod p term by term."""
+    prefix = str(tmp_path / "cert")
+    code, out, err = run(capsys, "certify", "--xi", "46*e^2 - 7*p2 + p1^2",
+                         "--n", "2", "--primes", "1", "--out", prefix)
+    assert (code, out, err) == (0, "p=7 eval=1 OK\n", "")
+    path = tmp_path / "cert_p7.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cf9e763023ed1fed628e3475fb307fdaff0e47928e54d075eaa8e4f34e7aa64c")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out.strip()) == (0, "ok")
+
+
 def test_cli_verify_failure_paths(tmp_path, capsys):
     path = tmp_path / "cert_p53.json"
     run(capsys, "certify", "--xi", "e^2 - p2", "--n", "2",
@@ -725,6 +741,25 @@ def test_cli_verify_inconsistent_degree_fails_fast(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == (
         "verification failed: degree bookkeeping is inconsistent\n")
+    start = time.perf_counter()
+    assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_verify_large_exponent_ends(tmp_path):
+    """The flagship certificate with Xi = e^64000000, its matching degree
+    2r, z_1 = 3 and residue 3 reaches the derivation, which evaluates Xi
+    mod p by pow(3, 64000000, 53): exit 1 at the Euler check within 10 s,
+    where evaluating 3^64000000 over Q ran past a minute."""
+    doc = json.loads(FLAGSHIP_TEXT)
+    doc["problem"].update(xi="e^64000000", degree_2r=4 * 64000000)
+    doc["witness"]["z"][0] = "3/1"
+    doc["residues"][0] = 3
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "verification failed: euler pullback mismatch\n"
     start = time.perf_counter()
     assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
     assert time.perf_counter() - start < 1.0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,9 +12,11 @@ from charwit.detect import (DetectionProblem, WitnessCertificate,
                             WitnessPoint, build_certificate,
                             find_rational_witness, run_pipeline, specialize,
                             to_l_coordinates, verify_certificate)
-from charwit.errors import DomainError, InvariantViolation
+from charwit.detect import _l_form_at, _l_form_mod, _prime_support
+from charwit.errors import CharwitError, DomainError, InvariantViolation
 from charwit.repring import VirtualRep
-from charwit.symfun import GradedPolynomial, ell_polynomial
+from charwit.scalars import from_rational
+from charwit.symfun import GradedPolynomial, ell_polynomial, l_table
 
 
 def evar(n):
@@ -364,3 +367,87 @@ def test_witness_matches_symbolic_oracle_random(case):
     problem = DetectionProblem(poly, n)
     w = find_rational_witness(problem)
     assert (w.coordinates, w.value, w.N) == oracle_witness(problem)
+
+
+def test_prime_support_refuses_exactly_the_unreadable_parts():
+    """The refusal boundary is 10^digits for digits =
+    sys.get_int_max_str_digits(), here lowered to 640: the power of 2 just
+    below it is factored, and 10^640 is refused, as a numerator or as a
+    denominator."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        below = 2 ** ((10 ** 640).bit_length() - 1)
+        assert _prime_support([Fraction(below), Fraction(3, below)]) == 3
+        for part in (Fraction(10 ** 640), Fraction(1, 10 ** 640)):
+            with pytest.raises(CharwitError, match="^the witness has a number "
+                               "of more than 640 digits, which verify cannot "
+                               "read$"):
+                _prime_support([Fraction(5), part])
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except DomainError as exc:
+        return str(exc)
+
+
+# 45 L_2 and 945 L_3 have integer coefficients in the p_i, while the P_i
+# values divide by 7 (P_2) and by 31 (P_3): Xi built from them cancels
+# those denominators at p = 7 and p = 31
+L_NUMERATORS = (l_table(3).l(2) * 45, l_table(3).l(3) * 945)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_problems(), st.booleans(), st.integers(1, 6),
+       st.sampled_from((1, 2, 3, 5, 7, 31)), st.data())
+def test_l_form_mod_matches_the_rational_form(case, in_l, power, den, data):
+    """The certificate's evaluation, Xi mod p at e and the L-pullbacks,
+    summed term by term with pow(u, k, p^(D+1)), is the L-form over Q
+    reduced mod p, or the same DomainError: at small primes above 2m + 1,
+    7 and 31 among them, at coefficients with denominators p can divide,
+    and at Xi written in p2 and p3 or in 45 L_2 and 945 L_3."""
+    poly, n = case
+    if in_l:
+        poly = poly.substitute({name: img for name, img
+                                in zip(("p2", "p3"), L_NUMERATORS)
+                                if name in poly.variables()})
+    problem = DetectionProblem(poly ** power / den, n)
+    p = data.draw(st.sampled_from([q for q in (3, 5, 7, 11, 13, 29, 31, 37)
+                                   if q > 2 * problem.m + 1]))
+    residues = st.integers(0, p - 1)
+    e = data.draw(residues)
+    x = [None] + [data.draw(residues) for _ in range(problem.m)]
+    assert _outcome(lambda: _l_form_mod(problem, e, x.__getitem__, p)) == (
+        _outcome(lambda: from_rational(
+            p, _l_form_at(problem, e, x.__getitem__))))
+
+
+L2_NUM, L3_NUM = L_NUMERATORS
+
+
+@pytest.mark.parametrize("xi, n, p, grid", [
+    (46 * evar(2) ** 2 - 7 * pvar(2) + pvar(1) ** 2, 2, 7, None),
+    ((evar(2) ** 2 + L2_NUM) / 7, 2, 7, None),
+    ((evar(2) ** 2 + L2_NUM) ** 2 / 49, 2, 7, None),
+    ((evar(2) ** 3 + L3_NUM) / 31, 2, 31, (1, 5)),
+], ids=["cancelled-7", "depth-1", "depth-2", "depth-1-at-31"])
+def test_l_form_mod_where_the_terms_have_p_in_their_denominators(xi, n, p,
+                                                                 grid):
+    """Every e and x_1..x_m in [0, p), x_1..x_(m-1) from grid if given: the
+    terms of these Xi have p in their denominators, so p^D times the
+    L-form is read mod p^(D+1), and the sweep meets points where the sum
+    is p-integral and nonzero mod p."""
+    problem = DetectionProblem(xi, n)
+    axes = [grid] * (problem.m - 1) if grid else [range(p)] * (problem.m - 1)
+    outcomes = set()
+    for point in itertools.product(range(p), *axes, range(p)):
+        e, x = point[0], (None,) + point[1:]
+        got = _outcome(lambda: _l_form_mod(problem, e, x.__getitem__, p))
+        assert got == _outcome(lambda: from_rational(
+            p, _l_form_at(problem, e, x.__getitem__)))
+        outcomes.add(got)
+    assert any(isinstance(got, int) and got for got in outcomes)

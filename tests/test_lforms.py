@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from charwit import lforms
+from charwit import form_to_json, lforms
 from charwit.errors import DomainError, InvariantViolation, ParseError
 from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             coefficient_form, congruence, direct_sum,
@@ -215,6 +215,56 @@ def test_multisignature_skew_hand_value():
     assert sign.serialize() == [[1, -2], [2, 2]]
 
 
+SKEW_ORDERS = ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2))
+
+
+def _skew_block(p, k, s):
+    """[[a, 1], [-1, a]] with a = g^s - g^(-s), refined by (g^s, g^s)."""
+    gs = GroupRingElement(p, k, {s: 1})
+    a = gs - gs.conjugate()
+    return HermitianForm(p, k, -1, [[a, 1], [-1, a]], refinement=[gs, gs])
+
+
+def _skew_block_values(L, s):
+    """The multisignature of _skew_block at chi^r for r = 0..L-1, in closed
+    form.  With j = r s mod L, a maps to 2i sin(2 pi j / L), so i H_r has
+    eigenvalues -2 sin(2 pi j / L) +- 1: both negative when L < 12 j < 5 L,
+    both positive when 7 L < 12 j < 11 L, one of each otherwise; L is odd,
+    so 12 j is never 1, 5, 7 or 11 times L."""
+    values = []
+    for r in range(L):
+        j = r * s % L
+        values.append(-2 if L < 12 * j < 5 * L
+                      else 2 if 7 * L < 12 * j < 11 * L else 0)
+    return values
+
+
+@pytest.mark.parametrize("p, k", SKEW_ORDERS,
+                         ids=[str(p ** k) for p, k in SKEW_ORDERS])
+def test_skew_multisignature_matches_the_closed_form(p, k):
+    """Every 2 x 2 block at orders 3 to 49, whose values are +-2 at some
+    characters and 0 at others, where every random_form draw has skew
+    multisignature 0.  Direct sums add, and congruences of a direct sum by
+    random transvections, through the sparse products, keep the value."""
+    L = p ** k
+    for s in range(L):
+        sign = multisignature(_skew_block(p, k, s))
+        assert [sign.multiplicity(r) for r in range(L)] \
+            == _skew_block_values(L, s)
+    rng = random.Random(L)
+    for _ in range(3):
+        s1, s2 = rng.randrange(L), rng.randrange(L)
+        form = direct_sum(_skew_block(p, k, s1), _skew_block(p, k, s2))
+        expected = [x + y for x, y in zip(_skew_block_values(L, s1),
+                                          _skew_block_values(L, s2))]
+        sign = multisignature(form)
+        assert [sign.multiplicity(r) for r in range(L)] == expected
+        for _ in range(3):
+            form = congruence(form, _random_transvection(
+                p, k, 4, rng.randrange(10 ** 6)))
+            assert multisignature(form) == sign
+
+
 def test_multisignature_conjugation_symmetry():
     for parity in (1, -1):
         for seed in range(10):
@@ -273,6 +323,67 @@ def test_congruence_preserves_refinement_consistency():
             lhs = form.matrix[a][a]
             mu = form.refinement[a]
             assert lhs == mu - mu.conjugate()
+
+
+def _dense_congruence(form, change):
+    """E Lambda E* by dense triple loops over every entry of E, zero or
+    not: the congruence as it was before its sums skipped the zero entries,
+    kept as the oracle for them."""
+    p, k, q = form.p, form.k, form.rank
+    e = [[HermitianForm._entry(p, k, x) for x in row] for row in change]
+    lam = form.matrix
+    zero = GroupRingElement.zero(p, k)
+    half = []
+    for a in range(q):
+        half.append([sum((e[a][c] * lam[c][d] for c in range(q)), zero)
+                     for d in range(q)])
+    new = []
+    for a in range(q):
+        new.append([sum((half[a][d] * e[b][d].conjugate() for d in range(q)),
+                        zero) for b in range(q)])
+    refinement = None
+    if form.parity == -1:
+        refinement = []
+        for a in range(q):
+            acc = zero
+            for c in range(q):
+                acc = acc + e[a][c] * e[a][c].conjugate() * form.refinement[c]
+            for c in range(q):
+                for d in range(c + 1, q):
+                    acc = acc + e[a][c] * lam[c][d] * e[a][d].conjugate()
+            refinement.append(acc)
+    return HermitianForm(p, k, form.parity, new, refinement)
+
+
+@st.composite
+def congruence_cases(draw):
+    """A random_form at order 3, 9, 5 or 25 and a change of basis E whose
+    rows are each zero, dense, or zero at a random set of entries."""
+    p, k = draw(st.sampled_from(((3, 1), (3, 2), (5, 1), (5, 2))))
+    parity = draw(st.sampled_from((1, -1)))
+    rank = draw(st.sampled_from((2, 4) if parity == -1 else (1, 2, 3, 4)))
+    form = random_form(p, k, parity, rank, draw(st.integers(0, 10 ** 6)))
+    entry = st.dictionaries(st.integers(0, p ** k - 1),
+                            st.sampled_from((-2, -1, 1, 2)),
+                            min_size=1, max_size=3)
+    zero = GroupRingElement.zero(p, k)
+    change = []
+    for _ in range(rank):
+        kind = draw(st.sampled_from(("zero", "dense", "mixed")))
+        change.append([
+            zero if kind == "zero" or (kind == "mixed" and draw(st.booleans()))
+            else GroupRingElement(p, k, draw(entry)) for _ in range(rank)])
+    return form, change
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(congruence_cases())
+def test_congruence_matches_the_dense_products(case):
+    form, change = case
+    sparse, dense = congruence(form, change), _dense_congruence(form, change)
+    assert sparse.matrix == dense.matrix
+    assert sparse.refinement == dense.refinement
+    assert form_to_json(sparse) == form_to_json(dense)
 
 
 def _random_transvection(p, k, rank, seed):
@@ -475,14 +586,31 @@ def test_multisignature_digest_frozen(cells, expected):
     assert _multisignature_digest(cells, (1, 2)) == expected
 
 
+WIDE_CELLS = ((3, 2, 4), (5, 2, 4), (3, 3, 4), (7, 2, 6), (3, 2, 6),
+              (5, 2, 6), (3, 3, 6), (3, 4, 4), (7, 1, 8), (5, 1, 10))
+
+
 def test_multisignature_wide_digest_frozen():
     """Ten cells, both parities, seeds 1-6: frozen from the elimination
     that pivoted on the first nonzero diagonal entry, so it pins the
     minimum-degree pivot order against first-nonzero pivots."""
-    cells = ((3, 2, 4), (5, 2, 4), (3, 3, 4), (7, 2, 6), (3, 2, 6),
-             (5, 2, 6), (3, 3, 6), (3, 4, 4), (7, 1, 8), (5, 1, 10))
-    assert _multisignature_digest(cells, range(1, 7)) == (
+    assert _multisignature_digest(WIDE_CELLS, range(1, 7)) == (
         "83097c1f3e43f590c85656def9230dd36c4f87e8d28b56673a5186ed8c603194")
+
+
+def test_random_form_wide_digest_frozen():
+    """SHA-256 of form_to_json of the random_form draws behind the wide
+    digest, which the forms benchmark also reads directly.  Frozen from the
+    congruence that multiplied over every entry of the change of basis,
+    before its sums skipped the zero entries."""
+    digest = hashlib.sha256()
+    for p, k, rank in WIDE_CELLS:
+        for parity in (1, -1):
+            for seed in range(1, 7):
+                digest.update(form_to_json(
+                    random_form(p, k, parity, rank, seed)).encode())
+    assert digest.hexdigest() == (
+        "c6e02e8bf8945d87f6b202ffbc1ffde7dbb40a36acbd70328b82d505f4519ea8")
 
 
 def _multisignature_digest(cells, seeds):
