@@ -378,6 +378,11 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
 # multisignature
 
 
+def _bits(x: CyclotomicNumber) -> int:
+    """The size of x = num/den: the bit lengths of den and of each num."""
+    return x.den.bit_length() + sum(map(int.bit_length, x.num))
+
+
 def _diagonalize(mat, level: int):
     """Congruence-diagonalize a hermitian matrix over Q(zeta_level).
 
@@ -388,23 +393,31 @@ def _diagonalize(mat, level: int):
     remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].  The
     pivot is chosen by the symmetric minimum-degree rule (Markowitz,
     Management Sci. 3, 1957; George-Liu, SIAM Review 31, 1989): the s with
-    the fewest remaining nonzero a[i][s], the lowest index on ties, which
-    keeps the fill-in of a sparse matrix small.  adj[i] holds the remaining
-    j != i with a[i][j] != 0; it is built from the nonzero entries of the
-    matrix given, and kept exact wherever an update creates or cancels an
-    entry.  live holds the remaining i with a[i][i] != 0, kept exact where
-    an update writes a diagonal entry, so the choice scans only the
-    candidates.  The pivot column a[i][s] is built once, and the pivot row
-    is its conjugate, so nothing is mirrored.  If the remaining diagonal is
-    zero, v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first
-    remaining s with a nonzero entry, not the one of least degree, and the
-    least j in adj[s]: lam = 1, or zeta when a[j][s] + conj(a[j][s]) = 0.
-    In lower storage that adds a[c][j] lam to a[c][s] for the c in adj[j]
-    other than s, and sets a[s][s] = t + conj(t) with t = lam_bar a[j][s],
-    a[s][s] and a[j][j] being zero.  Row s is left as it is: for remaining
-    b < s, a[j][b] = 0, since s is the first remaining index with a nonzero
-    entry, so every c in adj[j] and in adj[s] is above s.  Minimum degree
-    would not give that, so this step keeps the first s.
+    the fewest remaining nonzero a[i][s], which keeps the fill-in of a
+    sparse matrix small.  Among those it takes the a[s][s] of fewest bits
+    (_bits), then the lowest index.  Size matters because every update of
+    the step multiplies by a[s][s]^-1, whose height over Q(zeta_49) can be
+    far above that of a[s][s]: one large pivot spreads its height into
+    every later entry, and the pivots after it grow in turn.  adj[i]
+    holds the remaining j != i with a[i][j] != 0; it is built from the
+    nonzero entries of the matrix given, and kept exact wherever an update
+    creates or cancels an entry.  live maps each remaining i with
+    a[i][i] != 0 to _bits(a[i][i]), kept exact where an update writes a
+    diagonal entry, so the choice scans only the candidates and measures
+    none of them again.
+    The pivot column a[i][s] is built once, and the pivot row is its
+    conjugate, so nothing is mirrored.  If the remaining diagonal is zero,
+    v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first
+    remaining s with a nonzero entry, not the one of least degree, and for
+    the j in adj[s] of least degree, the lowest index on ties: lam = 1, or
+    zeta when a[j][s] + conj(a[j][s]) = 0.  In lower storage that adds
+    a[c][j] lam to a[c][s] for the c in adj[j] other than s, and sets
+    a[s][s] = t + conj(t) with t = lam_bar a[j][s], a[s][s] and a[j][j]
+    being zero.  Row s is left as it is: for remaining b < s, a[j][b] = 0,
+    since s is the first remaining index with a nonzero entry, so every c
+    in adj[j] and in adj[s], j included, is above s.  Minimum degree would
+    not give that for s, so this step keeps the first s; any j in adj[s]
+    does.
 
     Returns the pivots, each nonzero and fixed by conjugation; raises
     InvariantViolation when the matrix is singular.
@@ -426,17 +439,17 @@ def _diagonalize(mat, level: int):
             if row[j]:
                 adj[i].add(j)
                 adj[j].add(i)
-    live = {i for i, row in enumerate(a) if row[i]}
+    live = {i: _bits(row[i]) for i, row in enumerate(a) if row[i]}
     rest = list(range(len(a)))
     pivots = []
     while rest:
-        s = min(live, key=lambda i: (len(adj[i]), i), default=None)
+        s = min(live, key=lambda i: (len(adj[i]), live[i], i), default=None)
         if s is None:
             s = next((i for i in rest if adj[i]), None)
             if s is None:
                 raise InvariantViolation(
                     "form is singular at a character of order %d" % level)
-            j = min(adj[s])
+            j = min(adj[s], key=lambda i: (len(adj[i]), i))
             x = a[j][s]
             lam = CyclotomicNumber.rational(level, 1)
             if not x + x.conjugate():
@@ -449,7 +462,7 @@ def _diagonalize(mat, level: int):
             t = lam_bar * x
             a[s][s] = t + t.conjugate()
         rest.remove(s)
-        live.discard(s)
+        live.pop(s, None)
         pivots.append(a[s][s])
         # the pivot column a[i][s] and row a[s][i] = conj(a[i][s]) over
         # adj[s]; off it both are zero and nothing moves
@@ -470,9 +483,9 @@ def _diagonalize(mat, level: int):
                     link(i, j, ai[j])
                 ai[i] = ai[i] - f * row[n]
                 if ai[i]:
-                    live.add(i)
+                    live[i] = _bits(ai[i])
                 else:
-                    live.discard(i)
+                    live.pop(i, None)
     return pivots
 
 

@@ -45,6 +45,17 @@ class VirtualRep:
         self.p = p
         self.k = k
 
+    @classmethod
+    def _make(cls, p: int, k: int, mults: dict) -> "VirtualRep":
+        """The representation with the given int multiplicities at distinct
+        keys in [0, p^k), for p and k already checked.  Arithmetic builds
+        its results this way, without the constructor's checks.  Zero
+        multiplicities are dropped."""
+        self = object.__new__(cls)
+        self.p, self.k = p, k
+        self.mults = {r: m for r, m in mults.items() if m}
+        return self
+
     @property
     def order(self) -> int:
         return self.p ** self.k
@@ -73,7 +84,7 @@ class VirtualRep:
         out = dict(self.mults)
         for r, m in other.mults.items():
             out[r] = out.get(r, 0) + m
-        return VirtualRep(self.p, self.k, out)
+        return VirtualRep._make(self.p, self.k, out)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -82,18 +93,21 @@ class VirtualRep:
         return self + (-other)
 
     def __neg__(self):
-        return VirtualRep(self.p, self.k, {r: -m for r, m in self.mults.items()})
+        return VirtualRep._make(self.p, self.k,
+                                {r: -m for r, m in self.mults.items()})
 
     def __mul__(self, c: int):
         if not isinstance(c, int):
             return NotImplemented
-        return VirtualRep(self.p, self.k, {r: c * m for r, m in self.mults.items()})
+        return VirtualRep._make(self.p, self.k,
+                                {r: c * m for r, m in self.mults.items()})
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "VirtualRep":
-        return VirtualRep(self.p, self.k,
-                          {-r: m for r, m in self.mults.items()})
+        order = self.order
+        return VirtualRep._make(self.p, self.k,
+                                {-r % order: m for r, m in self.mults.items()})
 
     def __eq__(self, other):
         return (isinstance(other, VirtualRep)
@@ -135,8 +149,13 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
 
         m_s = b_0 - sum_j b_j s^(p-1-j)  (mod p),
 
-    Lagrange interpolation on all of F_p.  Only nonzero b_j contribute, so
-    the cost is O(p * #nonzero targets) modular powers.
+    Lagrange interpolation on all of F_p.  At s = 0 only j = p-1 survives,
+    so m_0 = b_0 - b_(p-1).  At s != 0 the j = 0 term is b_0 s^(p-1) = b_0,
+    which cancels, and since p - 1 is even, (-s)^(p-1-j) = (-1)^j
+    s^(p-1-j): with E and O the sums over the even j > 0 and the odd j,
+    m_s = -E - O and m_(p-s) = O - E.  Only nonzero b_j contribute, so the
+    cost is one modular power per pair +-s and nonzero target past b_0:
+    (p-1)/2 powers each.
     """
     if not is_odd_prime(p):
         raise DomainError("p must be an odd prime")
@@ -144,22 +163,24 @@ def solve_chern_targets(p: int, targets) -> VirtualRep:
     if len(targets) != p:
         raise DomainError("need exactly %d Chern targets, got %d"
                           % (p, len(targets)))
-    b = {}
+    b = []
     fact = 1
     for j, t in enumerate(targets):
         if j:
             fact = fact * j % p
-        bj = int(t) * fact % p
-        if bj:
-            b[j] = bj
-    b0 = b.get(0, 0)
-    mults = {}
-    for s in range(p):
-        acc = b0
-        for j, bj in b.items():
-            acc -= bj * pow(s, p - 1 - j, p)
-        mults[s] = acc % p
-    return VirtualRep(p, 1, mults)
+        b.append(int(t) * fact % p)
+    even = [(p - 1 - j, b[j]) for j in range(2, p, 2) if b[j]]
+    odd = [(p - 1 - j, b[j]) for j in range(1, p, 2) if b[j]]
+    mults = {0: (b[0] - b[-1]) % p}
+    for s in range(1, (p + 1) // 2):
+        e = o = 0
+        for n, bj in even:
+            e += bj * pow(s, n, p)
+        for n, bj in odd:
+            o += bj * pow(s, n, p)
+        mults[s] = -(e + o) % p
+        mults[p - s] = (o - e) % p
+    return VirtualRep._make(p, 1, mults)
 
 
 def symmetrize(xi: VirtualRep, n: int) -> VirtualRep:

@@ -15,8 +15,11 @@ from hypothesis import given, settings, strategies as st
 import charwit
 from charwit.cli import (certificate_from_json, certificate_to_json,
                          form_from_json, form_to_json, main, parse_polynomial)
+from charwit.cyclic_coh import euler_class, l_class_linear
 from charwit.detect import DetectionProblem, build_certificate, find_rational_witness
+from charwit.detect import _derive, _reduce
 from charwit.errors import ParseError
+from charwit.repring import VirtualRep
 from charwit.lforms import (HermitianForm, format_group_ring, hyperbolic,
                             parse_group_ring)
 from charwit.symfun import GradedPolynomial
@@ -763,6 +766,36 @@ def test_cli_verify_large_exponent_ends(tmp_path):
     start = time.perf_counter()
     assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
     assert time.perf_counter() - start < 1.0
+
+
+def test_cli_verify_large_prime_ends(tmp_path):
+    """The e^2 - p2 certificate at p = 1000003 with
+    xi = a chi^0 + b (chi^1 + chi^-1) and every other field derived from
+    it, 609 bytes.  b is the Chern target at j = 2 and a = target_0 - 2b,
+    so xi has the targeted ch_0 and ch_2 and every pullback matches, but
+    it is not the symmetrized solution over all of F_p, which is dense.
+    The last check solves for all p multiplicities and symmetrizes them:
+    exit 1 naming it within 10 s."""
+    p = 1000003
+    problem = DetectionProblem(parse_polynomial("e^2 - p2", 2), 2)
+    witness = find_rational_witness(problem)
+    rho, xbars = _reduce(problem, witness, p)
+    target = {}
+    for i, xbar in enumerate(xbars, problem.k):
+        j = 2 * i - problem.n
+        target[j] = ((l_class_linear(rho, i) - xbar)
+                     * pow(euler_class(rho) * 2 ** (2 + j), -1, p) % p)
+    b = target[2]
+    a = (target[0] - 2 * b) % p
+    xi = VirtualRep(p, 1, {0: a, 1: b, -1: b})
+    text = certificate_to_json(_derive(problem, witness, p, xi))
+    assert len(text.encode()) == 609
+    path = tmp_path / "large_prime.json"
+    path.write_text(text)
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("verification failed: xi differs from the "
+                           "symmetrized Chern-target solution\n")
 
 
 def test_cli_witness_high_power_ends():

@@ -733,10 +733,20 @@ def test_diagonalize_reads_only_the_lower_triangle():
     assert singular >= 10
 
 
-def _diagonalize_by_scan(mat, level):
-    """The elimination as it chose pivots before the live diagonal was
-    tracked: every choice scans the remaining indices for a nonzero
-    diagonal entry, then takes the least degree, the first on ties."""
+def _bits(x):
+    """The bit lengths of the denominator and numerators of x, summed."""
+    return x.den.bit_length() + sum(n.bit_length() for n in x.num)
+
+
+def _diagonalize_by_scan(mat, level, by_size=True):
+    """The elimination with every choice made by a full scan: each pivot
+    scans the remaining indices for a nonzero diagonal entry and takes the
+    least degree, then, by_size, the fewest bits, measured afresh at every
+    scan, then the lowest index; the zero-diagonal step takes the partner
+    in adj[s] of least degree, the lowest index on ties.  With by_size
+    false it is the elimination as it was before sizes counted: the lowest
+    index breaks degree ties, and the partner is the least index in
+    adj[s]."""
     a = [list(row[:i + 1]) for i, row in enumerate(mat)]
     adj = [set() for _ in a]
 
@@ -754,13 +764,15 @@ def _diagonalize_by_scan(mat, level):
     rest = list(range(len(a)))
     pivots = []
     while rest:
-        s = min((i for i in rest if a[i][i]), key=lambda i: len(adj[i]),
+        s = min((i for i in rest if a[i][i]),
+                key=lambda i: (len(adj[i]), _bits(a[i][i]) if by_size else 0,
+                               i),
                 default=None)
         if s is None:
             s = next((i for i in rest if adj[i]), None)
             if s is None:
                 raise InvariantViolation("singular")
-            j = min(adj[s])
+            j = min(adj[s], key=lambda i: (len(adj[i]) if by_size else 0, i))
             x = a[j][s]
             lam = CyclotomicNumber.rational(level, 1)
             if not x + x.conjugate():
@@ -800,11 +812,12 @@ def _pivots_or_singular(diagonalize, mat, level):
 
 
 def test_diagonalize_pivot_order_matches_the_scan():
-    """The tracked live diagonal picks the pivots the scan of every
-    remaining index picked, ties included: the same pivot list on the
-    oracle's draws and on the rank-42 transfers of the budget test at
-    orders 1 and 7 (the lower triangle of the skew one at order 1 read
-    as a symmetric matrix), and singular on the same draws."""
+    """The tracked live diagonal and its sizes pick the pivots, and the
+    zero-diagonal step the partners, that a full scan picks, ties
+    included: the same pivot list on the oracle's draws and on the rank-42
+    transfers of the budget test at orders 1 and 7 (the lower triangle of
+    the skew one at order 1 read as a symmetric matrix), and singular on
+    the same draws."""
     cases = _pivot_oracle_draws()
     for parity in (1, -1):
         g = transfer(random_form(7, 2, parity, 6, 1))
@@ -885,17 +898,18 @@ def test_multisignature_rejects_non_real_pivot(monkeypatch):
 
 @pytest.mark.parametrize(
     "parity, levels, evaluations, inverses, updates, signs", [
-        (1, 2, 602, 54, 1308, 168), (-1, 1, 56, 35, 210, 126),
+        (1, 2, 602, 52, 1290, 168), (-1, 1, 56, 35, 210, 126),
     ], ids=["hermitian", "skew"])
 def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
                                     inverses, updates, signs):
     """The rank-42 transfer of the budget test: one evaluation per nonzero
     entry of the lower triangle (301 of 903 for the hermitian form, 56 for
     the skew one) at each order evaluated (1 and 7 for the hermitian form,
-    7 for the skew one), an unchanged number of inverses, no conjugate per
-    updated entry or per embedding of a pivot, and at most `updates` Schur
-    updates, one subtraction each: minimum-degree pivots do 1308 on the
-    hermitian form, where first-nonzero pivots fill it in and do 3532.
+    7 for the skew one), `inverses` inverses, no conjugate per updated
+    entry or per embedding of a pivot, and at most `updates` Schur updates,
+    one subtraction each: minimum-degree pivots of least size do 1290 on
+    the hermitian form and 52 inverses (1308 and 54 with degree ties broken
+    by index), where first-nonzero pivots fill it in and do 3532.
     Each pivot is signed once per conjugate pair of embeddings: once at
     order 1 and phi(d)/2 times at order d > 1, where signing at every
     embedding took 294 and 252 signs.  These are counts, not timings."""
@@ -929,6 +943,62 @@ def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
     assert counts.pop("__sub__") <= updates
     assert counts.pop("sign") == pairs == signs
     assert not counts
+
+
+def test_pivot_sizes_stay_small(monkeypatch):
+    """The largest pivot, in bits of its numerator and denominator, at each
+    order the multisignature evaluates: the budget test's form at orders
+    1, 7 and 49, and its transfer at 1 and 7.  Breaking degree ties by
+    index gave 9, 83 and 5294 bits, and 21 and 138: one large pivot's
+    inverse spreads its height into every later entry.  These are counts,
+    not timings."""
+    largest = {}
+
+    def recorded(mat, level):
+        pivots = _diagonalize(mat, level)
+        largest[level] = max(map(_bits, pivots))
+        return pivots
+
+    monkeypatch.setattr(lforms, "_diagonalize", recorded)
+    f = random_form(7, 2, 1, 6, 1)
+    multisignature(f)
+    assert largest == {1: 3, 7: 3, 49: 3}
+    largest.clear()
+    multisignature(transfer(f))
+    assert largest == {1: 15, 7: 15}
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """A _hermitian_draw over Q(zeta_L) of rank 1 to 5, its diagonal zero
+    in about half the draws."""
+    L = draw(st.sampled_from((1, 3, 5, 7, 9, 25, 49)))
+    return L, _hermitian_draw(draw(st.randoms(use_true_random=False)), L,
+                              draw(st.integers(1, 5)), draw(st.booleans()))
+
+
+def _inertia(pivots, L):
+    """The number of positive and of negative pivots at each embedding."""
+    signs = [[CyclotomicReal._make(x, t).sign() for x in pivots]
+             for t in range(L) if gcd(t, L) == 1]
+    return [(s.count(1), s.count(-1)) for s in signs]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hermitian_matrices())
+def test_pivot_inertia_matches_the_index_tie_break(case):
+    """Sylvester's law of inertia for the choice of pivots: at every
+    embedding, the pivots count as many positive and negative values as
+    those of the elimination that broke degree ties by index and took the
+    least partner, and a matrix is singular for both or for neither."""
+    L, a = case
+    expected = _pivots_or_singular(
+        lambda m, level: _diagonalize_by_scan(m, level, by_size=False), a, L)
+    got = _pivots_or_singular(_diagonalize, a, L)
+    if expected == "singular":
+        assert got == "singular"
+    else:
+        assert got != "singular" and _inertia(got, L) == _inertia(expected, L)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,44 @@ def test_virtual_rep_arithmetic():
         VirtualRep(3, 0, {})
 
 
+@st.composite
+def virtual_reps(draw):
+    """Two representations over one C_{p^k}, k up to 3, built through the
+    constructor from keys that are negative or past p^k and from values
+    that cancel, and an integer factor that may be 0."""
+    p, k = draw(st.sampled_from(((3, 1), (3, 2), (5, 1), (5, 2), (3, 3),
+                                 (7, 1))))
+    order = p ** k
+    raw = st.dictionaries(st.integers(-2 * order, 2 * order),
+                          st.integers(-3, 3), max_size=6)
+    a = draw(raw)
+    b = draw(st.one_of(raw, st.just({r: -m for r, m in a.items()})))
+    return p, k, a, b, draw(st.integers(-3, 3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(virtual_reps())
+def test_arithmetic_results_are_canonical(case):
+    """Sums, negatives, multiples and conjugates build their results
+    without the constructor's checks: each equals the constructor's
+    result from its own multiplicities and from the raw operands."""
+    p, k, a, b, c = case
+    x, y = VirtualRep(p, k, a), VirtualRep(p, k, b)
+    shift = 5 * p ** k     # moves b's keys clear of a's, both in +-2 p^k
+    for result, expected in (
+            (x + y, {**a, **{r + shift: m for r, m in b.items()}}),
+            (x - y, {**a, **{r + shift: -m for r, m in b.items()}}),
+            (-x, {r: -m for r, m in a.items()}),
+            (c * x, {r: c * m for r, m in a.items()}),
+            (x * c, {r: c * m for r, m in a.items()}),
+            (x.conjugate(), {-r: m for r, m in a.items()}),
+            (symmetrize(x, c), None)):
+        assert (result.p, result.k) == (p, k)
+        assert result == VirtualRep(p, k, result.mults)
+        if expected is not None:
+            assert result == VirtualRep(p, k, expected)
+
+
 def test_restrict():
     xi = VirtualRep(3, 2, {3: 1, 4: 2})
     down = restrict(xi)
@@ -101,6 +139,54 @@ def chern_targets(draw):
 def test_solver_matches_elimination_oracle(case):
     p, targets = case
     assert solve_chern_targets(p, targets).mults == gauss_oracle(p, targets)
+
+
+def _per_s_solve(p, targets):
+    """The solve as it was written before it paired s with p - s: one
+    power per s and nonzero b_j, m_s = b_0 - sum_j b_j s^(p-1-j)."""
+    b = {}
+    fact = 1
+    for j, t in enumerate(targets):
+        if j:
+            fact = fact * j % p
+        if int(t) * fact % p:
+            b[j] = int(t) * fact % p
+    mults = {}
+    for s in range(p):
+        acc = b.get(0, 0)
+        for j, bj in b.items():
+            acc -= bj * pow(s, p - 1 - j, p)
+        mults[s] = acc % p
+    return VirtualRep(p, 1, mults)
+
+
+PRIMES_TO_61 = SMALL_PRIMES + (37, 41, 43, 47, 53, 59, 61)
+
+
+@st.composite
+def chern_targets_to_61(draw):
+    """Targets for a prime up to 61, dense or sparse, and in either case
+    often nonzero at j = 0 and at j = p - 1."""
+    p = draw(st.sampled_from(PRIMES_TO_61))
+    values = st.integers(-10 ** 6, 10 ** 6)
+    if draw(st.booleans()):
+        targets = draw(st.lists(values, min_size=p, max_size=p))
+    else:
+        sparse = draw(st.dictionaries(st.integers(0, p - 1), values,
+                                      max_size=4))
+        targets = [sparse.get(j, 0) for j in range(p)]
+    for j in draw(st.sets(st.sampled_from((0, p - 1)))):
+        targets[j] = draw(values)
+    return p, targets
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(chern_targets_to_61())
+def test_solver_matches_the_per_s_formula(case):
+    p, targets = case
+    xi = solve_chern_targets(p, targets)
+    assert xi == _per_s_solve(p, targets)
+    assert xi == VirtualRep(p, 1, xi.mults)
 
 
 def test_solver_corner_indices():
