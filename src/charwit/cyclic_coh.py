@@ -92,7 +92,7 @@ def chern_character(xi: VirtualRep, j: int) -> int:
         raise DomainError("ch_%d is not defined mod %d "
                           "(factorial not invertible)" % (j, p))
     acc = 0
-    for r, m in xi.mults.items():
+    for r, m in xi.coeffs.items():
         power = 1 if j == 0 else pow(r, j, p)
         acc = (acc + m * power) % p
     return acc * pow(factorial(j), -1, p) % p

@@ -23,35 +23,15 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DomainError, InvariantViolation, ParseError
-from .repring import VirtualRep, _canonical
+from .repring import VirtualRep, _CyclicVector
 from .scalars import (CyclotomicNumber, CyclotomicReal, _format_sum,
                       _read_digits, _read_sum, _skip_space)
 
 
-class GroupRingElement:
+class GroupRingElement(_CyclicVector):
     """An element of Z[C_{p^k}], coefficients indexed by exponents of g."""
 
-    __slots__ = ("p", "k", "coeffs")
-
-    def __init__(self, p: int, k: int, coeffs: dict):
-        self.coeffs = _canonical(p, k, coeffs)
-        self.p = p
-        self.k = k
-
-    @classmethod
-    def _make(cls, p: int, k: int, coeffs: dict) -> "GroupRingElement":
-        """The element with the given int coefficients at distinct
-        exponents in [0, p^k), for p and k already checked.  Arithmetic
-        builds its results this way, without the constructor's checks.
-        Zero coefficients are dropped."""
-        self = object.__new__(cls)
-        self.p, self.k = p, k
-        self.coeffs = {r: c for r, c in coeffs.items() if c}
-        return self
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.k
+    __slots__ = ()
 
     @classmethod
     def zero(cls, p: int, k: int) -> "GroupRingElement":
@@ -70,26 +50,7 @@ class GroupRingElement:
             return GroupRingElement(self.p, self.k, {0: other})
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for r, c in other.coeffs.items():
-            out[r] = out.get(r, 0) + c
-        return GroupRingElement._make(self.p, self.k, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupRingElement._make(self.p, self.k,
-                                      {r: -c for r, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    __radd__ = _CyclicVector.__add__
 
     def __rsub__(self, other):
         return -(self - other)
@@ -107,14 +68,6 @@ class GroupRingElement:
         return GroupRingElement._make(self.p, self.k, out)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "GroupRingElement":
-        order = self.order
-        return GroupRingElement._make(
-            self.p, self.k, {-r % order: c for r, c in self.coeffs.items()})
-
-    def coefficient(self, r: int) -> int:
-        return self.coeffs.get(r % self.order, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -135,8 +88,7 @@ class GroupRingElement:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.p, self.k, frozenset(self.coeffs.items())))
+    __hash__ = _CyclicVector.__hash__
 
     def __bool__(self):
         return not self.is_zero()

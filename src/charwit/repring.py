@@ -1,12 +1,16 @@
 """Virtual representations of cyclic p-groups.
 
-A VirtualRep is a finitely supported integer vector of multiplicities over
-the characters chi^0, ..., chi^(p^k - 1) of the cyclic group of order p^k.
-The module also houses the two constructions the certificate pipeline needs:
-prescribing all p Chern-character values of a virtual representation of C_p
-at once (a closed-form interpolation over F_p, by Fermat's little theorem),
-and averaging a representation into one with the conjugation symmetry
-required of a surgery obstruction.
+The virtual characters of C_{p^k} and the group ring Z[C_{p^k}] are one
+lattice, finitely supported integer vectors on Z/p^k, with one
+conjugation r -> -r: R(C_n) is the group ring of the dual group (Serre,
+Linear Representations of Finite Groups, section 9.1).  _CyclicVector
+holds what the two share; VirtualRep, the multiplicities over the
+characters chi^0, ..., chi^(p^k - 1), and lforms.GroupRingElement
+subclass it.  The module also houses the two constructions the
+certificate pipeline needs: prescribing all p Chern-character values of a
+virtual representation of C_p at once (a closed-form interpolation over
+F_p, by Fermat's little theorem), and averaging a representation into one
+with the conjugation symmetry required of a surgery obstruction.
 """
 
 from __future__ import annotations
@@ -15,76 +19,60 @@ from .errors import DomainError
 from .scalars import is_odd_prime
 
 
-def _canonical(p: int, k: int, values: dict) -> dict:
-    """The canonical int dict on Z/p^k of a VirtualRep or GroupRingElement.
+class _CyclicVector:
+    """Int coefficients c_r at r in Z/p^k, p an odd prime and k >= 1.
 
-    Checks k >= 1 and that p is an odd prime, reduces the int keys mod p^k,
-    sums the int values that land on one key and drops zeros.
+    coeffs maps r in [0, p^k) to c_r and holds no zeros, so equal vectors
+    have equal dicts.  A subclass supplies _coerce, which returns the
+    other operand as a vector over the same group, or NotImplemented.
     """
-    if k < 1:
-        raise DomainError("level exponent k must be >= 1")
-    if not is_odd_prime(p):
-        raise DomainError("group order must be a power of an odd prime")
-    order = p ** k
-    clean = {}
-    for r, c in values.items():
-        c = int(c)
-        if c:
-            r = int(r) % order
-            clean[r] = clean.get(r, 0) + c
-    return {r: c for r, c in clean.items() if c}
 
+    __slots__ = ("p", "k", "coeffs")
 
-class VirtualRep:
-    """Integer multiplicities m_r of the characters chi^r of C_{p^k}."""
-
-    __slots__ = ("p", "k", "mults")
-
-    def __init__(self, p: int, k: int, mults: dict):
-        self.mults = _canonical(p, k, mults)
-        self.p = p
-        self.k = k
+    def __init__(self, p: int, k: int, coeffs: dict):
+        """Checks k >= 1 and that p is an odd prime, reduces the int keys
+        mod p^k, sums the int values that land on one key and drops
+        zeros."""
+        if k < 1:
+            raise DomainError("level exponent k must be >= 1")
+        if not is_odd_prime(p):
+            raise DomainError("group order must be a power of an odd prime")
+        order = p ** k
+        clean = {}
+        for r, c in coeffs.items():
+            c = int(c)
+            if c:
+                r = int(r) % order
+                clean[r] = clean.get(r, 0) + c
+        self.p, self.k = p, k
+        self.coeffs = {r: c for r, c in clean.items() if c}
 
     @classmethod
-    def _make(cls, p: int, k: int, mults: dict) -> "VirtualRep":
-        """The representation with the given int multiplicities at distinct
-        keys in [0, p^k), for p and k already checked.  Arithmetic builds
-        its results this way, without the constructor's checks.  Zero
-        multiplicities are dropped."""
+    def _make(cls, p: int, k: int, coeffs: dict):
+        """The vector with the given int coefficients at distinct keys in
+        [0, p^k), for p and k already checked.  Arithmetic builds its
+        results this way, without the constructor's checks.  Zero
+        coefficients are dropped."""
         self = object.__new__(cls)
         self.p, self.k = p, k
-        self.mults = {r: m for r, m in mults.items() if m}
+        self.coeffs = {r: c for r, c in coeffs.items() if c}
         return self
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
-    @classmethod
-    def character(cls, p: int, k: int, r: int) -> "VirtualRep":
-        return cls(p, k, {r: 1})
-
-    def multiplicity(self, r: int) -> int:
-        return self.mults.get(r % self.order, 0)
-
-    def dim(self) -> int:
-        return sum(self.mults.values())
-
-    def _coerce(self, other):
-        if not isinstance(other, VirtualRep):
-            return NotImplemented
-        if (other.p, other.k) != (self.p, self.k):
-            raise DomainError("representations live over different groups")
-        return other
+    def coefficient(self, r: int) -> int:
+        return self.coeffs.get(r % self.order, 0)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.mults)
-        for r, m in other.mults.items():
-            out[r] = out.get(r, 0) + m
-        return VirtualRep._make(self.p, self.k, out)
+        out = dict(self.coeffs)
+        for r, c in other.coeffs.items():
+            out[r] = out.get(r, 0) + c
+        return self._make(self.p, self.k, out)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -93,38 +81,69 @@ class VirtualRep:
         return self + (-other)
 
     def __neg__(self):
-        return VirtualRep._make(self.p, self.k,
-                                {r: -m for r, m in self.mults.items()})
+        return self._make(self.p, self.k,
+                          {r: -c for r, c in self.coeffs.items()})
+
+    def conjugate(self):
+        """The image under r -> -r."""
+        order = self.order
+        return self._make(self.p, self.k,
+                          {-r % order: c for r, c in self.coeffs.items()})
+
+    def __hash__(self):
+        return hash((self.p, self.k, frozenset(self.coeffs.items())))
+
+
+class VirtualRep(_CyclicVector):
+    """Integer multiplicities m_r of the characters chi^r of C_{p^k}."""
+
+    __slots__ = ()
+
+    @property
+    def mults(self) -> dict:
+        """The multiplicities {r: m_r}: coeffs, read-only."""
+        return self.coeffs
+
+    multiplicity = _CyclicVector.coefficient
+
+    @classmethod
+    def character(cls, p: int, k: int, r: int) -> "VirtualRep":
+        return cls(p, k, {r: 1})
+
+    def dim(self) -> int:
+        return sum(self.coeffs.values())
+
+    def _coerce(self, other):
+        if not isinstance(other, VirtualRep):
+            return NotImplemented
+        if (other.p, other.k) != (self.p, self.k):
+            raise DomainError("representations live over different groups")
+        return other
 
     def __mul__(self, c: int):
         if not isinstance(c, int):
             return NotImplemented
         return VirtualRep._make(self.p, self.k,
-                                {r: c * m for r, m in self.mults.items()})
+                                {r: c * m for r, m in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "VirtualRep":
-        order = self.order
-        return VirtualRep._make(self.p, self.k,
-                                {-r % order: m for r, m in self.mults.items()})
 
     def __eq__(self, other):
         return (isinstance(other, VirtualRep)
                 and (self.p, self.k) == (other.p, other.k)
-                and self.mults == other.mults)
+                and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.p, self.k, frozenset(self.mults.items())))
+    __hash__ = _CyclicVector.__hash__
 
     def serialize(self) -> list:
         """Sorted [r, m_r] pairs, zero multiplicities omitted."""
-        return [[r, self.mults[r]] for r in sorted(self.mults)]
+        return [[r, self.coeffs[r]] for r in sorted(self.coeffs)]
 
     def __repr__(self):
-        if not self.mults:
+        if not self.coeffs:
             return "VirtualRep(%d, %d, 0)" % (self.p, self.k)
-        body = " + ".join("%d*chi^%d" % (m, r) for r, m in sorted(self.mults.items()))
+        body = " + ".join("%d*chi^%d" % (m, r)
+                          for r, m in sorted(self.coeffs.items()))
         return "VirtualRep(%d, %d, %s)" % (self.p, self.k, body)
 
 
@@ -134,7 +153,7 @@ def restrict(xi: VirtualRep) -> VirtualRep:
         raise DomainError("restriction needs level k >= 2")
     sub = xi.p ** (xi.k - 1)
     out = {}
-    for r, m in xi.mults.items():
+    for r, m in xi.coeffs.items():
         out[r % sub] = out.get(r % sub, 0) + m
     return VirtualRep(xi.p, xi.k - 1, out)
 
@@ -188,8 +207,12 @@ def symmetrize(xi: VirtualRep, n: int) -> VirtualRep:
 
     The result satisfies conj = (-1)^n * itself as an exact integer identity,
     and has the same Chern characters mod p as xi in degrees of the parity
-    of n.
+    of n.  Its coefficient at s is m (c_s + (-1)^n c_(-s)), built in one
+    pass over the keys of xi and their negatives.
     """
     m = (xi.p + 1) // 2
     sign = -1 if n % 2 else 1
-    return m * (xi + sign * xi.conjugate())
+    order, c = xi.order, xi.coeffs
+    return VirtualRep._make(xi.p, xi.k, {
+        s: m * (c.get(s, 0) + sign * c.get(-s % order, 0))
+        for r in c for s in (r, -r % order)})

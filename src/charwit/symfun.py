@@ -337,13 +337,12 @@ def _exp_series(kg, one, order: int) -> list:
 
 
 def _log_f_series(order: int) -> list:
-    """k c_k for k = 0..order, where log(t/tanh(t)) = sum_k c_k u^k, as
-    log(cosh t) - log(sinh(t)/t)."""
-    cosh = _log_series([Fraction(1, factorial(2 * i))
-                        for i in range(order + 1)], order)
-    sinh_over_t = _log_series([Fraction(1, factorial(2 * i + 1))
-                               for i in range(order + 1)], order)
-    return [a - b for a, b in zip(cosh, sinh_over_t)]
+    """k c_k for k = 0..order, where log(t/tanh(t)) = sum_k c_k u^k.  By
+    Newton's identities p_k enters s_k only as (-1)^(k-1) k p_k, so the
+    coefficient of p_k in L_k is (-1)^(k-1) k c_k, which
+    l_leading_coefficient gives in closed form."""
+    return [0] + [(-1) ** (k - 1) * l_leading_coefficient(k)
+                  for k in range(1, order + 1)]
 
 
 def _l_series(kc, s, one, order: int) -> list:
@@ -440,7 +439,8 @@ def l_table(max_index: int) -> LTable:
     the power sums; P inverts L through log(1 + sum_i x_i u^i) =
     sum_k c_k s_k u^k (Milnor-Stasheff, Characteristic Classes, section 19;
     Macdonald, Symmetric Functions and Hall Polynomials, I.2).  One table is
-    cached per M, and building it computes only the c_k.
+    cached per M, and building it computes only the k c_k, each from the
+    Bernoulli closed form of l_leading_coefficient.
     """
     M = int(max_index)
     if M < 1:

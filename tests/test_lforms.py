@@ -897,28 +897,36 @@ def test_multisignature_rejects_non_real_pivot(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "parity, levels, evaluations, inverses, updates, signs", [
-        (1, 2, 602, 52, 1290, 168), (-1, 1, 56, 35, 210, 126),
-    ], ids=["hermitian", "skew"])
-def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
-                                    inverses, updates, signs):
-    """The rank-42 transfer of the budget test: one evaluation per nonzero
-    entry of the lower triangle (301 of 903 for the hermitian form, 56 for
-    the skew one) at each order evaluated (1 and 7 for the hermitian form,
-    7 for the skew one), `inverses` inverses, no conjugate per updated
-    entry or per embedding of a pivot, and at most `updates` Schur updates,
-    one subtraction each: minimum-degree pivots of least size do 1290 on
-    the hermitian form and 52 inverses (1308 and 54 with degree ties broken
-    by index), where first-nonzero pivots fill it in and do 3532.
+    "p, seed, parity, levels, evaluations, inverses, updates, galois, signs", [
+        (7, 1, 1, 2, 602, 52, 1290, 700, 168),
+        (7, 1, -1, 1, 56, 35, 210, 700, 126),
+        (5, 5, 1, 2, 210, 53, 2163, 588, 90),
+    ], ids=["hermitian", "skew", "hermitian-tie-break"])
+def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
+                                    evaluations, inverses, updates, galois,
+                                    signs):
+    """The transfer of random_form(p, 2, parity, 6, seed), of rank 6p: one
+    evaluation per nonzero entry of the lower triangle at each order
+    evaluated (1 and p for hermitian forms, p for skew ones), `inverses`
+    inverses, at most `galois` Galois images, no conjugate per updated
+    entry or per embedding of a pivot, and at most `updates` Schur
+    updates, one subtraction each.
+    The first two are the rank-42 transfer of the budget test (301 of 903
+    lower entries nonzero for the hermitian form, 56 for the skew one):
+    minimum-degree pivots of least size do 1290 updates on the hermitian
+    form and 52 inverses (1308 and 54 with degree ties broken by index),
+    where first-nonzero pivots fill it in and do 3532.  The third is the
+    form the size tie-break slowed most, pinned at its counts.
     Each pivot is signed once per conjugate pair of embeddings: once at
     order 1 and phi(d)/2 times at order d > 1, where signing at every
-    embedding took 294 and 252 signs.  These are counts, not timings."""
-    g = transfer(random_form(7, 2, parity, 6, 1))
+    embedding took 294 and 252 signs on the first two.  These are counts,
+    not timings."""
+    g = transfer(random_form(p, 2, parity, 6, seed))
     nonzero = sum(1 for i, row in enumerate(g.matrix)
                   for x in row[:i + 1] if x)
-    orders = [d for d in (1, 7) if parity == 1 or d > 1]
+    orders = [d for d in (1, p) if parity == 1 or d > 1]
     assert len(orders) == levels
-    pairs = sum(g.rank * (1 if d == 1 else (d - d // 7) // 2) for d in orders)
+    pairs = sum(g.rank * (1 if d == 1 else (d - d // p) // 2) for d in orders)
     counts = {}
 
     def count(owner, name):
@@ -939,7 +947,7 @@ def test_multisignature_work_counts(monkeypatch, parity, levels, evaluations,
     assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
         == levels * nonzero == evaluations
     assert counts.pop("inverse") == inverses
-    assert counts.pop("_galois") <= 700
+    assert counts.pop("_galois") <= galois
     assert counts.pop("__sub__") <= updates
     assert counts.pop("sign") == pairs == signs
     assert not counts

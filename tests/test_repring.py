@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import charwit
 from charwit.cyclic_coh import chern_character
 from charwit.errors import DomainError
+from charwit.lforms import GroupRingElement
 from charwit.repring import (VirtualRep, restrict, solve_chern_targets,
                              symmetrize)
 
@@ -60,22 +61,65 @@ def virtual_reps(draw):
 def test_arithmetic_results_are_canonical(case):
     """Sums, negatives, multiples and conjugates build their results
     without the constructor's checks: each equals the constructor's
-    result from its own multiplicities and from the raw operands."""
+    result from its own coefficients and from the raw operands, alike in
+    VirtualRep and GroupRingElement, whose int multiples are products."""
     p, k, a, b, c = case
-    x, y = VirtualRep(p, k, a), VirtualRep(p, k, b)
     shift = 5 * p ** k     # moves b's keys clear of a's, both in +-2 p^k
-    for result, expected in (
-            (x + y, {**a, **{r + shift: m for r, m in b.items()}}),
-            (x - y, {**a, **{r + shift: -m for r, m in b.items()}}),
-            (-x, {r: -m for r, m in a.items()}),
-            (c * x, {r: c * m for r, m in a.items()}),
-            (x * c, {r: c * m for r, m in a.items()}),
-            (x.conjugate(), {-r: m for r, m in a.items()}),
-            (symmetrize(x, c), None)):
-        assert (result.p, result.k) == (p, k)
-        assert result == VirtualRep(p, k, result.mults)
-        if expected is not None:
-            assert result == VirtualRep(p, k, expected)
+    for cls in (VirtualRep, GroupRingElement):
+        x, y = cls(p, k, a), cls(p, k, b)
+        for result, expected in (
+                (x + y, {**a, **{r + shift: m for r, m in b.items()}}),
+                (x - y, {**a, **{r + shift: -m for r, m in b.items()}}),
+                (-x, {r: -m for r, m in a.items()}),
+                (c * x, {r: c * m for r, m in a.items()}),
+                (x * c, {r: c * m for r, m in a.items()}),
+                (x.conjugate(), {-r: m for r, m in a.items()}),
+                *(((symmetrize(x, c), None),) if cls is VirtualRep else ())):
+            assert type(result) is cls and (result.p, result.k) == (p, k)
+            assert result == cls(p, k, result.coeffs)
+            if expected is not None:
+                assert result == cls(p, k, expected)
+
+
+def _symmetrize_by_conjugate(xi, n):
+    """symmetrize as it was written before it took one pass: m * (xi +
+    (-1)^n conj(xi)) through the arithmetic of VirtualRep."""
+    m = (xi.p + 1) // 2
+    sign = -1 if n % 2 else 1
+    return m * (xi + sign * xi.conjugate())
+
+
+def test_symmetrize_matches_the_conjugate_sum():
+    """Seeded draws at k = 1 and 2, both parities of n, with key 0 drawn
+    often and keys that are each other's negatives."""
+    rng = random.Random(19)
+    for p, k in ((3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2)):
+        order = p ** k
+        for n in (2, 3):
+            for _ in range(40):
+                keys = [0] * rng.randint(0, 2) + [
+                    rng.randrange(-order, 2 * order)
+                    for _ in range(rng.randint(0, 6))]
+                keys += [-r for r in keys[:rng.randint(0, 2)]]
+                xi = VirtualRep(p, k, {r: rng.randint(-4, 4) for r in keys})
+                assert symmetrize(xi, n).serialize() \
+                    == _symmetrize_by_conjugate(xi, n).serialize()
+
+
+def test_both_vector_types_are_hashable_and_distinct():
+    """VirtualRep and GroupRingElement are dict keys and set members by
+    value; a VirtualRep never equals a GroupRingElement, even with the
+    same p, k and coefficients."""
+    data = {1: 2, 4: -1}
+    for cls in (VirtualRep, GroupRingElement):
+        x, y = cls(5, 2, data), cls(5, 2, {26: 2, -21: -1})
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, -x}) == 2
+        assert {x: "x"}[y] == "x"
+    rep, elt = VirtualRep(5, 2, data), GroupRingElement(5, 2, data)
+    assert rep != elt and elt != rep
+    assert not rep == elt and not elt == rep
+    assert len({rep, elt}) == 2
 
 
 def test_restrict():

@@ -130,6 +130,27 @@ def test_l_leading_coefficient_closed_form():
         assert l_leading_coefficient(i) == expected
 
 
+def _log_f_by_series(order):
+    """k c_k for k <= order from log(t/tanh(t)) = log(cosh t) -
+    log(sinh(t)/t) in u = t^2, each log by the recurrence k g_k = k a_k -
+    sum_{0<i<k} i g_i a_(k-i) on the Taylor coefficients a_i."""
+    def k_log(a):
+        kg = [0]
+        for k in range(1, order + 1):
+            kg.append(k * a[k] - sum(kg[i] * a[k - i] for i in range(1, k)))
+        return kg
+    cosh = k_log([Fraction(1, factorial(2 * i)) for i in range(order + 1)])
+    sinh_over_t = k_log([Fraction(1, factorial(2 * i + 1))
+                         for i in range(order + 1)])
+    return [a - b for a, b in zip(cosh, sinh_over_t)]
+
+
+def test_log_f_series_matches_the_series_of_log_t_over_tanh_t():
+    """The table's k c_k, read off the Bernoulli closed form of the
+    leading coefficients, against the series derivation for k <= 30."""
+    assert symfun._log_f_series(30) == _log_f_by_series(30)
+
+
 def test_l_table_leading_terms_match_closed_form():
     table = l_table(6)
     for i in range(1, 7):
