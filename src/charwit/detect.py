@@ -194,7 +194,7 @@ def _l_form_mod(problem, e, x, p):
     summed mod p^(D+1), each power by pow(u, k, p^(D+1)), so a power costs
     the bit length of its exponent, not the digits of its value over Q.
     Terms with t > 0 vanish mod p.  If p divides the denominator of the
-    sum, the evaluation over Q raises from_rational's error."""
+    sum, that is total % p^D != 0, this raises from_rational's error."""
     values = {name: _p_part(p, v)
               for name, v in _l_values(problem, e, x).items()}
     terms = []
@@ -215,7 +215,7 @@ def _l_form_mod(problem, e, x, p):
             total += term
     total %= modulus
     if total % p ** depth:
-        return from_rational(p, _l_form_at(problem, e, x))
+        raise DomainError("denominator vanishes mod %d" % p)
     return total // p ** depth
 
 

@@ -8,7 +8,7 @@ chi^r gives a complex (skew-)hermitian matrix H_r; the multisignature
 records signature(H_r) for every r (for skew forms, signature(i H_r)),
 packaged as a virtual character.  All of this is computed exactly: the
 evaluations live in cyclotomic fields, diagonalization is by congruence,
-and pivot signs are certified through the scalars module.
+and pivot signs are certified in the cyclotomic module.
 
 Skew forms carry a quadratic refinement mu, one group-ring value per basis
 vector modulo the relations g - eps g^(-1); only its coefficient at the
@@ -22,10 +22,10 @@ import random
 from itertools import combinations
 from math import gcd
 
+from .cyclotomic import CyclotomicNumber, CyclotomicReal
 from .errors import DomainError, InvariantViolation, ParseError
 from .repring import VirtualRep, _CyclicVector
-from .scalars import (CyclotomicNumber, CyclotomicReal, _format_sum,
-                      _read_digits, _read_sum, _skip_space)
+from .scalars import _format_sum, _read_digits, _read_sum, _skip_space
 
 
 class GroupRingElement(_CyclicVector):
@@ -83,10 +83,11 @@ class GroupRingElement(_CyclicVector):
         return CyclotomicNumber._make(d, raw, 1)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if isinstance(other, int):
+            other = GroupRingElement(self.p, self.k, {0: other})
+        return (isinstance(other, GroupRingElement)
+                and (self.p, self.k) == (other.p, other.k)
+                and self.coeffs == other.coeffs)
 
     __hash__ = _CyclicVector.__hash__
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from charwit.cli import (certificate_from_json, certificate_to_json,
                          form_from_json, form_to_json, main, parse_polynomial)
 from charwit.cyclic_coh import euler_class, l_class_linear
 from charwit.detect import DetectionProblem, build_certificate, find_rational_witness
-from charwit.detect import _derive, _reduce
+from charwit.detect import WitnessCertificate, WitnessPoint
+from charwit.detect import _correction, _derive, _reduce
 from charwit.errors import ParseError
 from charwit.repring import VirtualRep
 from charwit.lforms import (HermitianForm, format_group_ring, hyperbolic,
@@ -798,6 +800,37 @@ def test_cli_verify_large_prime_ends(tmp_path):
                            "symmetrized Chern-target solution\n")
 
 
+def denominator_document(exponent):
+    """The canonical p = 7 certificate for Xi = 1/7*e^exponent at
+    z = (1, 3, 1), value 1 and N = 5.  7 divides the denominator of Xi's
+    coefficient, so Xi at the Euler class 3 is not 7-integral."""
+    p = 7
+    problem = DetectionProblem(parse_polynomial("1/7*e^%d" % exponent, 2), 2)
+    witness = WitnessPoint((Fraction(1), Fraction(3), Fraction(1)),
+                           Fraction(1), 5)
+    rho, xbars = _reduce(problem, witness, p)
+    return certificate_to_json(WitnessCertificate(
+        problem, witness, p, rho.residues, xbars,
+        _correction(problem, witness, p), euler_class(rho), {1: 0}, 1))
+
+
+@pytest.mark.parametrize("exponent", [10000, 64000000])
+def test_cli_verify_p_in_a_denominator_of_xi_ends(tmp_path, exponent):
+    """The derivation finds the sum of Xi's terms not p-integral and names
+    it without evaluating 3^exponent/7 over Q, whose 4772 digits at
+    exponent 10000 once ended verify in a ValueError traceback: exit 1,
+    in process within 1 s."""
+    path = tmp_path / "denominator.json"
+    path.write_text(denominator_document(exponent))
+    report = ("verification failed: invalid certificate data: "
+              "denominator vanishes mod 7\n")
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", report)
+    start = time.perf_counter()
+    assert verify_text(path, path.read_text()) == (1, "", report)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cli_witness_high_power_ends():
     proc = charwit_process("witness", "--xi", "p8^6", "--n", "2", timeout=5)
     assert proc.returncode in (0, 1)
@@ -805,26 +838,65 @@ def test_cli_witness_high_power_ends():
     assert "Traceback" not in proc.stderr
 
 
-def test_certificate_commands_do_not_load_lforms():
-    """The CLI loads the forms module only for the form commands; the
-    package still serves its names, through `from charwit import *` too."""
+# `python -m charwit ARGS`, run in this process by runpy; the last line of
+# stderr lists which of the form-only modules it loaded
+RUN_MAIN = "\n".join([
+    "import runpy, sys",
+    "sys.argv[0] = 'charwit'",
+    "try:",
+    "    runpy.run_module('charwit', run_name='__main__')",
+    "except SystemExit as exc:",
+    "    assert exc.code == 0, exc.code",
+    "print(sorted({'charwit.cyclotomic', 'charwit.lforms'} & set(sys.modules)),",
+    "      file=sys.stderr)",
+])
+
+
+def test_certificate_commands_do_not_load_lforms(tmp_path):
+    """The CLI loads the forms module and the cyclotomic field only for the
+    form commands; the package still serves every name, through
+    `from charwit import *` too, and scalars serves the two cyclotomic
+    classes the benchmark imports from it."""
     code = "\n".join([
         "import sys, charwit, charwit.cli",
         "assert 'charwit.lforms' not in sys.modules",
+        "assert 'charwit.cyclotomic' not in sys.modules",
         "assert charwit.multisignature.__module__ == 'charwit.lforms'",
         "names = {}",
         "exec('from charwit import *', names)",
         "assert set(charwit.__all__) <= set(names)",
         "assert names['transfer'] is charwit.lforms.transfer",
-        "try:",
-        "    charwit.no_such_name",
-        "except AttributeError:",
-        "    pass",
-        "else:",
-        "    raise AssertionError('unknown name resolved')",
+        "import charwit.scalars as scalars, charwit.cyclotomic as cyclotomic",
+        "assert scalars.CyclotomicNumber is cyclotomic.CyclotomicNumber",
+        "assert scalars.CyclotomicReal is cyclotomic.CyclotomicReal",
+        "for module, name in ((charwit, 'no_such_name'),",
+        "                     (scalars, '_cos_table')):",
+        "    try:",
+        "        getattr(module, name)",
+        "    except AttributeError:",
+        "        pass",
+        "    else:",
+        "        raise AssertionError('unknown name resolved: ' + name)",
     ])
     src = os.path.dirname(os.path.dirname(charwit.__file__))
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=src),
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr
+    form = tmp_path / "form.json"
+    form.write_text('{"p": 3, "k": 2, "parity": 1, '
+                    '"matrix": [["1", "g"], ["g^8", "2"]]}')
+    certify = ("certify", "--xi", "e^2 - p2", "--n", "2", "--primes", "1",
+               "--out", str(tmp_path / "cw"))
+    for argv, loaded in [
+            (certify, "[]"),
+            (("witness", "--xi", "e^2 - p2", "--n", "2"), "[]"),
+            (("verify", str(tmp_path / "cw_p53.json")), "[]"),
+            (("l-table", "--max", "2"), "[]"),
+            (("multisig", "--form", str(form)),
+             "['charwit.cyclotomic', 'charwit.lforms']")]:
+        proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == loaded, argv[0]

@@ -18,8 +18,8 @@ from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             reduce_refinement, signature_int, transfer)
 from charwit.lforms import (_check_nonsingular_rational, _diagonalize,
                             _skew_evaluate)
+from charwit.cyclotomic import CyclotomicNumber, CyclotomicReal
 from charwit.repring import VirtualRep, restrict
-from charwit.scalars import CyclotomicNumber, CyclotomicReal
 
 
 def gre(text, p=3, k=1):
@@ -154,6 +154,16 @@ def test_group_ring_levels():
         GroupRingElement(4, 1, {0: 1})
     with pytest.raises(DomainError):
         GroupRingElement(3, 1, {0: 1}).evaluate(2)
+
+
+def test_group_ring_equality_across_groups():
+    """Elements of different group rings compare unequal, as virtual
+    representations over different groups do, so one set holds both."""
+    x, y = GroupRingElement(3, 1, {1: 1}), GroupRingElement(5, 1, {1: 1})
+    z = GroupRingElement(3, 2, {1: 1})
+    assert x != y and not x == y and x != z
+    assert GroupRingElement(3, 1, {}) != GroupRingElement(3, 2, {})
+    assert {x, y, z, gre("g")} == {x, y, z}
 
 
 def test_reduce_refinement():

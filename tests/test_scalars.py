@@ -10,10 +10,10 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from charwit import scalars
+from charwit import cyclotomic, scalars
+from charwit.cyclotomic import CyclotomicNumber, CyclotomicReal
 from charwit.errors import DomainError, InvariantViolation, ParseError
-from charwit.scalars import (CyclotomicNumber, CyclotomicReal, bernoulli,
-                             from_rational, is_odd_prime, is_prime,
+from charwit.scalars import (bernoulli, from_rational, is_odd_prime, is_prime,
                              largest_prime_factor, odd_primes_above,
                              rational_from_string, rational_to_string)
 
@@ -514,14 +514,14 @@ def test_sign_near_zero_at_convergents():
     x = CyclotomicNumber.zeta(7) + CyclotomicNumber.zeta(7).conjugate()
     signs = [CyclotomicReal(x - c, 1).sign() for c in cs]
     assert signs == [(-1) ** n for n in range(len(cs))]
-    assert any(L == 7 and b >= 256 for L, b in scalars._cos_tables)
+    assert any(L == 7 and b >= 256 for L, b in cyclotomic._cos_tables)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 1024])
 def test_cos_table_brackets(bits):
     one = 1 << bits
     for L in (1, 3, 5, 7, 9, 25, 27, 49):
-        table = scalars._cos_table(L, bits)
+        table = cyclotomic._cos_table(L, bits)
         assert len(table) == L
         assert all(lo <= hi <= lo + 4 for lo, hi in table)
         lo, hi = table[0]
@@ -530,7 +530,7 @@ def test_cos_table_brackets(bits):
             assert sum(lo for lo, _ in table) <= 0 <= sum(hi for _, hi in table)
             assert all(table[j] == table[L - j] for j in range(1, L))
     for j in (1, 2):
-        lo, hi = scalars._cos_table(3, bits)[j]
+        lo, hi = cyclotomic._cos_table(3, bits)[j]
         assert lo <= -one // 2 <= hi
 
 
@@ -542,24 +542,24 @@ def test_fixed_point_error_bounds(mpmath, w, data):
     x = data.draw(st.integers(0, 3 * scale))
     with mpmath.workprec(w + 64):
         for base in (2, 5, 239):
-            total, err = scalars._atan_inv(base, scale)
+            total, err = cyclotomic._atan_inv(base, scale)
             assert abs(mpmath.atan(mpmath.mpf(1) / base) * scale - total) < err
-        lo, hi = scalars._pi_bracket(w)
+        lo, hi = cyclotomic._pi_bracket(w)
         assert lo <= mpmath.pi * scale <= hi
-        total, err = scalars._cos_fixed(x, w)
+        total, err = cyclotomic._cos_fixed(x, w)
         assert abs(mpmath.cos(mpmath.mpf(x) / scale) * scale - total) < err
 
 
-@pytest.mark.parametrize("guard", [0, scalars._COS_GUARD])
+@pytest.mark.parametrize("guard", [0, cyclotomic._COS_GUARD])
 def test_cos_table_against_mpmath(mpmath, monkeypatch, guard):
     """The brackets hold against a high-precision oracle, also with no
     guard bits, where the floor errors reach the rounded brackets."""
-    monkeypatch.setattr(scalars, "_COS_GUARD", guard)
-    monkeypatch.setattr(scalars, "_cos_tables", {})
+    monkeypatch.setattr(cyclotomic, "_COS_GUARD", guard)
+    monkeypatch.setattr(cyclotomic, "_cos_tables", {})
     for bits in (64, 200):
         with mpmath.workprec(bits + 64):
             for L in (3, 7, 25, 49):
-                for j, (lo, hi) in enumerate(scalars._cos_table(L, bits)):
+                for j, (lo, hi) in enumerate(cyclotomic._cos_table(L, bits)):
                     exact = mpmath.cos(2 * mpmath.pi * j / L) * 2 ** bits
                     assert lo <= exact <= hi
 
