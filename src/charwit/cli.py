@@ -3,17 +3,16 @@
 Certificates are JSON documents with a fixed key order and integer entries
 only (mod-p values as residues in [0, p), rationals as "num/den" strings),
 so identical invocations produce byte-identical files, and verify accepts
-exactly those bytes.  Exit codes: 0 on
-success, 1 when a certificate fails verification, 2 on I/O or parse
-errors.  All diagnostics go to standard error.
+exactly those bytes.  Exit codes: 0 on success, 1 when a certificate fails
+verification, 2 on usage, I/O or parse errors.  All diagnostics go to
+standard error.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      build_certificate, find_rational_witness,
@@ -84,34 +83,71 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
 # certificate files
 
 
+# The layout of json.dumps(doc, indent=2) + "\n" for the certificate
+# document, written directly: json.dumps with an indent runs the pure-Python
+# encoder, and certify need not import json at all.
+_CERTIFICATE = """{
+  "version": %d,
+  "problem": {
+    "xi": "%s",
+    "n": %d,
+    "m": %d,
+    "k": %d,
+    "degree_2r": %d
+  },
+  "witness": {
+    "z": %s,
+    "value": "%s",
+    "N": %d
+  },
+  "prime": %d,
+  "residues": %s,
+  "targets": %s,
+  "xi_rep": %s,
+  "pullbacks": {
+    "euler": %d,
+    "L": %s
+  },
+  "evaluation": %d
+}
+"""
+
+
+def _json_list(items, depth):
+    """JSON values already written, as a list at nesting depth `depth`
+    laid out as json.dumps(..., indent=2) lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_pairs(pairs, depth):
+    """Two-int lists, as a list at nesting depth `depth`."""
+    inner = "\n" + "  " * (depth + 2)
+    pair = "[" + inner + "%d," + inner + "%d\n" + "  " * (depth + 1) + "]"
+    return _json_list([pair % (a, b) for a, b in pairs], depth)
+
+
 def certificate_to_json(cert: WitnessCertificate) -> str:
+    """The canonical certificate text.  Every value is an int, a list of
+    ints or an ASCII string with nothing to escape; an int with more
+    digits than str() converts raises ValueError."""
     problem = cert.problem
     witness = cert.witness
-    doc = {
-        "version": CERTIFICATE_VERSION,
-        "problem": {
-            "xi": str(problem.polynomial),
-            "n": problem.n,
-            "m": problem.m,
-            "k": problem.k,
-            "degree_2r": cert.degree_2r,
-        },
-        "witness": {
-            "z": [rational_to_string(c) for c in witness.coordinates],
-            "value": rational_to_string(witness.value),
-            "N": witness.N,
-        },
-        "prime": cert.prime,
-        "residues": list(cert.residues),
-        "targets": list(cert.targets),
-        "xi_rep": [list(pair) for pair in cert.xi.serialize()],
-        "pullbacks": {
-            "euler": cert.euler,
-            "L": [[i, cert.l_pullbacks[i]] for i in sorted(cert.l_pullbacks)],
-        },
-        "evaluation": cert.evaluation,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _CERTIFICATE % (
+        CERTIFICATE_VERSION,
+        problem.polynomial, problem.n, problem.m, problem.k, cert.degree_2r,
+        _json_list(['"%s"' % rational_to_string(c)
+                    for c in witness.coordinates], 2),
+        rational_to_string(witness.value), witness.N,
+        cert.prime,
+        _json_list([str(r) for r in cert.residues], 1),
+        _json_list([str(t) for t in cert.targets], 1),
+        _json_pairs(cert.xi.serialize(), 1),
+        cert.euler,
+        _json_pairs(sorted(cert.l_pullbacks.items()), 2),
+        cert.evaluation)
 
 
 def _is_int(value) -> bool:
@@ -153,6 +189,8 @@ def _int_pairs(mapping, key, where, shape):
 
 def _json_document(text: str):
     """json.loads(text), every failure a ParseError."""
+    import json
+
     try:
         return json.loads(text)
     except ValueError as err:  # JSONDecodeError, or an over-long integer
@@ -203,7 +241,9 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 # form files
 #
 # lforms is imported inside the form functions only, so that certify,
-# witness, verify and l-table never load it.
+# witness, verify and l-table never load it.  json is likewise imported only
+# where JSON is read or a form or multisignature printed, so that certify,
+# witness and l-table never load it.
 
 
 def _group_ring_entries(values, where):
@@ -231,6 +271,8 @@ def form_from_json(text: str) -> HermitianForm:
 
 
 def form_to_json(form: HermitianForm) -> str:
+    import json
+
     from .lforms import format_group_ring
 
     doc = {
@@ -338,6 +380,8 @@ def _load_form(path):
 
 
 def _cmd_multisig(args):
+    import json
+
     from .lforms import multisignature
 
     sign = multisignature(_load_form(args.form))
@@ -357,52 +401,130 @@ def _cmd_transfer(args):
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="charwit",
-        description="Witness certificates for polynomial relations among "
-                    "the Euler class and topological Pontryagin classes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# command line
 
-    lt = sub.add_parser("l-table", help="print L-polynomials and inverses")
-    lt.add_argument("--max", type=int, required=True, metavar="M")
-    lt.set_defaults(func=_cmd_l_table)
+_REQUIRED = object()
 
-    wt = sub.add_parser("witness", help="find a rational witness point")
-    wt.add_argument("--xi", required=True, metavar="EXPR")
-    wt.add_argument("--n", type=int, required=True)
-    wt.add_argument("--m", type=int, default=None)
-    wt.set_defaults(func=_cmd_witness)
+# command -> (handler, help, options), where options maps "--name", or the
+# name of a positional argument, to (type, default or _REQUIRED)
+_COMMANDS = {
+    "l-table": (_cmd_l_table, "print L-polynomials and inverses",
+                {"--max": (int, _REQUIRED)}),
+    "witness": (_cmd_witness, "find a rational witness point",
+                {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED),
+                 "--m": (int, None)}),
+    "certify": (_cmd_certify, "emit per-prime certificates as "
+                "OUT_p<prime>.json, OUT=certificate by default",
+                {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED),
+                 "--m": (int, None), "--primes": (int, _REQUIRED),
+                 "--out": (str, "certificate")}),
+    "verify": (_cmd_verify, "audit a certificate file",
+               {"file": (str, _REQUIRED)}),
+    "multisig": (_cmd_multisig, "multisignature of a form file",
+                 {"--form": (str, _REQUIRED)}),
+    "transfer": (_cmd_transfer, "restrict a form to the index-p subgroup",
+                 {"--form": (str, _REQUIRED)}),
+}
+_HELP_FLAGS = ("-h", "--help")
 
-    ct = sub.add_parser("certify", help="emit per-prime certificates")
-    ct.add_argument("--xi", required=True, metavar="EXPR")
-    ct.add_argument("--n", type=int, required=True)
-    ct.add_argument("--m", type=int, default=None)
-    ct.add_argument("--primes", type=int, required=True, metavar="COUNT")
-    ct.add_argument("--out", default="certificate", metavar="FILE",
-                    help="output prefix; files are FILE_p<prime>.json")
-    ct.set_defaults(func=_cmd_certify)
 
-    vf = sub.add_parser("verify", help="audit a certificate file")
-    vf.add_argument("file")
-    vf.set_defaults(func=_cmd_verify)
+class _UsageError(Exception):
+    """A command line that does not fit _COMMANDS."""
 
-    ms = sub.add_parser("multisig", help="multisignature of a form file")
-    ms.add_argument("--form", required=True, metavar="FILE")
-    ms.set_defaults(func=_cmd_multisig)
 
-    tr = sub.add_parser("transfer", help="restrict a form to the index-p subgroup")
-    tr.add_argument("--form", required=True, metavar="FILE")
-    tr.set_defaults(func=_cmd_transfer)
+def _synopsis(command):
+    if command is None:
+        return "{%s} ..." % ",".join(_COMMANDS)
+    words = [command]
+    for name, (_, default) in _COMMANDS[command][2].items():
+        word = ("%s %s" % (name, name[2:].upper()) if name.startswith("--")
+                else name.upper())
+        words.append(word if default is _REQUIRED else "[%s]" % word)
+    return " ".join(words)
 
-    return parser
+
+_HELP_TEXT = """usage: charwit %s
+
+Witness certificates for polynomial relations among the Euler class and
+topological Pontryagin classes.
+
+commands:
+%s
+
+Options are written --name VALUE or --name=VALUE.  The word after --name is
+its value even when it starts with '-', and the last value given wins.
+-h or --help prints this text.  Exit codes: 0 success, 1 failed verification
+or computation, 2 usage, i/o or parse error."""
+
+
+def _help():
+    return _HELP_TEXT % (_synopsis(None), "\n".join(
+        "  charwit %s\n      %s" % (_synopsis(command), text)
+        for command, (_, text, _) in _COMMANDS.items()))
+
+
+def _read_command_line(argv):
+    """(handler, args) for argv, or None when it asks for help; raises
+    _UsageError."""
+    words = iter(argv)
+    command = next(words, None)
+    if command in _HELP_FLAGS:
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError("no command given" if command is None
+                          else "unknown command %r" % command)
+    handler, _, options = _COMMANDS[command]
+    positional = [name for name in options if not name.startswith("--")]
+    values = {}
+    for word in words:
+        if word in _HELP_FLAGS:
+            return None
+        if word.startswith("-"):
+            name, equals, value = word.partition("=")
+            if name not in options:
+                raise _UsageError("unrecognized argument %s" % word)
+            if not equals:
+                value = next(words, None)
+                if value is None:
+                    raise _UsageError("argument %s: expected one "
+                                      "argument" % name)
+        elif positional:
+            name, value = positional.pop(0), word
+        else:
+            raise _UsageError("unrecognized argument %s" % word)
+        kind = options[name][0]
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise _UsageError("argument %s: invalid %s value: %r"
+                              % (name, kind.__name__, value)) from None
+    missing = [name for name, (_, default) in options.items()
+               if default is _REQUIRED and name not in values]
+    if missing:
+        raise _UsageError("the following arguments are required: %s"
+                          % ", ".join(missing))
+    return handler, SimpleNamespace(**{
+        name.lstrip("-"): values.get(name, default)
+        for name, (_, default) in options.items()})
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return args.func(args)
+        command = _read_command_line(argv)
+    except _UsageError as err:
+        print("usage: charwit %s" % _synopsis(
+            argv[0] if argv and argv[0] in _COMMANDS else None),
+            file=sys.stderr)
+        print("charwit: error: %s" % err, file=sys.stderr)
+        return 2
+    if command is None:
+        print(_help())
+        return 0
+    handler, args = command
+    try:
+        return handler(args)
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2

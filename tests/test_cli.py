@@ -17,14 +17,18 @@ import charwit
 from charwit.cli import (certificate_from_json, certificate_to_json,
                          form_from_json, form_to_json, main, parse_polynomial)
 from charwit.cyclic_coh import euler_class, l_class_linear
-from charwit.detect import DetectionProblem, build_certificate, find_rational_witness
+from charwit.detect import (DetectionProblem, build_certificate,
+                            find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint
 from charwit.detect import _correction, _derive, _reduce
 from charwit.errors import ParseError
 from charwit.repring import VirtualRep
+from charwit.scalars import rational_to_string
 from charwit.lforms import (HermitianForm, format_group_ring, hyperbolic,
                             parse_group_ring)
 from charwit.symfun import GradedPolynomial
+from test_acceptance import random_cases
+from test_symfun import CERTIFY_SUITE
 
 
 def evar(n):
@@ -158,6 +162,71 @@ def test_certificate_round_trip_bytes():
     assert data["prime"] == 53
     assert data["witness"]["value"] == "-47/7"
     assert data["problem"]["xi"] == "e^2 - p2"
+
+
+def oracle_certificate_json(cert):
+    """The certificate text as json.dumps wrote it before certify wrote
+    its layout directly."""
+    problem = cert.problem
+    witness = cert.witness
+    doc = {
+        "version": 1,
+        "problem": {
+            "xi": str(problem.polynomial),
+            "n": problem.n,
+            "m": problem.m,
+            "k": problem.k,
+            "degree_2r": cert.degree_2r,
+        },
+        "witness": {
+            "z": [rational_to_string(c) for c in witness.coordinates],
+            "value": rational_to_string(witness.value),
+            "N": witness.N,
+        },
+        "prime": cert.prime,
+        "residues": list(cert.residues),
+        "targets": list(cert.targets),
+        "xi_rep": [list(pair) for pair in cert.xi.serialize()],
+        "pullbacks": {
+            "euler": cert.euler,
+            "L": [[i, cert.l_pullbacks[i]] for i in sorted(cert.l_pullbacks)],
+        },
+        "evaluation": cert.evaluation,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_certificate_writer_matches_json_dumps():
+    """The writer gives json.dumps's bytes on the 21 certificates of the
+    certify suite (the p = 53 flagship among them), on seeded random
+    problems, and on a certificate whose xi_rep is empty."""
+    certs = [cert for xi, n in CERTIFY_SUITE
+             for cert in run_pipeline(parse_polynomial(xi, n), n, 3)]
+    assert len(certs) == 21
+    assert FLAGSHIP_TEXT in map(certificate_to_json, certs)
+    certs += [run_pipeline(poly, n, 1)[0]
+              for poly, n in random_cases(8, 20261019)]
+    flagship = flagship_certificate()
+    certs.append(WitnessCertificate(
+        flagship.problem, flagship.witness, flagship.prime, flagship.residues,
+        flagship.targets, VirtualRep(53, 1, {}), flagship.euler,
+        flagship.l_pullbacks, flagship.evaluation))
+    for cert in certs:
+        assert certificate_to_json(cert) == oracle_certificate_json(cert)
+    assert '"xi_rep": [],' in certificate_to_json(certs[-1])
+
+
+def test_certificate_writer_refuses_overlong_int():
+    """An int with more digits than str() converts raises ValueError, as
+    json.dumps did, which certify turns into its named error."""
+    flagship = flagship_certificate()
+    cert = WitnessCertificate(
+        flagship.problem, flagship.witness, flagship.prime, flagship.residues,
+        flagship.targets, flagship.xi, flagship.euler, flagship.l_pullbacks,
+        10 ** sys.get_int_max_str_digits())
+    for write in (oracle_certificate_json, certificate_to_json):
+        with pytest.raises(ValueError):
+            write(cert)
 
 
 def test_certificate_json_rejects_bad_structure():
@@ -484,6 +553,45 @@ def test_cli_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "witness", "--xi", "e + ", "--n", "2")
     assert code == 2
     assert "offset 4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["certify", "--n", "2", "--primes", "1"],
+    ["witness", "--xi", "e^2 - p2", "--n", "x"],
+    ["witness", "--xi", "e^2 - p2", "--n", "2", "--bogus", "1"],
+    ["witness", "--x", "e^2 - p2", "--n", "2"],
+    ["witness", "--xi", "e^2 - p2", "--n"],
+    ["verify"],
+], ids=["no command", "unknown command", "missing option", "n not int",
+        "unknown option", "abbreviated option", "no value", "no file"])
+def test_cli_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: charwit ") and "\ncharwit: error: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_help_names_every_command(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: charwit ")
+    for command in ("l-table", "witness", "certify", "verify", "multisig",
+                    "transfer"):
+        assert "\n  charwit %s " % command in out
+    assert run(capsys, "certify", "--xi", "e^2 - p2", flag) == (0, out, "")
+
+
+def test_cli_option_value_may_start_with_minus(capsys):
+    """The word after --xi is its value, so "--xi -p2+e^2" reads as
+    "--xi=-p2+e^2" does; of repeated options the last one wins."""
+    expected = (0, "z = (1, 1, 1, 1)\nvalue = -47/7\nN = 47\n", "")
+    assert run(capsys, "witness", "--xi", "-p2+e^2", "--n", "2") == expected
+    assert run(capsys, "witness", "--xi=-p2+e^2", "--n=2") == expected
+    assert run(capsys, "witness", "--xi", "e^2", "--n", "3", "--xi",
+               "-p2+e^2", "--n=2") == expected
 
 
 # More digits than Python converts to int (sys.get_int_max_str_digits()).
@@ -838,8 +946,15 @@ def test_cli_witness_high_power_ends():
     assert "Traceback" not in proc.stderr
 
 
-# `python -m charwit ARGS`, run in this process by runpy; the last line of
-# stderr lists which of the form-only modules it loaded
+# The form-only modules, and the standard-library modules that only reading
+# JSON or forms should load.  WATCHED_LOADED prints, as the last line of
+# stderr, which of them are loaded.
+WATCHED = ("argparse", "charwit.cyclotomic", "charwit.lforms", "gettext",
+           "json", "locale")
+WATCHED_LOADED = "print(*sorted(set(%r) & set(sys.modules)), file=sys.stderr)" \
+    % (WATCHED,)
+
+# `python -m charwit ARGS`, run in this process by runpy
 RUN_MAIN = "\n".join([
     "import runpy, sys",
     "sys.argv[0] = 'charwit'",
@@ -847,16 +962,17 @@ RUN_MAIN = "\n".join([
     "    runpy.run_module('charwit', run_name='__main__')",
     "except SystemExit as exc:",
     "    assert exc.code == 0, exc.code",
-    "print(sorted({'charwit.cyclotomic', 'charwit.lforms'} & set(sys.modules)),",
-    "      file=sys.stderr)",
+    WATCHED_LOADED,
 ])
 
 
 def test_certificate_commands_do_not_load_lforms(tmp_path):
     """The CLI loads the forms module and the cyclotomic field only for the
-    form commands; the package still serves every name, through
-    `from charwit import *` too, and scalars serves the two cyclotomic
-    classes the benchmark imports from it."""
+    form commands, and json only to read JSON or print forms; no command
+    loads argparse, gettext or locale beyond what a bare interpreter loads.
+    The package still serves every name, through `from charwit import *`
+    too, and scalars serves the two cyclotomic classes the benchmark
+    imports from it."""
     code = "\n".join([
         "import sys, charwit, charwit.cli",
         "assert 'charwit.lforms' not in sys.modules",
@@ -886,17 +1002,21 @@ def test_certificate_commands_do_not_load_lforms(tmp_path):
     form = tmp_path / "form.json"
     form.write_text('{"p": 3, "k": 2, "parity": 1, '
                     '"matrix": [["1", "g"], ["g^8", "2"]]}')
+
+    def loaded(code, *argv):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.splitlines()[-1].split())
+
+    bare = loaded("import sys\n" + WATCHED_LOADED)
     certify = ("certify", "--xi", "e^2 - p2", "--n", "2", "--primes", "1",
                "--out", str(tmp_path / "cw"))
-    for argv, loaded in [
-            (certify, "[]"),
-            (("witness", "--xi", "e^2 - p2", "--n", "2"), "[]"),
-            (("verify", str(tmp_path / "cw_p53.json")), "[]"),
-            (("l-table", "--max", "2"), "[]"),
+    for argv, expected in [
+            (certify, set()),
+            (("witness", "--xi", "e^2 - p2", "--n", "2"), set()),
+            (("verify", str(tmp_path / "cw_p53.json")), {"json"}),
+            (("l-table", "--max", "2"), set()),
             (("multisig", "--form", str(form)),
-             "['charwit.cyclotomic', 'charwit.lforms']")]:
-        proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
-                              env=env, capture_output=True, text=True,
-                              timeout=20)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == loaded, argv[0]
+             {"charwit.cyclotomic", "charwit.lforms", "json"})]:
+        assert loaded(RUN_MAIN, *argv) - bare == expected, argv[0]
