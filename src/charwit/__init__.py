@@ -18,7 +18,7 @@ _NAMES = {
                 "rational_from_string", "rational_to_string"),
     "cyclotomic": ("CyclotomicNumber", "CyclotomicReal"),
     "symfun": ("GradedPolynomial", "LTable", "ell_polynomial",
-               "l_leading_coefficient", "l_table"),
+               "l_leading_coefficient", "l_table", "parse_polynomial"),
     "repring": ("VirtualRep", "restrict", "solve_chern_targets",
                 "symmetrize"),
     "cyclic_coh": ("LinearRepData", "chern_character", "euler_class",
@@ -32,7 +32,7 @@ _NAMES = {
                "multisignature", "parse_group_ring", "random_form",
                "signature_int", "transfer"),
     "cli": ("certificate_from_json", "certificate_to_json", "form_from_json",
-            "form_to_json", "parse_polynomial"),
+            "form_to_json"),
 }
 
 __all__ = [name for names in _NAMES.values() for name in names]

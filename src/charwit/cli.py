@@ -1,4 +1,4 @@
-"""Command-line front end: polynomial parsing, certificate files, form files.
+"""Command-line front end: certificate files, form files and the commands.
 
 Certificates are JSON documents with a fixed key order and integer entries
 only (mod-p values as residues in [0, p), rationals as "num/den" strings),
@@ -10,8 +10,8 @@ standard error.
 
 from __future__ import annotations
 
+import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
@@ -19,64 +19,12 @@ from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
                      verify_certificate)
 from .errors import CharwitError, InvariantViolation, ParseError
 from .repring import VirtualRep
-from .scalars import (_read_digits, _read_rational, _read_sum, _skip_space,
-                      odd_primes_above, rational_from_string,
+from .scalars import (odd_primes_above, rational_from_string,
                       rational_to_string)
-from .symfun import GradedPolynomial, l_table
+from .symfun import l_table, parse_polynomial
 
 
 CERTIFICATE_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# polynomial parsing
-
-
-def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
-    """Parse "7/45*p2 - 1/45*p1^2" style expressions.
-
-    The text is a signed sum (scalars._read_sum) of terms: a rational
-    coefficient digits[/digits], a product of factors e and p<i> with
-    optional ^ powers joined by '*', or coefficient*product.  The weight
-    of e is not part of the text and must be supplied by the caller.
-    """
-    def read_factor(pos):
-        if text[pos:pos + 1] == "e":
-            name, weight, pos = "e", e_weight, pos + 1
-        elif text[pos:pos + 1] == "p":
-            i, end = _read_digits(text, pos + 1, "an index after p")
-            if i < 1:
-                raise ParseError("Pontryagin indices start at 1", offset=pos + 1)
-            name, weight, pos = "p%d" % i, 2 * i, end
-        else:
-            raise ParseError("expected a variable", offset=pos)
-        exponent = 1
-        if text[pos:pos + 1] == "^":
-            exponent, pos = _read_digits(text, pos + 1, "an exponent")
-        return GradedPolynomial.variable(name, weight) ** exponent, pos
-
-    def read_term(text, pos):
-        coeff = Fraction(1)
-        if "0" <= text[pos] <= "9":
-            coeff, pos = _read_rational(text, pos)
-            pos = _skip_space(text, pos)
-            if text[pos:pos + 1] not in ("*", "e", "p"):
-                return GradedPolynomial.constant(coeff), pos
-            if text[pos] != "*":
-                raise ParseError("missing '*' after the coefficient", offset=pos)
-            pos = _skip_space(text, pos + 1)
-        term, pos = read_factor(pos)
-        pos = _skip_space(text, pos)
-        while text[pos:pos + 1] == "*":
-            factor, pos = read_factor(_skip_space(text, pos + 1))
-            term = term * factor
-            pos = _skip_space(text, pos)
-        return term * coeff, pos
-
-    total = GradedPolynomial.zero()
-    for sign, term in _read_sum(text, read_term, "empty polynomial"):
-        total = total + term if sign == 1 else total - term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +85,7 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
     witness = cert.witness
     return _CERTIFICATE % (
         CERTIFICATE_VERSION,
-        problem.polynomial, problem.n, problem.m, problem.k, cert.degree_2r,
+        problem.polynomial, problem.n, problem.m, problem.k, problem.degree_2r,
         _json_list(['"%s"' % rational_to_string(c)
                     for c in witness.coordinates], 2),
         rational_to_string(witness.value), witness.N,
@@ -203,8 +151,10 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     """Rebuild a certificate from its JSON form.
 
     Structural problems (bad JSON, missing keys, wrong types: every number
-    must be a JSON integer and every z entry a string) raise ParseError;
-    inconsistent mathematical content is left for verify_certificate to
+    must be a JSON integer and every z entry a string) raise ParseError.
+    The stored k, degree_2r and m must be the ones DetectionProblem derives
+    from Xi and n, or the first that differs raises InvariantViolation;
+    all other mathematical content is left for verify_certificate to
     report.
     """
     doc = _json_document(text)
@@ -212,10 +162,13 @@ def certificate_from_json(text: str) -> WitnessCertificate:
         raise ParseError("unsupported certificate version")
     prob = _field(doc, "problem", dict, "certificate")
     n = _field(prob, "n", int, "problem")
-    polynomial = parse_polynomial(_field(prob, "xi", str, "problem"), n)
-    problem = DetectionProblem(polynomial, n, m=_field(prob, "m", int, "problem"))
-    if _field(prob, "k", int, "problem") != problem.k:
-        raise InvariantViolation("stored k disagrees with n")
+    problem = DetectionProblem(
+        parse_polynomial(_field(prob, "xi", str, "problem"), n), n)
+    for key, report in (("k", "stored k disagrees with n"),
+                        ("degree_2r", "degree bookkeeping is inconsistent"),
+                        ("m", "stored m disagrees with Xi and n")):
+        if _field(prob, key, int, "problem") != getattr(problem, key):
+            raise InvariantViolation(report)
     wit = _field(doc, "witness", dict, "certificate")
     coords = [rational_from_string(s) for s in _items(wit, "z", str, "witness")]
     witness = WitnessPoint(coords,
@@ -232,9 +185,7 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     l_pullbacks = dict(_int_pairs(pulls, "L", "pullbacks", "i, value"))
     return WitnessCertificate(problem, witness, prime, residues, targets, xi,
                               euler, l_pullbacks,
-                              _field(doc, "evaluation", int, "certificate"),
-                              degree_2r=_field(prob, "degree_2r", int,
-                                               "problem"))
+                              _field(doc, "evaluation", int, "certificate"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +252,7 @@ def _cmd_l_table(args):
 
 
 def _problem_from_args(args):
-    polynomial = parse_polynomial(args.xi, args.n)
-    return DetectionProblem(polynomial, args.n, m=args.m)
+    return DetectionProblem(parse_polynomial(args.xi, args.n), args.n)
 
 
 def _witness_text(witness: WitnessPoint) -> str:
@@ -412,13 +362,11 @@ _COMMANDS = {
     "l-table": (_cmd_l_table, "print L-polynomials and inverses",
                 {"--max": (int, _REQUIRED)}),
     "witness": (_cmd_witness, "find a rational witness point",
-                {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED),
-                 "--m": (int, None)}),
+                {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED)}),
     "certify": (_cmd_certify, "emit per-prime certificates as "
                 "OUT_p<prime>.json, OUT=certificate by default",
                 {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED),
-                 "--m": (int, None), "--primes": (int, _REQUIRED),
-                 "--out": (str, "certificate")}),
+                 "--primes": (int, _REQUIRED), "--out": (str, "certificate")}),
     "verify": (_cmd_verify, "audit a certificate file",
                {"file": (str, _REQUIRED)}),
     "multisig": (_cmd_multisig, "multisignature of a form file",
@@ -464,13 +412,18 @@ def _help():
         for command, (_, text, _) in _COMMANDS.items()))
 
 
+def _cmd_help(args):
+    print(_help())
+    return 0
+
+
 def _read_command_line(argv):
-    """(handler, args) for argv, or None when it asks for help; raises
-    _UsageError."""
+    """(handler, args) for argv, (_cmd_help, None) when it asks for help;
+    raises _UsageError."""
     words = iter(argv)
     command = next(words, None)
     if command in _HELP_FLAGS:
-        return None
+        return _cmd_help, None
     if command not in _COMMANDS:
         raise _UsageError("no command given" if command is None
                           else "unknown command %r" % command)
@@ -479,7 +432,7 @@ def _read_command_line(argv):
     values = {}
     for word in words:
         if word in _HELP_FLAGS:
-            return None
+            return _cmd_help, None
         if word.startswith("-"):
             name, equals, value = word.partition("=")
             if name not in options:
@@ -519,17 +472,20 @@ def main(argv=None) -> int:
             file=sys.stderr)
         print("charwit: error: %s" % err, file=sys.stderr)
         return 2
-    if command is None:
-        print(_help())
-        return 0
     handler, args = command
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe is an i/o error here, not at exit
+        return code
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
     except OSError as err:
         print("i/o error: %s" % err, file=sys.stderr)
+        if isinstance(err, BrokenPipeError):
+            # what stdout still holds goes to /dev/null at exit, not to a
+            # second BrokenPipeError
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except CharwitError as err:
         print("error: %s" % err, file=sys.stderr)

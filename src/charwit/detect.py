@@ -45,11 +45,12 @@ class DetectionProblem:
 
     n is the complex rank of the linear representation to be used, so e has
     weight n.  k = ceil(n/2) is the first L-class index that can be
-    prescribed freely; m is the largest index that matters, never below k.
-    The homogeneous weight r means Xi detects degree 2r.
+    prescribed freely; m = max(k, the largest p index of Xi) is the largest
+    index that matters.  The homogeneous weight r means Xi detects degree
+    degree_2r = 2r.  These are derived here and nowhere else.
     """
 
-    def __init__(self, polynomial: GradedPolynomial, n: int, m=None):
+    def __init__(self, polynomial: GradedPolynomial, n: int):
         if n < 2:
             raise DomainError("need n >= 2")
         if polynomial.is_zero():
@@ -76,12 +77,8 @@ class DetectionProblem:
         self.n = n
         self.k = ceil(n / 2)
         self.m = max(self.k, top)
-        if m is not None:
-            if m < self.m:
-                raise DomainError("m = %d is below the least admissible "
-                                  "index %d" % (m, self.m))
-            self.m = m
         self.weight = r
+        self.degree_2r = 2 * r
         self._top = top
 
     def coordinate_names(self) -> list:
@@ -132,7 +129,8 @@ def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
 
 class WitnessPoint:
     """A rational grid point z with nonzero specialized value, plus the
-    prime bound N below which no certificate is attempted."""
+    prime bound N below which no certificate is attempted.  support is the
+    largest prime factor of z and of the value, which N must cover."""
 
     def __init__(self, coordinates, value, N: int):
         self.coordinates = tuple(Fraction(c) for c in coordinates)
@@ -140,10 +138,10 @@ class WitnessPoint:
         self.N = int(N)
         if self.value == 0:
             raise InvariantViolation("witness value must be nonzero")
-        q = _prime_support(self.coordinates + (self.value,))
-        if q > self.N:
-            raise InvariantViolation(
-                "prime factor %d exceeds the bound N = %d" % (q, self.N))
+        self.support = _prime_support(self.coordinates + (self.value,))
+        if self.support > self.N:
+            raise InvariantViolation("prime factor %d exceeds the bound N = %d"
+                                     % (self.support, self.N))
 
     def __repr__(self):
         return "WitnessPoint(z=%s, value=%s, N=%d)" % (
@@ -241,11 +239,6 @@ def _prime_support(values):
     return max(largest_prime_factor(part) for part in parts)
 
 
-def _witness_bound(problem, z, value):
-    """N = max(2m + 1, every prime factor of z and of the value)."""
-    return max(2 * problem.m + 1, _prime_support((*z, value)))
-
-
 def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
     """First grid point z = (a, x_k..x_m) where Xi is nonzero on Chern roots.
 
@@ -256,7 +249,8 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
     P_i are invertible, so the L-form of a nonzero Xi is nonzero, and
     ell_1, ..., ell_(k-1) and a_1...a_n are algebraically independent, so
     it specializes to a nonzero polynomial, which cannot vanish on
-    arbitrarily large grids.
+    arbitrarily large grids.  N = max(2m + 1, every prime factor of z and
+    of the value).
     """
     names = problem.coordinate_names()
     value, point = None, None
@@ -271,7 +265,8 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
             if v:
                 value, point = v, candidate
                 break
-    return WitnessPoint(point, value, _witness_bound(problem, point, value))
+    return WitnessPoint(point, value, max(2 * problem.m + 1,
+                                          _prime_support((*point, value))))
 
 
 class WitnessCertificate:
@@ -285,7 +280,7 @@ class WitnessCertificate:
     """
 
     def __init__(self, problem, witness, prime, residues, targets, xi,
-                 euler, l_pullbacks, evaluation, degree_2r=None):
+                 euler, l_pullbacks, evaluation):
         self.problem = problem
         self.witness = witness
         self.prime = int(prime)
@@ -295,8 +290,6 @@ class WitnessCertificate:
         self.euler = int(euler)
         self.l_pullbacks = {int(i): int(v) for i, v in l_pullbacks.items()}
         self.evaluation = int(evaluation)
-        self.degree_2r = (2 * problem.weight if degree_2r is None
-                          else int(degree_2r))
 
     def summary(self) -> str:
         return "p=%d eval=%d OK" % (self.prime, self.evaluation)
@@ -371,9 +364,6 @@ def _verify(cert: WitnessCertificate):
     z = witness.coordinates
     if len(z) != n + (m - k + 1):
         return False, "witness has the wrong number of coordinates"
-    # ahead of _derive, whose evaluation of Xi grows with its degree
-    if cert.degree_2r != 2 * problem.weight:
-        return False, "degree bookkeeping is inconsistent"
     derived = _derive(problem, witness, p, cert.xi)
     if cert.residues != derived.residues:
         return False, "residues do not reduce the witness coordinates"
@@ -403,7 +393,7 @@ def _verify(cert: WitnessCertificate):
         return False, "evaluation differs from Xi(z) mod p"
     if witness.value != _witness_value(problem, z):
         return False, "witness value differs from Xi(z)"
-    if witness.N != _witness_bound(problem, z, witness.value):
+    if witness.N != max(2 * m + 1, witness.support):
         return False, "witness bound N differs from its derivation"
     if cert.xi != _correction(problem, witness, p):
         return False, "xi differs from the symmetrized Chern-target solution"

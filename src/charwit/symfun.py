@@ -5,7 +5,8 @@ carrying an integer weight (half the cohomological degree).  Each monomial
 is keyed by its variable names, as a tuple of (name, exponent) pairs in
 natural name order with e last, so operands with different variables
 combine by merging term dicts; terms print by increasing weight, then by
-exponent tuple over the sorted variables.
+exponent tuple over the sorted variables, and parse_polynomial reads that
+text (or any signed sum of such terms) back.
 
 Every L-series quantity comes from one logarithm and one exponential
 recurrence on power series in u = t^2, over Fractions or polynomials alike.
@@ -25,8 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .errors import DomainError
-from .scalars import _format_sum, bernoulli
+from .errors import DomainError, ParseError
+from .scalars import (_format_sum, _read_digits, _read_rational, _read_sum,
+                      _skip_space, bernoulli)
 
 
 def _name_key(name: str):
@@ -305,6 +307,53 @@ class GradedPolynomial:
 
     def __repr__(self):
         return "<GradedPolynomial %s>" % self
+
+
+def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
+    """Parse "7/45*p2 - 1/45*p1^2" style expressions.
+
+    The text is a signed sum (scalars._read_sum) of terms: a rational
+    coefficient digits[/digits], a product of factors e and p<i> with
+    optional ^ powers joined by '*', or coefficient*product.  The weight
+    of e is not part of the text and must be supplied by the caller.
+    """
+    def read_factor(pos):
+        if text[pos:pos + 1] == "e":
+            name, weight, pos = "e", e_weight, pos + 1
+        elif text[pos:pos + 1] == "p":
+            i, end = _read_digits(text, pos + 1, "an index after p")
+            if i < 1:
+                raise ParseError("Pontryagin indices start at 1", offset=pos + 1)
+            name, weight, pos = "p%d" % i, 2 * i, end
+        else:
+            raise ParseError("expected a variable", offset=pos)
+        exponent = 1
+        if text[pos:pos + 1] == "^":
+            exponent, pos = _read_digits(text, pos + 1, "an exponent")
+        return GradedPolynomial.variable(name, weight) ** exponent, pos
+
+    def read_term(text, pos):
+        coeff = Fraction(1)
+        if "0" <= text[pos] <= "9":
+            coeff, pos = _read_rational(text, pos)
+            pos = _skip_space(text, pos)
+            if text[pos:pos + 1] not in ("*", "e", "p"):
+                return GradedPolynomial.constant(coeff), pos
+            if text[pos] != "*":
+                raise ParseError("missing '*' after the coefficient", offset=pos)
+            pos = _skip_space(text, pos + 1)
+        term, pos = read_factor(pos)
+        pos = _skip_space(text, pos)
+        while text[pos:pos + 1] == "*":
+            factor, pos = read_factor(_skip_space(text, pos + 1))
+            term = term * factor
+            pos = _skip_space(text, pos)
+        return term * coeff, pos
+
+    total = GradedPolynomial.zero()
+    for sign, term in _read_sum(text, read_term, "empty polynomial"):
+        total = total + term if sign == 1 else total - term
+    return total
 
 
 # ---------------------------------------------------------------------------

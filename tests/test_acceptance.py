@@ -15,7 +15,7 @@ from math import factorial
 
 import pytest
 
-from charwit.cli import certificate_from_json, main, parse_polynomial
+from charwit.cli import certificate_from_json, main
 from charwit.cyclic_coh import chern_character
 from charwit.detect import (DetectionProblem, find_rational_witness,
                             run_pipeline, specialize, to_l_coordinates,
@@ -26,7 +26,7 @@ from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             multisignature, random_form, signature_int,
                             transfer)
 from charwit.repring import restrict, solve_chern_targets, symmetrize
-from charwit.symfun import GradedPolynomial, l_table
+from charwit.symfun import GradedPolynomial, l_table, parse_polynomial
 
 
 @contextlib.contextmanager
@@ -210,7 +210,7 @@ def test_criterion_4_random_polynomials():
                 assert ok, report
                 assert cert.evaluation == reduce_mod(cert.witness.value,
                                                      cert.prime)
-                assert cert.degree_2r == 2 * poly.weight()
+                assert cert.problem.degree_2r == 2 * poly.weight()
 
 
 def random_change(rng, p, k, rank):
@@ -323,10 +323,11 @@ def mutate(doc, rng):
 
 def forward_value(doc):
     """Re-evaluate the specialized polynomial at the stored witness, mod p,
-    from the file's own fields; raises when the file is too broken."""
+    from the file's own Xi, n, z and p (m derived from Xi and n); raises
+    when the file is too broken."""
     head = doc["problem"]
     poly = parse_polynomial(head["xi"], head["n"])
-    problem = DetectionProblem(poly, head["n"], head["m"])
+    problem = DetectionProblem(poly, head["n"])
     z = [Fraction(s) for s in doc["witness"]["z"]]
     names = problem.coordinate_names()
     if len(names) != len(z):

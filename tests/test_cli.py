@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import charwit
 from charwit.cli import (certificate_from_json, certificate_to_json,
-                         form_from_json, form_to_json, main, parse_polynomial)
+                         form_from_json, form_to_json, main)
 from charwit.cyclic_coh import euler_class, l_class_linear
 from charwit.detect import (DetectionProblem, build_certificate,
                             find_rational_witness, run_pipeline)
@@ -26,7 +26,7 @@ from charwit.repring import VirtualRep
 from charwit.scalars import rational_to_string
 from charwit.lforms import (HermitianForm, format_group_ring, hyperbolic,
                             parse_group_ring)
-from charwit.symfun import GradedPolynomial
+from charwit.symfun import GradedPolynomial, parse_polynomial
 from test_acceptance import random_cases
 from test_symfun import CERTIFY_SUITE
 
@@ -47,6 +47,14 @@ def test_parse_polynomial_frozen():
     assert str(l2) == "7/45*p2 - 1/45*p1^2"
     assert parse_polynomial("-e", 3) == -evar(3)
     assert parse_polynomial("2", 1).weight() == 0
+
+
+def test_parse_polynomial_lives_in_symfun():
+    """The reader sits beside the printer in symfun; the package and cli
+    (where certify, witness and verify call it) bind that one function."""
+    assert charwit.parse_polynomial is charwit.cli.parse_polynomial
+    assert charwit.cli.parse_polynomial is parse_polynomial
+    assert parse_polynomial.__module__ == "charwit.symfun"
 
 
 def test_parse_polynomial_reserialization_is_stable():
@@ -176,7 +184,7 @@ def oracle_certificate_json(cert):
             "n": problem.n,
             "m": problem.m,
             "k": problem.k,
-            "degree_2r": cert.degree_2r,
+            "degree_2r": problem.degree_2r,
         },
         "witness": {
             "z": [rational_to_string(c) for c in witness.coordinates],
@@ -564,8 +572,10 @@ def test_cli_parse_error_exit_code(capsys):
     ["witness", "--x", "e^2 - p2", "--n", "2"],
     ["witness", "--xi", "e^2 - p2", "--n"],
     ["verify"],
+    ["witness", "--xi", "e^2 - p2", "--n", "2", "--m", "3"],
 ], ids=["no command", "unknown command", "missing option", "n not int",
-        "unknown option", "abbreviated option", "no value", "no file"])
+        "unknown option", "abbreviated option", "no value", "no file",
+        "m override"])
 def test_cli_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -581,6 +591,7 @@ def test_cli_help_names_every_command(capsys, flag):
     for command in ("l-table", "witness", "certify", "verify", "multisig",
                     "transfer"):
         assert "\n  charwit %s " % command in out
+    assert "[--m M]" not in out
     assert run(capsys, "certify", "--xi", "e^2 - p2", flag) == (0, out, "")
 
 
@@ -700,6 +711,33 @@ def charwit_process(*argv, timeout=20):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "charwit", *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["witness", "--xi", "e^2 - p2",
+                                               "--n", "2"]],
+                         ids=["help", "witness"])
+def test_cli_closed_stdout_is_io_error(argv, buffered):
+    """As in `charwit --help | head -1`, stdout is a pipe whose reader has
+    gone: the write fails, and charwit ends with its i/o error and exit 2,
+    whether stdout is written at once or at exit, with no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        charwit.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "charwit", *argv],
+                              env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=20)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (
+        2, "i/o error: [Errno 32] Broken pipe\n")
 
 
 # 10000000000037 * 1000000000039: above the range where is_prime is exact,
@@ -842,6 +880,27 @@ def test_cli_verify_high_weight_ends(tmp_path, xi, n, m, degree_2r, report):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("key, report", [
+    ("k", "stored k disagrees with n"),
+    ("degree_2r", "degree bookkeeping is inconsistent"),
+    ("m", "stored m disagrees with Xi and n"),
+])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_cli_verify_names_stored_problem_field(tmp_path, key, report, delta):
+    """k, degree_2r and m are derived from Xi and n: the flagship with one
+    of them off by one, z padded or cut to the count the stored k and m
+    ask for, exits 1 naming that field, before any witness is built."""
+    doc = json.loads(FLAGSHIP_TEXT)
+    head = doc["problem"]
+    head[key] += delta
+    doc["witness"]["z"] = ["1/1"] * (head["n"] + head["m"] - head["k"] + 1)
+    start = time.perf_counter()
+    assert verify_text(tmp_path / "doctored.json",
+                       json.dumps(doc, indent=2) + "\n") == (
+        1, "", "verification failed: %s\n" % report)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cli_verify_inconsistent_degree_fails_fast(tmp_path):
     """The flagship certificate with Xi = p1^10000000 still claims degree
     2r = 8: the degree check runs before the derivation, so verify does not
@@ -861,13 +920,15 @@ def test_cli_verify_inconsistent_degree_fails_fast(tmp_path):
 
 def test_cli_verify_large_exponent_ends(tmp_path):
     """The flagship certificate with Xi = e^64000000, its matching degree
-    2r, z_1 = 3 and residue 3 reaches the derivation, which evaluates Xi
-    mod p by pow(3, 64000000, 53): exit 1 at the Euler check within 10 s,
-    where evaluating 3^64000000 over Q ran past a minute."""
+    2r and m = 1 (z, the targets and the L-pullbacks without their i = 2
+    entries), z_1 = 3 and residue 3 reaches the derivation, which
+    evaluates Xi mod p by pow(3, 64000000, 53): exit 1 at the Euler check
+    within 10 s, where evaluating 3^64000000 over Q ran past a minute."""
     doc = json.loads(FLAGSHIP_TEXT)
-    doc["problem"].update(xi="e^64000000", degree_2r=4 * 64000000)
-    doc["witness"]["z"][0] = "3/1"
+    doc["problem"].update(xi="e^64000000", m=1, degree_2r=4 * 64000000)
+    doc["witness"]["z"] = ["3/1", "1/1", "1/1"]
     doc["residues"][0] = 3
+    del doc["targets"][1], doc["pullbacks"]["L"][1]
     path = tmp_path / "doctored.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     proc = charwit_process("verify", str(path), timeout=10)

@@ -7,16 +7,17 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from charwit.cli import parse_polynomial
 from charwit.detect import (DetectionProblem, WitnessCertificate,
                             WitnessPoint, build_certificate,
                             find_rational_witness, run_pipeline, specialize,
                             to_l_coordinates, verify_certificate)
+import charwit.detect as detect
 from charwit.detect import _l_form_at, _l_form_mod, _prime_support
 from charwit.errors import CharwitError, DomainError, InvariantViolation
 from charwit.repring import VirtualRep
-from charwit.scalars import from_rational
-from charwit.symfun import GradedPolynomial, ell_polynomial, l_table
+from charwit.scalars import from_rational, largest_prime_factor
+from charwit.symfun import (GradedPolynomial, ell_polynomial, l_table,
+                            parse_polynomial)
 
 
 def evar(n):
@@ -69,8 +70,6 @@ def test_problem_validation():
         DetectionProblem(evar(3) ** 2 - pvar(2), 2)  # e carries weight 3
     with pytest.raises(DomainError):
         DetectionProblem(GradedPolynomial.variable("q1", 2), 2)
-    with pytest.raises(DomainError):
-        DetectionProblem(FLAGSHIP, 2, m=1)  # below the top index of Xi
 
 
 def test_witness_flagship():
@@ -97,14 +96,6 @@ def test_witness_first_point():
     assert w.coordinates == (1, 1, 1)
     assert w.value == 1
     assert w.N == 3
-
-
-def test_witness_m_override_widens_z():
-    prob = DetectionProblem(9 * evar(2) ** 2 - pvar(1) ** 2, 2, m=3)
-    assert prob.coordinate_names() == ["a1", "a2", "x1", "x2", "x3"]
-    w = find_rational_witness(prob)
-    assert w.coordinates == (1, 1, 2, 1, 1)
-    assert w.N == 7  # 2m + 1
 
 
 def test_witness_point_validation():
@@ -178,8 +169,7 @@ def clone(cert, **overrides):
     fields = dict(problem=cert.problem, witness=cert.witness,
                   prime=cert.prime, residues=cert.residues,
                   targets=cert.targets, xi=cert.xi, euler=cert.euler,
-                  l_pullbacks=cert.l_pullbacks, evaluation=cert.evaluation,
-                  degree_2r=cert.degree_2r)
+                  l_pullbacks=cert.l_pullbacks, evaluation=cert.evaluation)
     fields.update(overrides)
     return WitnessCertificate(**fields)
 
@@ -259,9 +249,22 @@ def test_verify_names_witness_mismatch(flagship_cert):
     assert not ok and report == "evaluation differs from Xi(z) mod p"
 
 
-def test_verify_names_degree_tamper(flagship_cert):
-    ok, report = verify_certificate(clone(flagship_cert, degree_2r=10))
-    assert not ok and report == "degree bookkeeping is inconsistent"
+def test_verify_does_not_factor_the_witness_again(flagship_cert,
+                                                 monkeypatch):
+    """WitnessPoint factors z and its value when it is built; verify derives
+    N from that support instead of factoring them a second time."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return largest_prime_factor(n)
+
+    monkeypatch.setattr(detect, "largest_prime_factor", counted)
+    assert verify_certificate(flagship_cert) == (True, "ok")
+    assert calls == []
+    witness = flagship_cert.witness
+    assert WitnessPoint(witness.coordinates, witness.value, witness.N).N == 47
+    assert len(calls) == 10  # numerator and denominator of 4 z entries, value
 
 
 def test_verify_names_witness_value_forgery(flagship_cert):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charwit.symfun as symfun
-from charwit.cli import main, parse_polynomial
+from charwit.cli import main
 from charwit.detect import (DetectionProblem, find_rational_witness,
                             run_pipeline, verify_certificate)
 from charwit.errors import DomainError
 from charwit.symfun import (GradedPolynomial, ell_polynomial,
-                            l_leading_coefficient, l_table)
+                            l_leading_coefficient, l_table, parse_polynomial)
 
 
 def triangle_bernoulli(n):
