@@ -24,15 +24,15 @@ _NAMES = {
     "cyclic_coh": ("LinearRepData", "chern_character", "euler_class",
                    "l_class_linear", "pullback_l_nonlinear"),
     "detect": ("DetectionProblem", "WitnessCertificate", "WitnessPoint",
-               "build_certificate", "find_rational_witness", "run_pipeline",
+               "build_certificate", "certificate_from_json",
+               "certificate_to_json", "find_rational_witness", "run_pipeline",
                "specialize", "to_l_coordinates", "verify_certificate"),
     "lforms": ("GroupRingElement", "HermitianForm", "IntegerForm", "arf",
                "coefficient_form", "congruence", "direct_sum",
-               "format_group_ring", "hyperbolic", "integer_expansion",
-               "multisignature", "parse_group_ring", "random_form",
-               "signature_int", "transfer"),
-    "cli": ("certificate_from_json", "certificate_to_json", "form_from_json",
-            "form_to_json"),
+               "form_from_json", "form_to_json", "format_group_ring",
+               "hyperbolic", "integer_expansion", "multisignature",
+               "parse_group_ring", "random_form", "signature_int",
+               "transfer"),
 }
 
 __all__ = [name for names in _NAMES.values() for name in names]

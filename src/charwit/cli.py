@@ -1,11 +1,9 @@
-"""Command-line front end: certificate files, form files and the commands.
+"""Command-line front end: the command table, the handlers and main.
 
-Certificates are JSON documents with a fixed key order and integer entries
-only (mod-p values as residues in [0, p), rationals as "num/den" strings),
-so identical invocations produce byte-identical files, and verify accepts
-exactly those bytes.  Exit codes: 0 on success, 1 when a certificate fails
-verification, 2 on usage, I/O or parse errors.  All diagnostics go to
-standard error.
+The certificate document is read and written in detect, the form files in
+lforms; lforms and json are imported only by the commands that use them.
+Exit codes: 0 on success, 1 when a certificate fails verification, 2 on
+usage, I/O or parse errors.  All diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -14,228 +12,12 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .detect import (DetectionProblem, WitnessCertificate, WitnessPoint,
-                     build_certificate, find_rational_witness,
-                     verify_certificate)
-from .errors import CharwitError, InvariantViolation, ParseError
-from .repring import VirtualRep
-from .scalars import (odd_primes_above, rational_from_string,
-                      rational_to_string)
+from .detect import (DetectionProblem, build_certificate,
+                     certificate_from_json, certificate_to_json,
+                     find_rational_witness, verify_certificate)
+from .errors import CharwitError, ParseError
+from .scalars import odd_primes_above
 from .symfun import l_table, parse_polynomial
-
-
-CERTIFICATE_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# certificate files
-
-
-# The layout of json.dumps(doc, indent=2) + "\n" for the certificate
-# document, written directly: json.dumps with an indent runs the pure-Python
-# encoder, and certify need not import json at all.
-_CERTIFICATE = """{
-  "version": %d,
-  "problem": {
-    "xi": "%s",
-    "n": %d,
-    "m": %d,
-    "k": %d,
-    "degree_2r": %d
-  },
-  "witness": {
-    "z": %s,
-    "value": "%s",
-    "N": %d
-  },
-  "prime": %d,
-  "residues": %s,
-  "targets": %s,
-  "xi_rep": %s,
-  "pullbacks": {
-    "euler": %d,
-    "L": %s
-  },
-  "evaluation": %d
-}
-"""
-
-
-def _json_list(items, depth):
-    """JSON values already written, as a list at nesting depth `depth`
-    laid out as json.dumps(..., indent=2) lays it out."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _json_pairs(pairs, depth):
-    """Two-int lists, as a list at nesting depth `depth`."""
-    inner = "\n" + "  " * (depth + 2)
-    pair = "[" + inner + "%d," + inner + "%d\n" + "  " * (depth + 1) + "]"
-    return _json_list([pair % (a, b) for a, b in pairs], depth)
-
-
-def certificate_to_json(cert: WitnessCertificate) -> str:
-    """The canonical certificate text.  Every value is an int, a list of
-    ints or an ASCII string with nothing to escape; an int with more
-    digits than str() converts raises ValueError."""
-    problem = cert.problem
-    witness = cert.witness
-    return _CERTIFICATE % (
-        CERTIFICATE_VERSION,
-        problem.polynomial, problem.n, problem.m, problem.k, problem.degree_2r,
-        _json_list(['"%s"' % rational_to_string(c)
-                    for c in witness.coordinates], 2),
-        rational_to_string(witness.value), witness.N,
-        cert.prime,
-        _json_list([str(r) for r in cert.residues], 1),
-        _json_list([str(t) for t in cert.targets], 1),
-        _json_pairs(cert.xi.serialize(), 1),
-        cert.euler,
-        _json_pairs(sorted(cert.l_pullbacks.items()), 2),
-        cert.evaluation)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _field(mapping, key, kind, where):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ParseError("missing %s in %s" % (key, where))
-    value = mapping[key]
-    if kind is int:
-        if not _is_int(value):
-            raise ParseError("%s in %s must be an integer" % (key, where))
-    elif not isinstance(value, kind):
-        raise ParseError("%s in %s has the wrong type" % (key, where))
-    return value
-
-
-def _items(mapping, key, kind, where):
-    """The list mapping[key]; kind int asks for JSON integers, str for
-    strings."""
-    items = _field(mapping, key, list, where)
-    for x in items:
-        if not (_is_int(x) if kind is int else isinstance(x, kind)):
-            raise ParseError("%s in %s must hold only %s" % (
-                key, where, "integers" if kind is int else "strings"))
-    return items
-
-
-def _int_pairs(mapping, key, where, shape):
-    """The list mapping[key] of two-integer lists, as tuples."""
-    pairs = _field(mapping, key, list, where)
-    if not all(isinstance(pair, list) and len(pair) == 2
-               and all(_is_int(x) for x in pair) for pair in pairs):
-        raise ParseError("%s in %s must hold [%s] integer pairs"
-                         % (key, where, shape))
-    return [tuple(pair) for pair in pairs]
-
-
-def _json_document(text: str):
-    """json.loads(text), every failure a ParseError."""
-    import json
-
-    try:
-        return json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an over-long integer
-        raise ParseError("not valid JSON: %s" % err) from err
-    except RecursionError as err:
-        raise ParseError("not valid JSON: nested too deeply") from err
-
-
-def certificate_from_json(text: str) -> WitnessCertificate:
-    """Rebuild a certificate from its JSON form.
-
-    Structural problems (bad JSON, missing keys, wrong types: every number
-    must be a JSON integer and every z entry a string) raise ParseError.
-    The stored k, degree_2r and m must be the ones DetectionProblem derives
-    from Xi and n, or the first that differs raises InvariantViolation;
-    all other mathematical content is left for verify_certificate to
-    report.
-    """
-    doc = _json_document(text)
-    if _field(doc, "version", int, "certificate") != CERTIFICATE_VERSION:
-        raise ParseError("unsupported certificate version")
-    prob = _field(doc, "problem", dict, "certificate")
-    n = _field(prob, "n", int, "problem")
-    problem = DetectionProblem(
-        parse_polynomial(_field(prob, "xi", str, "problem"), n), n)
-    for key, report in (("k", "stored k disagrees with n"),
-                        ("degree_2r", "degree bookkeeping is inconsistent"),
-                        ("m", "stored m disagrees with Xi and n")):
-        if _field(prob, key, int, "problem") != getattr(problem, key):
-            raise InvariantViolation(report)
-    wit = _field(doc, "witness", dict, "certificate")
-    coords = [rational_from_string(s) for s in _items(wit, "z", str, "witness")]
-    witness = WitnessPoint(coords,
-                           rational_from_string(_field(wit, "value", str,
-                                                       "witness")),
-                           _field(wit, "N", int, "witness"))
-    prime = _field(doc, "prime", int, "certificate")
-    residues = _items(doc, "residues", int, "certificate")
-    targets = _items(doc, "targets", int, "certificate")
-    xi = VirtualRep(prime, 1, dict(_int_pairs(doc, "xi_rep", "certificate",
-                                              "r, multiplicity")))
-    pulls = _field(doc, "pullbacks", dict, "certificate")
-    euler = _field(pulls, "euler", int, "pullbacks")
-    l_pullbacks = dict(_int_pairs(pulls, "L", "pullbacks", "i, value"))
-    return WitnessCertificate(problem, witness, prime, residues, targets, xi,
-                              euler, l_pullbacks,
-                              _field(doc, "evaluation", int, "certificate"))
-
-
-# ---------------------------------------------------------------------------
-# form files
-#
-# lforms is imported inside the form functions only, so that certify,
-# witness, verify and l-table never load it.  json is likewise imported only
-# where JSON is read or a form or multisignature printed, so that certify,
-# witness and l-table never load it.
-
-
-def _group_ring_entries(values, where):
-    """A list of group-ring strings or JSON integers (not bool)."""
-    if not (isinstance(values, list)
-            and all(isinstance(x, str) or _is_int(x) for x in values)):
-        raise ParseError("%s must be a list of group-ring strings or "
-                         "integers" % where)
-    return values
-
-
-def form_from_json(text: str) -> HermitianForm:
-    from .lforms import HermitianForm
-
-    doc = _json_document(text)
-    p = _field(doc, "p", int, "form")
-    k = _field(doc, "k", int, "form")
-    parity = _field(doc, "parity", int, "form")
-    matrix = [_group_ring_entries(row, "matrix row %d" % a)
-              for a, row in enumerate(_field(doc, "matrix", list, "form"))]
-    refinement = doc.get("refinement")
-    if refinement is not None:
-        _group_ring_entries(refinement, "refinement")
-    return HermitianForm(p, k, parity, matrix, refinement)
-
-
-def form_to_json(form: HermitianForm) -> str:
-    import json
-
-    from .lforms import format_group_ring
-
-    doc = {
-        "p": form.p,
-        "k": form.k,
-        "parity": form.parity,
-        "matrix": [[format_group_ring(x) for x in row]
-                   for row in form.matrix],
-    }
-    if form.refinement is not None:
-        doc["refinement"] = [format_group_ring(x) for x in form.refinement]
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +37,11 @@ def _problem_from_args(args):
     return DetectionProblem(parse_polynomial(args.xi, args.n), args.n)
 
 
-def _witness_text(witness: WitnessPoint) -> str:
-    return "z = (%s)\nvalue = %s\nN = %d" % (
-        ", ".join(str(c) for c in witness.coordinates), witness.value,
-        witness.N)
-
-
 def _cmd_witness(args):
-    problem = _problem_from_args(args)
-    print(_witness_text(find_rational_witness(problem)))
+    witness = find_rational_witness(_problem_from_args(args))
+    print("z = (%s)\nvalue = %s\nN = %d" % (
+        ", ".join(str(c) for c in witness.coordinates), witness.value,
+        witness.N))
     return 0
 
 
@@ -326,6 +104,8 @@ def _cmd_verify(args):
 
 
 def _load_form(path):
+    from .lforms import form_from_json
+
     return form_from_json(_read_text(path))
 
 
@@ -345,7 +125,7 @@ def _cmd_multisig(args):
 
 
 def _cmd_transfer(args):
-    from .lforms import transfer
+    from .lforms import form_to_json, transfer
 
     print(form_to_json(transfer(_load_form(args.form))), end="")
     return 0

@@ -20,7 +20,9 @@ representations of C_p:
      reproduces Xi(z) mod p.
 
 Verification derives every field again from the certificate's own
-(z, p, xi), and Xi(z), N and xi themselves, and compares exactly.
+(z, p, xi), and Xi(z) and xi themselves, and compares exactly; N is
+derived by WitnessPoint only.  The certificate document is written and
+read here too.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from math import ceil, prod
 from .cyclic_coh import (euler_class, l_class_linear, pullback_l_nonlinear,
                          LinearRepData)
 from .errors import (CharwitError, DomainError, InternalConsistencyError,
-                     InvariantViolation)
-from .repring import solve_chern_targets, symmetrize
-from .scalars import (from_rational, is_odd_prime, largest_prime_factor,
-                      odd_primes_above)
-from .symfun import ell_polynomial, GradedPolynomial, l_table
+                     InvariantViolation, ParseError)
+from .repring import VirtualRep, solve_chern_targets, symmetrize
+from .scalars import (_field, _is_int, _json_document, from_rational,
+                      is_odd_prime, largest_prime_factor, odd_primes_above,
+                      rational_from_string, rational_to_string)
+from .symfun import ell_polynomial, GradedPolynomial, l_table, parse_polynomial
 
 
 class DetectionProblem:
@@ -128,20 +131,17 @@ def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
 
 
 class WitnessPoint:
-    """A rational grid point z with nonzero specialized value, plus the
-    prime bound N below which no certificate is attempted.  support is the
-    largest prime factor of z and of the value, which N must cover."""
+    """A rational grid point z with nonzero specialized value, and the prime
+    bound N below which no certificate is attempted: N = max(2m + 1, every
+    prime factor of z and of the value), derived here and nowhere else."""
 
-    def __init__(self, coordinates, value, N: int):
+    def __init__(self, coordinates, value, m: int):
         self.coordinates = tuple(Fraction(c) for c in coordinates)
         self.value = Fraction(value)
-        self.N = int(N)
         if self.value == 0:
             raise InvariantViolation("witness value must be nonzero")
-        self.support = _prime_support(self.coordinates + (self.value,))
-        if self.support > self.N:
-            raise InvariantViolation("prime factor %d exceeds the bound N = %d"
-                                     % (self.support, self.N))
+        self.N = max(2 * m + 1,
+                     _prime_support(self.coordinates + (self.value,)))
 
     def __repr__(self):
         return "WitnessPoint(z=%s, value=%s, N=%d)" % (
@@ -249,8 +249,7 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
     P_i are invertible, so the L-form of a nonzero Xi is nonzero, and
     ell_1, ..., ell_(k-1) and a_1...a_n are algebraically independent, so
     it specializes to a nonzero polynomial, which cannot vanish on
-    arbitrarily large grids.  N = max(2m + 1, every prime factor of z and
-    of the value).
+    arbitrarily large grids.  WitnessPoint derives N from the point.
     """
     names = problem.coordinate_names()
     value, point = None, None
@@ -265,8 +264,7 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
             if v:
                 value, point = v, candidate
                 break
-    return WitnessPoint(point, value, max(2 * problem.m + 1,
-                                          _prime_support((*point, value))))
+    return WitnessPoint(point, value, problem.m)
 
 
 class WitnessCertificate:
@@ -298,6 +296,159 @@ class WitnessCertificate:
         return "WitnessCertificate(p=%d, eval=%d)" % (self.prime, self.evaluation)
 
 
+# ---------------------------------------------------------------------------
+# the certificate document: JSON with a fixed key order and integer entries
+# only (mod-p values as residues in [0, p), rationals as "num/den" strings),
+# so that equal certificates are equal bytes, and verify accepts only those
+
+
+CERTIFICATE_VERSION = 1
+
+# The layout of json.dumps(doc, indent=2) + "\n" for the certificate
+# document, written directly: json.dumps with an indent runs the pure-Python
+# encoder, and certify need not import json at all.
+_CERTIFICATE = """{
+  "version": %d,
+  "problem": {
+    "xi": "%s",
+    "n": %d,
+    "m": %d,
+    "k": %d,
+    "degree_2r": %d
+  },
+  "witness": {
+    "z": %s,
+    "value": "%s",
+    "N": %d
+  },
+  "prime": %d,
+  "residues": %s,
+  "targets": %s,
+  "xi_rep": %s,
+  "pullbacks": {
+    "euler": %d,
+    "L": %s
+  },
+  "evaluation": %d
+}
+"""
+
+
+def _json_list(items, depth):
+    """JSON values already written, as a list at nesting depth `depth`
+    laid out as json.dumps(..., indent=2) lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_pairs(pairs, depth):
+    """Two-int lists, as a list at nesting depth `depth`."""
+    inner = "\n" + "  " * (depth + 2)
+    pair = "[" + inner + "%d," + inner + "%d\n" + "  " * (depth + 1) + "]"
+    return _json_list([pair % (a, b) for a, b in pairs], depth)
+
+
+def certificate_to_json(cert: WitnessCertificate) -> str:
+    """The canonical certificate text.  Every value is an int, a list of
+    ints or an ASCII string with nothing to escape; an int with more
+    digits than str() converts raises ValueError."""
+    problem = cert.problem
+    witness = cert.witness
+    return _CERTIFICATE % (
+        CERTIFICATE_VERSION,
+        problem.polynomial, problem.n, problem.m, problem.k, problem.degree_2r,
+        _json_list(['"%s"' % rational_to_string(c)
+                    for c in witness.coordinates], 2),
+        rational_to_string(witness.value), witness.N,
+        cert.prime,
+        _json_list([str(r) for r in cert.residues], 1),
+        _json_list([str(t) for t in cert.targets], 1),
+        _json_pairs(cert.xi.serialize(), 1),
+        cert.euler,
+        _json_pairs(sorted(cert.l_pullbacks.items()), 2),
+        cert.evaluation)
+
+
+def _items(mapping, key, kind, where):
+    """The list mapping[key]; kind int asks for JSON integers, str for
+    strings."""
+    items = _field(mapping, key, list, where)
+    for x in items:
+        if not (_is_int(x) if kind is int else isinstance(x, kind)):
+            raise ParseError("%s in %s must hold only %s" % (
+                key, where, "integers" if kind is int else "strings"))
+    return items
+
+
+def _int_pairs(mapping, key, where, shape):
+    """The list mapping[key] of two-integer lists, as tuples."""
+    pairs = _field(mapping, key, list, where)
+    if not all(isinstance(pair, list) and len(pair) == 2
+               and all(_is_int(x) for x in pair) for pair in pairs):
+        raise ParseError("%s in %s must hold [%s] integer pairs"
+                         % (key, where, shape))
+    return [tuple(pair) for pair in pairs]
+
+
+def certificate_from_json(text: str) -> WitnessCertificate:
+    """Rebuild a certificate from its JSON form.
+
+    Structural problems (bad JSON, missing keys, wrong types: every number
+    must be a JSON integer and every z entry a string) raise ParseError.
+    The stored k, degree_2r and m must be the ones DetectionProblem derives
+    from Xi and n, the stored N the one WitnessPoint derives from z, the
+    value and m, and the prime an odd prime, or the first of these that
+    fails raises InvariantViolation; all other mathematical content is
+    left for verify_certificate to report.
+    """
+    doc = _json_document(text)
+    if _field(doc, "version", int, "certificate") != CERTIFICATE_VERSION:
+        raise ParseError("unsupported certificate version")
+    prob = _field(doc, "problem", dict, "certificate")
+    n = _field(prob, "n", int, "problem")
+    problem = DetectionProblem(
+        parse_polynomial(_field(prob, "xi", str, "problem"), n), n)
+    for key, report in (("k", "stored k disagrees with n"),
+                        ("degree_2r", "degree bookkeeping is inconsistent"),
+                        ("m", "stored m disagrees with Xi and n")):
+        if _field(prob, key, int, "problem") != getattr(problem, key):
+            raise InvariantViolation(report)
+    wit = _field(doc, "witness", dict, "certificate")
+    coords = [rational_from_string(s) for s in _items(wit, "z", str, "witness")]
+    value = rational_from_string(_field(wit, "value", str, "witness"))
+    stored_N = _field(wit, "N", int, "witness")
+    witness = WitnessPoint(coords, value, problem.m)
+    if stored_N != witness.N:
+        raise InvariantViolation("stored N disagrees with z and value")
+    prime = _field(doc, "prime", int, "certificate")
+    residues = _items(doc, "residues", int, "certificate")
+    targets = _items(doc, "targets", int, "certificate")
+    xi_rep = dict(_int_pairs(doc, "xi_rep", "certificate", "r, multiplicity"))
+    pulls = _field(doc, "pullbacks", dict, "certificate")
+    euler = _field(pulls, "euler", int, "pullbacks")
+    l_pullbacks = dict(_int_pairs(pulls, "L", "pullbacks", "i, value"))
+    evaluation = _field(doc, "evaluation", int, "certificate")
+    if not is_odd_prime(prime):
+        raise InvariantViolation("modulus is not an odd prime")
+    return WitnessCertificate(problem, witness, prime, residues, targets,
+                              VirtualRep(prime, 1, xi_rep), euler,
+                              l_pullbacks, evaluation)
+
+
+# The most work a certificate may ask: the Chern-target solve fills p targets
+# and makes about p/2 modular powers per free coordinate x_k..x_m, so certify
+# and verify cost about p * (m - k + 1).  The slowest certificate within this
+# limit verifies in under a second.
+WORK_LIMIT = 10 ** 5
+_WORK_LIMIT_REPORT = "p * (m - k + 1) exceeds the work limit %d" % WORK_LIMIT
+
+
+def _over_work_limit(problem, p):
+    return p * (problem.m - problem.k + 1) > WORK_LIMIT
+
+
 def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
                       p: int) -> WitnessCertificate:
     """The certificate for one prime p > N: solve for xi, then derive."""
@@ -306,6 +457,8 @@ def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
     if p <= witness.N:
         raise DomainError("p = %d does not exceed the bound N = %d"
                           % (p, witness.N))
+    if _over_work_limit(problem, p):
+        raise DomainError(_WORK_LIMIT_REPORT)
     return _derive(problem, witness, p, _correction(problem, witness, p))
 
 
@@ -361,6 +514,8 @@ def _verify(cert: WitnessCertificate):
         return False, "modulus is not an odd prime"
     if p <= witness.N:
         return False, "modulus does not exceed the witness bound N"
+    if _over_work_limit(problem, p):
+        return False, _WORK_LIMIT_REPORT
     z = witness.coordinates
     if len(z) != n + (m - k + 1):
         return False, "witness has the wrong number of coordinates"
@@ -393,8 +548,6 @@ def _verify(cert: WitnessCertificate):
         return False, "evaluation differs from Xi(z) mod p"
     if witness.value != _witness_value(problem, z):
         return False, "witness value differs from Xi(z)"
-    if witness.N != max(2 * m + 1, witness.support):
-        return False, "witness bound N differs from its derivation"
     if cert.xi != _correction(problem, witness, p):
         return False, "xi differs from the symmetrized Chern-target solution"
     return True, "ok"

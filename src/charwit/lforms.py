@@ -25,7 +25,8 @@ from math import gcd
 from .cyclotomic import CyclotomicNumber, CyclotomicReal
 from .errors import DomainError, InvariantViolation, ParseError
 from .repring import VirtualRep, _CyclicVector
-from .scalars import _format_sum, _read_digits, _read_sum, _skip_space
+from .scalars import (_field, _format_sum, _is_int, _json_document,
+                      _read_digits, _read_sum, _skip_space)
 
 
 class GroupRingElement(_CyclicVector):
@@ -152,6 +153,47 @@ def parse_group_ring(text: str, p: int, k: int) -> GroupRingElement:
                                   "expected a term"):
         coeffs[r] = coeffs.get(r, 0) + sign * c
     return GroupRingElement(p, k, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# form files: JSON documents whose entries are group-ring strings or integers
+
+
+def _group_ring_entries(values, where):
+    """A list of group-ring strings or JSON integers (not bool)."""
+    if not (isinstance(values, list)
+            and all(isinstance(x, str) or _is_int(x) for x in values)):
+        raise ParseError("%s must be a list of group-ring strings or "
+                         "integers" % where)
+    return values
+
+
+def form_from_json(text: str) -> HermitianForm:
+    doc = _json_document(text)
+    p = _field(doc, "p", int, "form")
+    k = _field(doc, "k", int, "form")
+    parity = _field(doc, "parity", int, "form")
+    matrix = [_group_ring_entries(row, "matrix row %d" % a)
+              for a, row in enumerate(_field(doc, "matrix", list, "form"))]
+    refinement = doc.get("refinement")
+    if refinement is not None:
+        _group_ring_entries(refinement, "refinement")
+    return HermitianForm(p, k, parity, matrix, refinement)
+
+
+def form_to_json(form: HermitianForm) -> str:
+    import json
+
+    doc = {
+        "p": form.p,
+        "k": form.k,
+        "parity": form.parity,
+        "matrix": [[format_group_ring(x) for x in row]
+                   for row in form.matrix],
+    }
+    if form.refinement is not None:
+        doc["refinement"] = [format_group_ring(x) for x in form.refinement]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def reduce_refinement(x: GroupRingElement, parity: int) -> GroupRingElement:

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: rationals, Bernoulli numbers, primes and the
 reduction of rationals mod p; and the text grammar every format shares:
-ASCII digits, rationals and signed sums of terms.
+ASCII digits, rationals and signed sums of terms, and the JSON field
+readers of the certificate and form files.
 
 Rationals are ``fractions.Fraction``, an element of F_p is a plain int in
 [0, p), and nothing in the package touches floating point.  The cyclotomic
@@ -108,6 +109,41 @@ def rational_from_string(text: str) -> Fraction:
     except ParseError as err:
         raise ParseError("bad rational literal: %s" % err) from err
     return -value if start else value
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: the readers the certificate and form files share
+
+
+def _json_document(text: str):
+    """json.loads(text), every failure a ParseError.  json is imported
+    here, not at module level, so that certify and witness never load it."""
+    import json
+
+    try:
+        return json.loads(text)
+    except ValueError as err:  # JSONDecodeError, or an over-long integer
+        raise ParseError("not valid JSON: %s" % err) from err
+    except RecursionError as err:
+        raise ParseError("not valid JSON: nested too deeply") from err
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(mapping, key, kind, where):
+    """mapping[key], which must be present and of type kind (int asks for
+    a JSON integer, not a bool); otherwise a ParseError."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ParseError("missing %s in %s" % (key, where))
+    value = mapping[key]
+    if kind is int:
+        if not _is_int(value):
+            raise ParseError("%s in %s must be an integer" % (key, where))
+    elif not isinstance(value, kind):
+        raise ParseError("%s in %s has the wrong type" % (key, where))
+    return value
 
 
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]

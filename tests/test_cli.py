@@ -9,23 +9,24 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import charwit
-from charwit.cli import (certificate_from_json, certificate_to_json,
-                         form_from_json, form_to_json, main)
+from charwit.cli import main
 from charwit.cyclic_coh import euler_class, l_class_linear
-from charwit.detect import (DetectionProblem, build_certificate,
+from charwit.detect import (DetectionProblem, WORK_LIMIT, build_certificate,
+                            certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint
 from charwit.detect import _correction, _derive, _reduce
 from charwit.errors import ParseError
 from charwit.repring import VirtualRep
 from charwit.scalars import rational_to_string
-from charwit.lforms import (HermitianForm, format_group_ring, hyperbolic,
-                            parse_group_ring)
+from charwit.lforms import (HermitianForm, form_from_json, form_to_json,
+                            format_group_ring, hyperbolic, parse_group_ring)
 from charwit.symfun import GradedPolynomial, parse_polynomial
 from test_acceptance import random_cases
 from test_symfun import CERTIFY_SUITE
@@ -55,6 +56,27 @@ def test_parse_polynomial_lives_in_symfun():
     assert charwit.parse_polynomial is charwit.cli.parse_polynomial
     assert charwit.cli.parse_polynomial is parse_polynomial
     assert parse_polynomial.__module__ == "charwit.symfun"
+
+
+@pytest.mark.parametrize("name, module", [
+    ("certificate_from_json", "detect"), ("certificate_to_json", "detect"),
+    ("form_from_json", "lforms"), ("form_to_json", "lforms"),
+])
+def test_documents_live_beside_their_types(name, module):
+    """Each document is read and written in the module of its type, and the
+    package binds that one function."""
+    function = getattr(charwit, name)
+    assert function.__module__ == "charwit." + module
+    assert function is getattr(import_module("charwit." + module), name)
+
+
+@pytest.mark.parametrize("name", [
+    "parse_polynomial", "certificate_from_json", "certificate_to_json",
+    "find_rational_witness", "build_certificate", "verify_certificate"])
+def test_cli_binds_what_its_handlers_call(name):
+    """The handlers call these through cli's own module-level names, which
+    are the package's functions."""
+    assert getattr(charwit, name) is getattr(charwit.cli, name)
 
 
 def test_parse_polynomial_reserialization_is_stable():
@@ -441,10 +463,8 @@ STRICT_CASES = {
                 "not the canonical certificate text"),
     "z 2/2": (_canonical(_set(("witness", "z", 0), "2/2")),
               "not the canonical certificate text"),
-    "N+1": (_canonical(_bump(("witness", "N"), 1)),
-            "witness bound N differs from its derivation"),
-    "value 324/7": (_canonical(_set(("witness", "value"), "324/7")),
-                    "witness value differs from Xi(z)"),
+    "value 324/7": (_canonical(lambda doc: doc["witness"].update(
+        value="324/7", N=7)), "witness value differs from Xi(z)"),
     "compact": (lambda base: json.dumps(json.loads(base)),
                 "not the canonical certificate text"),
     "crlf": (lambda base: base.replace("\n", "\r\n"),
@@ -473,6 +493,23 @@ def test_cli_verify_accepts_only_canonical_documents(tmp_path, case):
     code, out, err = verify_text(tmp_path / "c.json", text)
     assert code == 1 and out == ""
     assert err == "verification failed: %s\n" % report
+
+
+@pytest.mark.parametrize("N", [46, 48, 60])
+def test_cli_verify_names_stored_bound(tmp_path, N):
+    """N is derived from z, the value and m when the file is read: the
+    flagship (N = 47) with any other N exits 1 naming it."""
+    text = _canonical(_set(("witness", "N"), N))(FLAGSHIP_TEXT)
+    assert verify_text(tmp_path / "c.json", text) == (
+        1, "", "verification failed: stored N disagrees with z and value\n")
+
+
+@pytest.mark.parametrize("prime", [54, 55])
+def test_cli_verify_names_composite_modulus(tmp_path, prime):
+    """The reader tests the prime before it builds xi over C_p."""
+    text = _canonical(_set(("prime",), prime))(FLAGSHIP_TEXT)
+    assert verify_text(tmp_path / "c.json", text) == (
+        1, "", "verification failed: modulus is not an odd prime\n")
 
 
 def _integer_paths(doc, path=()):
@@ -850,28 +887,45 @@ def test_cli_certify_overlong_xi_coefficient_leaves_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def doctored(xi, n, m, degree_2r):
-    """The flagship certificate with another Xi, n, m and degree 2r, and z
-    padded with ones to the coordinate count they need."""
+def test_cli_certify_past_work_limit_leaves_no_file(tmp_path):
+    """e^2 - p5 at n = 5 has N = 222401819 and three free coordinates, so
+    the solve would fill a list of more than 2 * 10^8 targets: certify
+    refuses the first prime above N by the work limit."""
+    proc = charwit_process("certify", "--xi", "e^2 - p5", "--n", "5",
+                           "--primes", "1", "--out", str(tmp_path / "cw"),
+                           timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: p * (m - k + 1) exceeds the work limit %d\n"
+        % WORK_LIMIT)
+    assert list(tmp_path.iterdir()) == []
+
+
+def doctored(xi, n, m, degree_2r, prime):
+    """The flagship certificate with another Xi, n, m, degree 2r and prime,
+    z padded with ones to the coordinate count they need, and the N they
+    derive: max(2m + 1, 47), 47 dividing the value."""
     doc = json.loads(FLAGSHIP_TEXT)
     k = (n + 1) // 2
     doc["problem"].update(xi=xi, n=n, m=m, k=k, degree_2r=degree_2r)
     doc["witness"]["z"] = ["1/1"] * (n + m - k + 1)
+    doc["witness"]["N"] = max(2 * m + 1, 47)
+    doc["prime"] = prime
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("xi, n, m, degree_2r, report", [
-    ("p8^8", 2, 8, 256, "targets do not reduce the witness coordinates"),
-    ("e", 60, 30, 120, "invalid certificate data: ell_26 has denominators "
-     "divisible by primes up to 53; p = 53 is too small to reduce"),
+@pytest.mark.parametrize("xi, n, m, degree_2r, prime, report", [
+    ("p8^8", 2, 8, 256, 53, "targets do not reduce the witness coordinates"),
+    ("e", 60, 30, 120, 67, "residues do not reduce the witness coordinates"),
 ], ids=["p8^8", "n=60"])
-def test_cli_verify_high_weight_ends(tmp_path, xi, n, m, degree_2r, report):
+def test_cli_verify_high_weight_ends(tmp_path, xi, n, m, degree_2r, prime,
+                                     report):
     """Xi is evaluated at p_i = P_i(x) and ell_i through its series, so
     neither a high power of p8 nor 60 roots expand a polynomial: exit 1
     with the failing check named, in well under a second of work.  The
-    degree 2r is consistent, so both reach the derivation."""
+    degree 2r and N are consistent and p > N, so both run the whole
+    derivation, ell_1..ell_30 of the 60 roots among it."""
     path = tmp_path / "doctored.json"
-    path.write_text(doctored(xi, n, m, degree_2r))
+    path.write_text(doctored(xi, n, m, degree_2r, prime))
     proc = charwit_process("verify", str(path), timeout=10)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "verification failed: %s\n" % report
@@ -945,8 +999,9 @@ def test_cli_verify_large_prime_ends(tmp_path):
     it, 609 bytes.  b is the Chern target at j = 2 and a = target_0 - 2b,
     so xi has the targeted ch_0 and ch_2 and every pullback matches, but
     it is not the symmetrized solution over all of F_p, which is dense.
-    The last check solves for all p multiplicities and symmetrizes them:
-    exit 1 naming it within 10 s."""
+    Solving for all p multiplicities again took about 4 s; p * (m - k + 1)
+    = 2000006 is past the work limit, which verify names at once: exit 1,
+    in process within 1 s."""
     p = 1000003
     problem = DetectionProblem(parse_polynomial("e^2 - p2", 2), 2)
     witness = find_rational_witness(problem)
@@ -961,22 +1016,21 @@ def test_cli_verify_large_prime_ends(tmp_path):
     xi = VirtualRep(p, 1, {0: a, 1: b, -1: b})
     text = certificate_to_json(_derive(problem, witness, p, xi))
     assert len(text.encode()) == 609
-    path = tmp_path / "large_prime.json"
-    path.write_text(text)
-    proc = charwit_process("verify", str(path), timeout=10)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == ("verification failed: xi differs from the "
-                           "symmetrized Chern-target solution\n")
+    start = time.perf_counter()
+    assert verify_text(tmp_path / "large_prime.json", text) == (
+        1, "", "verification failed: p * (m - k + 1) exceeds the work "
+        "limit %d\n" % WORK_LIMIT)
+    assert time.perf_counter() - start < 1.0
 
 
 def denominator_document(exponent):
     """The canonical p = 7 certificate for Xi = 1/7*e^exponent at
-    z = (1, 3, 1), value 1 and N = 5.  7 divides the denominator of Xi's
+    z = (1, 3, 1), value 1 and N = 3.  7 divides the denominator of Xi's
     coefficient, so Xi at the Euler class 3 is not 7-integral."""
     p = 7
     problem = DetectionProblem(parse_polynomial("1/7*e^%d" % exponent, 2), 2)
     witness = WitnessPoint((Fraction(1), Fraction(3), Fraction(1)),
-                           Fraction(1), 5)
+                           Fraction(1), problem.m)
     rho, xbars = _reduce(problem, witness, p)
     return certificate_to_json(WitnessCertificate(
         problem, witness, p, rho.residues, xbars,

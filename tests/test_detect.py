@@ -100,9 +100,15 @@ def test_witness_first_point():
 
 def test_witness_point_validation():
     with pytest.raises(InvariantViolation):
-        WitnessPoint((1, 1), 0, 5)
-    with pytest.raises(InvariantViolation):
-        WitnessPoint((1, 7), 1, 5)  # factor 7 above N = 5
+        WitnessPoint((1, 1), 0, 2)
+
+
+def test_witness_point_derives_N():
+    """N = max(2m + 1, every prime factor of z and of the value)."""
+    assert WitnessPoint((1, 1), 1, 2).N == 5
+    assert WitnessPoint((1, 7), 1, 2).N == 7
+    assert WitnessPoint((1, Fraction(1, 11)), Fraction(-3, 2), 1).N == 11
+    assert WitnessPoint((1, 1), 1, 6).N == 13
 
 
 def test_flagship_certificate():
@@ -244,15 +250,14 @@ def test_verify_names_evaluation_tamper(flagship_cert):
 
 
 def test_verify_names_witness_mismatch(flagship_cert):
-    other = WitnessPoint((1, 1, 1, 1), Fraction(-48, 7), 47)
+    other = WitnessPoint((1, 1, 1, 1), Fraction(-48, 7), 2)
     ok, report = verify_certificate(clone(flagship_cert, witness=other))
     assert not ok and report == "evaluation differs from Xi(z) mod p"
 
 
-def test_verify_does_not_factor_the_witness_again(flagship_cert,
-                                                 monkeypatch):
-    """WitnessPoint factors z and its value when it is built; verify derives
-    N from that support instead of factoring them a second time."""
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The numbers passed to largest_prime_factor from detect."""
     calls = []
 
     def counted(n):
@@ -260,24 +265,53 @@ def test_verify_does_not_factor_the_witness_again(flagship_cert,
         return largest_prime_factor(n)
 
     monkeypatch.setattr(detect, "largest_prime_factor", counted)
+    return calls
+
+
+def test_verify_does_not_factor_the_witness_again(flagship_cert,
+                                                 factor_calls):
+    """WitnessPoint factors z and its value when it is built; verify does
+    not factor them a second time."""
     assert verify_certificate(flagship_cert) == (True, "ok")
-    assert calls == []
+    assert factor_calls == []
     witness = flagship_cert.witness
-    assert WitnessPoint(witness.coordinates, witness.value, witness.N).N == 47
-    assert len(calls) == 10  # numerator and denominator of 4 z entries, value
+    assert WitnessPoint(witness.coordinates, witness.value, 2).N == 47
+    assert len(factor_calls) == 10  # num and den of 4 z entries and value
+
+
+@pytest.mark.parametrize("xi, n, calls", [
+    ("e^2 - p2", 2, 10),  # 4 z entries and the value
+    ("e^4 - p6", 3, 18),  # 8 z entries and the value
+])
+def test_witness_search_factors_each_number_once(factor_calls, xi, n, calls):
+    """find_rational_witness factors the numerator and the denominator of
+    each z entry and of the value once, when WitnessPoint derives N."""
+    find_rational_witness(DetectionProblem(parse_polynomial(xi, n), n))
+    assert len(factor_calls) == calls
 
 
 def test_verify_names_witness_value_forgery(flagship_cert):
     """324/7 agrees with the true value -47/7 mod 53, but not over Q."""
-    forged = WitnessPoint((1, 1, 1, 1), Fraction(324, 7), 47)
+    forged = WitnessPoint((1, 1, 1, 1), Fraction(324, 7), 2)
     ok, report = verify_certificate(clone(flagship_cert, witness=forged))
     assert not ok and report == "witness value differs from Xi(z)"
 
 
-def test_verify_names_witness_bound_tamper(flagship_cert):
-    loose = WitnessPoint((1, 1, 1, 1), Fraction(-47, 7), 48)
-    ok, report = verify_certificate(clone(flagship_cert, witness=loose))
-    assert not ok and report == "witness bound N differs from its derivation"
+def test_work_limit_bounds_p_times_the_free_coordinates():
+    """e - p1 at n = 2 has one free coordinate, so p * (m - k + 1) = p:
+    99991 is the last prime within the limit, 100003 the first past it.
+    certify refuses 100003 and verify names it, with the same text."""
+    assert detect.WORK_LIMIT == 10 ** 5
+    problem = DetectionProblem(parse_polynomial("e - p1", 2), 2)
+    witness = find_rational_witness(problem)
+    assert verify_certificate(build_certificate(problem, witness, 99991)) == (
+        True, "ok")
+    report = "p * (m - k + 1) exceeds the work limit 100000"
+    with pytest.raises(DomainError, match=r"^p \* \(m - k \+ 1\) exceeds"):
+        build_certificate(problem, witness, 100003)
+    past = detect._derive(problem, witness, 100003,
+                          detect._correction(problem, witness, 100003))
+    assert verify_certificate(past) == (False, report)
 
 
 def test_verify_names_non_canonical_xi(flagship_cert):
