@@ -31,8 +31,8 @@ _NAMES = {
                "coefficient_form", "congruence", "direct_sum",
                "form_from_json", "form_to_json", "format_group_ring",
                "hyperbolic", "integer_expansion", "multisignature",
-               "parse_group_ring", "random_form", "signature_int",
-               "transfer"),
+               "multisignature_to_json", "parse_group_ring", "random_form",
+               "signature_int", "transfer"),
 }
 
 __all__ = [name for names in _NAMES.values() for name in names]

@@ -13,16 +13,15 @@ representations of C_p:
      point is evaluated numerically (to_l_coordinates() and specialize()
      give the same polynomial symbolically; the pipeline never calls them),
   3. record the prime bound N from the point and the value,
-  4. for each odd prime p > N, realize the free coordinates by a virtual
-     representation xi: solve for Chern-character targets and symmetrize,
-  5. derive every certificate field from (z, p, xi): the residues, the
-     targets, the Euler and L pullbacks and the evaluation, which
-     reproduces Xi(z) mod p.
+  4. admit each odd prime p > N within the work limit (_admission),
+  5. derive every certificate field from (z, p) (_derive): the residues,
+     the targets, the virtual representation xi realizing the free
+     coordinates (Chern-character targets solved, then symmetrized), the
+     Euler and L pullbacks and the evaluation, which reproduces Xi(z) mod p.
 
-Verification derives every field again from the certificate's own
-(z, p, xi), and Xi(z) and xi themselves, and compares exactly; N is
-derived by WitnessPoint only.  The certificate document is written and
-read here too.
+Verification runs the same admission and derivation, compares every stored
+field with it exactly and checks Xi(z) over Q; N is derived by WitnessPoint
+only.  The certificate document is written and read here too.
 """
 
 from __future__ import annotations
@@ -351,24 +350,29 @@ def _json_pairs(pairs, depth):
 
 
 def certificate_to_json(cert: WitnessCertificate) -> str:
-    """The canonical certificate text.  Every value is an int, a list of
-    ints or an ASCII string with nothing to escape; an int with more
-    digits than str() converts raises ValueError."""
-    problem = cert.problem
-    witness = cert.witness
-    return _CERTIFICATE % (
-        CERTIFICATE_VERSION,
-        problem.polynomial, problem.n, problem.m, problem.k, problem.degree_2r,
-        _json_list(['"%s"' % rational_to_string(c)
-                    for c in witness.coordinates], 2),
-        rational_to_string(witness.value), witness.N,
-        cert.prime,
-        _json_list([str(r) for r in cert.residues], 1),
-        _json_list([str(t) for t in cert.targets], 1),
-        _json_pairs(cert.xi.serialize(), 1),
-        cert.euler,
-        _json_pairs(sorted(cert.l_pullbacks.items()), 2),
-        cert.evaluation)
+    """The canonical certificate text: ints, lists of ints and ASCII strings
+    with nothing to escape.  An int of Xi or 2r longer than str() converts,
+    the limit verify reads under, raises DomainError."""
+    problem, witness = cert.problem, cert.witness
+    try:
+        return _CERTIFICATE % (
+            CERTIFICATE_VERSION,
+            problem.polynomial, problem.n, problem.m, problem.k,
+            problem.degree_2r,
+            _json_list(['"%s"' % rational_to_string(c)
+                        for c in witness.coordinates], 2),
+            rational_to_string(witness.value), witness.N,
+            cert.prime,
+            _json_list([str(r) for r in cert.residues], 1),
+            _json_list([str(t) for t in cert.targets], 1),
+            _json_pairs(cert.xi.serialize(), 1),
+            cert.euler,
+            _json_pairs(sorted(cert.l_pullbacks.items()), 2),
+            cert.evaluation)
+    except ValueError as err:
+        raise DomainError("the certificate has a number of more than %d "
+                          "digits, which verify cannot read"
+                          % sys.get_int_max_str_digits()) from err
 
 
 def _items(mapping, key, kind, where):
@@ -385,10 +389,11 @@ def _items(mapping, key, kind, where):
 def _int_pairs(mapping, key, where, shape):
     """The list mapping[key] of two-integer lists, as tuples."""
     pairs = _field(mapping, key, list, where)
-    if not all(isinstance(pair, list) and len(pair) == 2
-               and all(_is_int(x) for x in pair) for pair in pairs):
-        raise ParseError("%s in %s must hold [%s] integer pairs"
-                         % (key, where, shape))
+    for pair in pairs:  # type() is int refuses bools, unlike isinstance
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise ParseError("%s in %s must hold [%s] integer pairs"
+                             % (key, where, shape))
     return [tuple(pair) for pair in pairs]
 
 
@@ -442,52 +447,54 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 # and verify cost about p * (m - k + 1).  The slowest certificate within this
 # limit verifies in under a second.
 WORK_LIMIT = 10 ** 5
-_WORK_LIMIT_REPORT = "p * (m - k + 1) exceeds the work limit %d" % WORK_LIMIT
 
 
-def _over_work_limit(problem, p):
-    return p * (problem.m - problem.k + 1) > WORK_LIMIT
+def _admission(problem, witness, p):
+    """The first fact that keeps p from certifying the problem at the
+    witness, as its report, or None: p is an odd prime, p > N, p is within
+    the work limit, and z has one coordinate per a_j and per x_k..x_m."""
+    if not is_odd_prime(p):
+        return "modulus is not an odd prime"
+    if p <= witness.N:
+        return "modulus does not exceed the witness bound N"
+    if p * (problem.m - problem.k + 1) > WORK_LIMIT:
+        return "p * (m - k + 1) exceeds the work limit %d" % WORK_LIMIT
+    if len(witness.coordinates) != problem.n + problem.m - problem.k + 1:
+        return "witness has the wrong number of coordinates"
 
 
 def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
                       p: int) -> WitnessCertificate:
-    """The certificate for one prime p > N: solve for xi, then derive."""
-    if not is_odd_prime(p):
-        raise DomainError("p = %d is not an odd prime" % p)
-    if p <= witness.N:
-        raise DomainError("p = %d does not exceed the bound N = %d"
-                          % (p, witness.N))
-    if _over_work_limit(problem, p):
-        raise DomainError(_WORK_LIMIT_REPORT)
-    return _derive(problem, witness, p, _correction(problem, witness, p))
+    """The certificate for one admitted prime p, as _derive makes it."""
+    report = _admission(problem, witness, p)
+    if report:
+        raise DomainError(report)
+    return _derive(problem, witness, p)
 
 
-def _reduce(problem, witness, p):
-    """z mod p: the linear representation of the a-block, and the x-bars."""
-    z = witness.coordinates
-    return (LinearRepData(p, [from_rational(p, c) for c in z[:problem.n]]),
-            tuple(from_rational(p, c) for c in z[problem.n:]))
-
-
-def _correction(problem, witness, p):
+def _solve(problem, rho, xbars, euler):
     """The symmetrized virtual representation xi whose L-pullbacks hit the
     x-bars: ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n."""
-    n = problem.n
-    rho, xbars = _reduce(problem, witness, p)
-    e = euler_class(rho)
+    n, p = problem.n, rho.p
     targets = [0] * p
     for i, xbar in enumerate(xbars, problem.k):
         j = 2 * i - n
         assert 0 <= j <= p - 3, "Chern index out of range"
         ell = l_class_linear(rho, i)
-        targets[j] = (ell - xbar) * pow(e * pow(2, 2 + j, p), -1, p) % p
+        targets[j] = (ell - xbar) * pow(euler * pow(2, 2 + j, p), -1, p) % p
     return symmetrize(solve_chern_targets(p, targets), n)
 
 
-def _derive(problem, witness, p, xi):
-    """Every certificate field from (z, p, xi)."""
-    rho, xbars = _reduce(problem, witness, p)
+def _derive(problem, witness, p, xi=None):
+    """Every certificate field from (z, p): z reduced mod p once, to the
+    linear representation of its a-block and the x-bars, xi solved from
+    them unless given, then the pullbacks and the evaluation."""
+    z = witness.coordinates
+    rho = LinearRepData(p, [from_rational(p, c) for c in z[:problem.n]])
+    xbars = tuple(from_rational(p, c) for c in z[problem.n:])
     euler = euler_class(rho)
+    if xi is None:
+        xi = _solve(problem, rho, xbars, euler)
     l_pullbacks = {i: pullback_l_nonlinear(rho, xi, problem.n, i)
                    for i in range(1, problem.m + 1)}
     evaluation = _l_form_mod(problem, euler, l_pullbacks.__getitem__, p)
@@ -496,39 +503,29 @@ def _derive(problem, witness, p, xi):
 
 
 def verify_certificate(cert: WitnessCertificate):
-    """Derive every field again from (z, p, xi) and compare exactly.
-
-    Returns (ok, report); the report names the first failing check.  All
-    domain errors are converted into verification failures, never raised.
-    """
+    """Admit p and derive the certificate as build_certificate does, compare
+    every stored field with the derivation, then check what it claims.
+    Returns (ok, report), the report naming the first failing check; domain
+    and arithmetic errors become failures, never raised."""
     try:
         return _verify(cert)
-    except (CharwitError, ZeroDivisionError, ArithmeticError) as exc:
+    except (CharwitError, ArithmeticError) as exc:
         return False, "invalid certificate data: %s" % exc
 
 
 def _verify(cert: WitnessCertificate):
     problem, witness, p = cert.problem, cert.witness, cert.prime
-    n, k, m = problem.n, problem.k, problem.m
-    if not is_odd_prime(p):
-        return False, "modulus is not an odd prime"
-    if p <= witness.N:
-        return False, "modulus does not exceed the witness bound N"
-    if _over_work_limit(problem, p):
-        return False, _WORK_LIMIT_REPORT
-    z = witness.coordinates
-    if len(z) != n + (m - k + 1):
-        return False, "witness has the wrong number of coordinates"
-    derived = _derive(problem, witness, p, cert.xi)
+    k, m = problem.k, problem.m
+    report = _admission(problem, witness, p)
+    if report:
+        return False, report
+    derived = _derive(problem, witness, p)
     if cert.residues != derived.residues:
         return False, "residues do not reduce the witness coordinates"
     if cert.targets != derived.targets:
         return False, "targets do not reduce the witness coordinates"
-
-    sign = -1 if n % 2 else 1
-    if cert.xi.conjugate() != sign * cert.xi:
-        return False, "xi breaks the conjugation symmetry"
-
+    if cert.xi != derived.xi:
+        return False, "xi differs from the symmetrized Chern-target solution"
     if cert.euler != derived.euler:
         return False, "euler pullback mismatch"
     if sorted(cert.l_pullbacks) != list(range(1, m + 1)):
@@ -536,20 +533,18 @@ def _verify(cert: WitnessCertificate):
     for i in range(1, m + 1):
         if cert.l_pullbacks[i] != derived.l_pullbacks[i]:
             return False, "L-pullback mismatch at i = %d" % i
+    if cert.evaluation != derived.evaluation:
+        return False, "evaluation differs from the stored value"
+
     for i in range(k, m + 1):
         if derived.l_pullbacks[i] != derived.targets[i - k]:
             return False, "target mismatch at i = %d" % i
-
     if not derived.evaluation:
         return False, "evaluation vanished mod p"
-    if cert.evaluation != derived.evaluation:
-        return False, "evaluation differs from the stored value"
     if derived.evaluation != from_rational(p, witness.value):
         return False, "evaluation differs from Xi(z) mod p"
-    if witness.value != _witness_value(problem, z):
+    if witness.value != _witness_value(problem, witness.coordinates):
         return False, "witness value differs from Xi(z)"
-    if cert.xi != _correction(problem, witness, p):
-        return False, "xi differs from the symmetrized Chern-target solution"
     return True, "ok"
 
 

@@ -16,17 +16,19 @@ from hypothesis import given, settings, strategies as st
 
 import charwit
 from charwit.cli import main
-from charwit.cyclic_coh import euler_class, l_class_linear
+from charwit.cyclic_coh import LinearRepData, euler_class, l_class_linear
 from charwit.detect import (DetectionProblem, WORK_LIMIT, build_certificate,
                             certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint
-from charwit.detect import _correction, _derive, _reduce
-from charwit.errors import ParseError
+from charwit.detect import _derive, _solve
+from charwit.errors import DomainError, ParseError
 from charwit.repring import VirtualRep
-from charwit.scalars import rational_to_string
-from charwit.lforms import (HermitianForm, form_from_json, form_to_json,
-                            format_group_ring, hyperbolic, parse_group_ring)
+from charwit.scalars import from_rational, rational_to_string
+from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
+                            form_to_json, format_group_ring, hyperbolic,
+                            multisignature, multisignature_to_json,
+                            parse_group_ring, random_form)
 from charwit.symfun import GradedPolynomial, parse_polynomial
 from test_acceptance import random_cases
 from test_symfun import CERTIFY_SUITE
@@ -248,15 +250,20 @@ def test_certificate_writer_matches_json_dumps():
 
 def test_certificate_writer_refuses_overlong_int():
     """An int with more digits than str() converts raises ValueError, as
-    json.dumps did, which certify turns into its named error."""
+    json.dumps did; the writer raises it as its named DomainError, which
+    certify reports as it is."""
     flagship = flagship_certificate()
+    digits = sys.get_int_max_str_digits()
     cert = WitnessCertificate(
         flagship.problem, flagship.witness, flagship.prime, flagship.residues,
         flagship.targets, flagship.xi, flagship.euler, flagship.l_pullbacks,
-        10 ** sys.get_int_max_str_digits())
-    for write in (oracle_certificate_json, certificate_to_json):
-        with pytest.raises(ValueError):
-            write(cert)
+        10 ** digits)
+    with pytest.raises(ValueError):
+        oracle_certificate_json(cert)
+    with pytest.raises(DomainError) as err:
+        certificate_to_json(cert)
+    assert str(err.value) == ("the certificate has a number of more than %d "
+                              "digits, which verify cannot read" % digits)
 
 
 def test_certificate_json_rejects_bad_structure():
@@ -392,6 +399,11 @@ def _store(doc, path, value):
     ("L", ("pullbacks", "L", 0, 1), None),
     ("z", ("witness", "z", 0), 1),
     ("z", ("witness", "z", 0), None),
+    ("xi_rep", ("xi_rep", 0, 1), True),
+    ("xi_rep", ("xi_rep", 0), [1]),
+    ("xi_rep", ("xi_rep", 0), 1),
+    ("L", ("pullbacks", "L", 0, 0), False),
+    ("L", ("pullbacks", "L", 0), [1, 1, 1]),
 ])
 def test_cli_verify_rejects_non_integer_fields(tmp_path, capsys, field, path,
                                                value):
@@ -706,6 +718,52 @@ def test_cli_multisig(tmp_path, capsys):
                                "multiplicities": [[0, 1], [1, 1], [2, 1]]}
 
 
+@pytest.mark.parametrize("parity", [1, -1])
+def test_multisignature_to_json_is_the_multisig_document(parity):
+    """The multisig document is json.dumps of p, k and the multiplicities,
+    as the command printed it before the layout moved beside
+    form_to_json."""
+    for seed in range(3):
+        sign = multisignature(random_form(3, 2, parity, 2, seed))
+        doc = {"p": sign.p, "k": sign.k,
+               "multiplicities": [list(pair) for pair in sign.serialize()]}
+        assert multisignature_to_json(sign) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["multisig", "transfer"])
+@pytest.mark.parametrize("p, k", [(3, 10 ** 30), (3, 40), (1000003, 1)])
+def test_cli_form_past_order_limit_ends(tmp_path, capsys, command, p, k):
+    """A form file whose group order p^k is past FORM_ORDER_LIMIT exits 1
+    with the limit named, before anything computes p^k: k = 10^30 once
+    hung in p ** k, and k = 40 in multisig's loop over character orders.
+    In process within 1 s."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"p": p, "k": k, "parity": 1,
+                                "matrix": [["1"]]}))
+    report = ("error: the group order p^k exceeds the form limit %d\n"
+              % FORM_ORDER_LIMIT)
+    proc = charwit_process(command, "--form", str(path), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", report)
+    start = time.perf_counter()
+    assert run(capsys, command, "--form", str(path)) == (1, "", report)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_multisig_at_the_order_limit(tmp_path, capsys):
+    """125 = 5^3 is the largest order within the limit; a rank-4 form of
+    that order still multisigs, and its transfer too."""
+    assert FORM_ORDER_LIMIT == 5 ** 3
+    form = random_form(5, 3, 1, 4, 0)
+    path = tmp_path / "form.json"
+    path.write_text(form_to_json(form))
+    start = time.perf_counter()
+    assert run(capsys, "multisig", "--form", str(path)) == (
+        0, multisignature_to_json(multisignature(form)), "")
+    code, out, err = run(capsys, "transfer", "--form", str(path))
+    assert (code, err) == (0, "") and form_from_json(out).order == 25
+    assert time.perf_counter() - start < 5.0
+
+
 @pytest.mark.parametrize("entry", ["3*", "3* + g"])
 def test_cli_multisig_dangling_star_is_parse_error(tmp_path, capsys, entry):
     form = tmp_path / "form.json"
@@ -976,7 +1034,7 @@ def test_cli_verify_large_exponent_ends(tmp_path):
     """The flagship certificate with Xi = e^64000000, its matching degree
     2r and m = 1 (z, the targets and the L-pullbacks without their i = 2
     entries), z_1 = 3 and residue 3 reaches the derivation, which
-    evaluates Xi mod p by pow(3, 64000000, 53): exit 1 at the Euler check
+    evaluates Xi mod p by pow(3, 64000000, 53): exit 1 at the xi check
     within 10 s, where evaluating 3^64000000 over Q ran past a minute."""
     doc = json.loads(FLAGSHIP_TEXT)
     doc["problem"].update(xi="e^64000000", m=1, degree_2r=4 * 64000000)
@@ -987,7 +1045,8 @@ def test_cli_verify_large_exponent_ends(tmp_path):
     path.write_text(json.dumps(doc, indent=2) + "\n")
     proc = charwit_process("verify", str(path), timeout=10)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "verification failed: euler pullback mismatch\n"
+    assert proc.stderr == ("verification failed: xi differs from the "
+                           "symmetrized Chern-target solution\n")
     start = time.perf_counter()
     assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
     assert time.perf_counter() - start < 1.0
@@ -1005,7 +1064,9 @@ def test_cli_verify_large_prime_ends(tmp_path):
     p = 1000003
     problem = DetectionProblem(parse_polynomial("e^2 - p2", 2), 2)
     witness = find_rational_witness(problem)
-    rho, xbars = _reduce(problem, witness, p)
+    z = witness.coordinates
+    rho = LinearRepData(p, [from_rational(p, c) for c in z[:problem.n]])
+    xbars = [from_rational(p, c) for c in z[problem.n:]]
     target = {}
     for i, xbar in enumerate(xbars, problem.k):
         j = 2 * i - problem.n
@@ -1031,10 +1092,10 @@ def denominator_document(exponent):
     problem = DetectionProblem(parse_polynomial("1/7*e^%d" % exponent, 2), 2)
     witness = WitnessPoint((Fraction(1), Fraction(3), Fraction(1)),
                            Fraction(1), problem.m)
-    rho, xbars = _reduce(problem, witness, p)
+    rho, xbars, euler = LinearRepData(p, (1, 3)), (1,), 3
     return certificate_to_json(WitnessCertificate(
         problem, witness, p, rho.residues, xbars,
-        _correction(problem, witness, p), euler_class(rho), {1: 0}, 1))
+        _solve(problem, rho, xbars, euler), euler, {1: 0}, 1))
 
 
 @pytest.mark.parametrize("exponent", [10000, 64000000])

@@ -206,17 +206,22 @@ def test_verify_names_missing_l_index(flagship_cert):
     assert not ok and report == "L-pullback indices are not 1..m"
 
 
+XI_DIFFERS = "xi differs from the symmetrized Chern-target solution"
+
+
 def test_verify_names_broken_symmetry(flagship_cert):
+    """An xi without the conjugation symmetry is not the one certify
+    derives, which always has it."""
     xi = flagship_cert.xi + VirtualRep.character(53, 1, 2)
     ok, report = verify_certificate(clone(flagship_cert, xi=xi))
-    assert not ok and report == "xi breaks the conjugation symmetry"
+    assert not ok and report == XI_DIFFERS
 
 
 def test_verify_names_wrong_xi(flagship_cert):
     bump = VirtualRep(53, 1, {2: 1, 51: 1})  # symmetric but wrong
     ok, report = verify_certificate(clone(flagship_cert,
                                           xi=flagship_cert.xi + bump))
-    assert not ok and report == "L-pullback mismatch at i = 1"
+    assert not ok and report == XI_DIFFERS
 
 
 def test_verify_names_residue_tamper(flagship_cert):
@@ -238,9 +243,44 @@ def test_verify_names_bad_modulus(flagship_cert):
 
 def test_verify_catches_cross_prime_data(flagship_cert):
     """Stale xi living mod a different prime must come back as a report,
-    not an exception."""
+    not an exception: z = (1, 1, 1, 1) has the same residues and targets
+    mod 59, so xi is the first field that differs from the derivation."""
     ok, report = verify_certificate(clone(flagship_cert, prime=59))
-    assert not ok and report.startswith("invalid certificate data")
+    assert not ok and report == XI_DIFFERS
+
+
+def test_verify_derives_once(flagship_cert, monkeypatch):
+    """verify_certificate runs build_certificate's derivation once, xi
+    solved from z and p, and derives nothing from the stored xi."""
+    calls, solves = [], []
+    derive, solve = detect._derive, detect.solve_chern_targets
+    monkeypatch.setattr(detect, "_derive",
+                        lambda *args: calls.append(args) or derive(*args))
+    monkeypatch.setattr(detect, "solve_chern_targets",
+                        lambda *args: solves.append(args) or solve(*args))
+    assert verify_certificate(flagship_cert) == (True, "ok")
+    assert calls == [(flagship_cert.problem, flagship_cert.witness, 53)]
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("p, z, report", [
+    (54, (1, 1, 1, 1), "modulus is not an odd prime"),
+    (43, (1, 1, 1, 1), "modulus does not exceed the witness bound N"),
+    (53, (1, 1, 1), "witness has the wrong number of coordinates"),
+    (53, (1, 1, 1, 1, 1), "witness has the wrong number of coordinates"),
+])
+def test_build_certificate_names_what_verify_names(flagship_cert, p, z,
+                                                   report):
+    """build_certificate and verify_certificate admit a prime by one rule
+    and name its failures with the same texts; a z without one coordinate
+    per a_j and per x_k..x_m is refused before it is reduced."""
+    problem = flagship_cert.problem
+    witness = WitnessPoint(z, flagship_cert.witness.value, problem.m)
+    with pytest.raises(DomainError) as err:
+        build_certificate(problem, witness, p)
+    assert str(err.value) == report
+    assert verify_certificate(clone(flagship_cert, prime=p,
+                                    witness=witness)) == (False, report)
 
 
 def test_verify_names_evaluation_tamper(flagship_cert):
@@ -309,8 +349,7 @@ def test_work_limit_bounds_p_times_the_free_coordinates():
     report = "p * (m - k + 1) exceeds the work limit 100000"
     with pytest.raises(DomainError, match=r"^p \* \(m - k \+ 1\) exceeds"):
         build_certificate(problem, witness, 100003)
-    past = detect._derive(problem, witness, 100003,
-                          detect._correction(problem, witness, 100003))
+    past = detect._derive(problem, witness, 100003)
     assert verify_certificate(past) == (False, report)
 
 
@@ -319,8 +358,7 @@ def test_verify_names_non_canonical_xi(flagship_cert):
     Chern character mod 53, so only the re-derivation of xi sees them."""
     xi = flagship_cert.xi + 53 * VirtualRep.character(53, 1, 0)
     ok, report = verify_certificate(clone(flagship_cert, xi=xi))
-    assert not ok and report == ("xi differs from the symmetrized "
-                                 "Chern-target solution")
+    assert not ok and report == XI_DIFFERS
 
 
 # ---------------------------------------------------------------------------
