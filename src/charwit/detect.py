@@ -472,30 +472,25 @@ def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
     return _derive(problem, witness, p)
 
 
-def _solve(problem, rho, xbars, euler):
-    """The symmetrized virtual representation xi whose L-pullbacks hit the
-    x-bars: ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n."""
-    n, p = problem.n, rho.p
-    targets = [0] * p
+def _derive(problem, witness, p):
+    """Every certificate field from (z, p): z reduced mod p once, to the
+    linear representation of its a-block and the x-bars; the symmetrized
+    virtual representation xi whose L-pullbacks hit the x-bars,
+    ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n; then the
+    pullbacks and the evaluation."""
+    n = problem.n
+    z = witness.coordinates
+    rho = LinearRepData(p, [from_rational(p, c) for c in z[:n]])
+    xbars = tuple(from_rational(p, c) for c in z[n:])
+    euler = euler_class(rho)
+    chern = [0] * p
     for i, xbar in enumerate(xbars, problem.k):
         j = 2 * i - n
         assert 0 <= j <= p - 3, "Chern index out of range"
         ell = l_class_linear(rho, i)
-        targets[j] = (ell - xbar) * pow(euler * pow(2, 2 + j, p), -1, p) % p
-    return symmetrize(solve_chern_targets(p, targets), n)
-
-
-def _derive(problem, witness, p, xi=None):
-    """Every certificate field from (z, p): z reduced mod p once, to the
-    linear representation of its a-block and the x-bars, xi solved from
-    them unless given, then the pullbacks and the evaluation."""
-    z = witness.coordinates
-    rho = LinearRepData(p, [from_rational(p, c) for c in z[:problem.n]])
-    xbars = tuple(from_rational(p, c) for c in z[problem.n:])
-    euler = euler_class(rho)
-    if xi is None:
-        xi = _solve(problem, rho, xbars, euler)
-    l_pullbacks = {i: pullback_l_nonlinear(rho, xi, problem.n, i)
+        chern[j] = (ell - xbar) * pow(euler * pow(2, 2 + j, p), -1, p) % p
+    xi = symmetrize(solve_chern_targets(p, chern), n)
+    l_pullbacks = {i: pullback_l_nonlinear(rho, xi, n, i)
                    for i in range(1, problem.m + 1)}
     evaluation = _l_form_mod(problem, euler, l_pullbacks.__getitem__, p)
     return WitnessCertificate(problem, witness, p, rho.residues, xbars, xi,

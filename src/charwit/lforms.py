@@ -168,9 +168,11 @@ def _group_ring_entries(values, where):
     return values
 
 
-# The largest group order p^k a form file may ask for: multisignature on
-# seeded random forms of rank up to 4 took up to 0.5 s at orders 113 and
-# 125, 1.9 s at 151 and over 5 s at 331 and 3^7 (a shared x86-64 box).
+# The largest group order p^k a form file may ask for, sized for rank up
+# to 4: multisignature on seeded random forms took up to 0.5 s at orders
+# 113 and 125, 1.9 s at 151 and over 5 s at 331 and 3^7 (a shared x86-64
+# box).  Rank-1 forms past it are cheap (about 0.4 s at order 10007), and
+# it refuses them too.
 FORM_ORDER_LIMIT = 125
 
 
@@ -178,9 +180,10 @@ def form_from_json(text: str) -> HermitianForm:
     doc = _json_document(text)
     p = _field(doc, "p", int, "form")
     k = _field(doc, "k", int, "form")
-    # p^k >= 3^k > limit once k reaches the limit's bit length; no p ** k then
-    if p >= 3 and k >= 1 and (k >= FORM_ORDER_LIMIT.bit_length()
-                              or p ** k > FORM_ORDER_LIMIT):
+    # |p|^k >= 2^k > limit once k reaches the limit's bit length; no p ** k
+    # then.  Before any entry is parsed, so before p is known to be prime.
+    if abs(p) >= 2 and k >= 1 and (k >= FORM_ORDER_LIMIT.bit_length()
+                                   or abs(p) ** k > FORM_ORDER_LIMIT):
         raise DomainError("the group order p^k exceeds the form limit %d"
                           % FORM_ORDER_LIMIT)
     parity = _field(doc, "parity", int, "form")

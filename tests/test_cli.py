@@ -16,15 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import charwit
 from charwit.cli import main
-from charwit.cyclic_coh import LinearRepData, euler_class, l_class_linear
 from charwit.detect import (DetectionProblem, WORK_LIMIT, build_certificate,
                             certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint
-from charwit.detect import _derive, _solve
 from charwit.errors import DomainError, ParseError
 from charwit.repring import VirtualRep
-from charwit.scalars import from_rational, rational_to_string
+from charwit.scalars import rational_to_string
 from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
                             form_to_json, format_group_ring, hyperbolic,
                             multisignature, multisignature_to_json,
@@ -731,15 +729,19 @@ def test_multisignature_to_json_is_the_multisig_document(parity):
 
 
 @pytest.mark.parametrize("command", ["multisig", "transfer"])
-@pytest.mark.parametrize("p, k", [(3, 10 ** 30), (3, 40), (1000003, 1)])
-def test_cli_form_past_order_limit_ends(tmp_path, capsys, command, p, k):
-    """A form file whose group order p^k is past FORM_ORDER_LIMIT exits 1
+@pytest.mark.parametrize("p, k, matrix", [
+    (3, 10 ** 30, [["1"]]), (3, 40, [["1"]]), (1000003, 1, [["1"]]),
+    (2, 10 ** 30, []), (-3, 10 ** 30, [])])
+def test_cli_form_past_order_limit_ends(tmp_path, capsys, command, p, k,
+                                        matrix):
+    """A form file whose group order |p|^k is past FORM_ORDER_LIMIT exits 1
     with the limit named, before anything computes p^k: k = 10^30 once
     hung in p ** k, and k = 40 in multisig's loop over character orders.
-    In process within 1 s."""
+    An empty matrix parses no entry, so p = 2 and p = -3 meet the limit
+    before any check that p is an odd prime.  In process within 1 s."""
     path = tmp_path / "form.json"
     path.write_text(json.dumps({"p": p, "k": k, "parity": 1,
-                                "matrix": [["1"]]}))
+                                "matrix": matrix}))
     report = ("error: the group order p^k exceeds the form limit %d\n"
               % FORM_ORDER_LIMIT)
     proc = charwit_process(command, "--form", str(path), timeout=10)
@@ -1053,30 +1055,15 @@ def test_cli_verify_large_exponent_ends(tmp_path):
 
 
 def test_cli_verify_large_prime_ends(tmp_path):
-    """The e^2 - p2 certificate at p = 1000003 with
-    xi = a chi^0 + b (chi^1 + chi^-1) and every other field derived from
-    it, 609 bytes.  b is the Chern target at j = 2 and a = target_0 - 2b,
-    so xi has the targeted ch_0 and ch_2 and every pullback matches, but
-    it is not the symmetrized solution over all of F_p, which is dense.
-    Solving for all p multiplicities again took about 4 s; p * (m - k + 1)
-    = 2000006 is past the work limit, which verify names at once: exit 1,
-    in process within 1 s."""
+    """An e^2 - p2 certificate at p = 1000003 whose other fields are
+    placeholders.  p * (m - k + 1) = 2000006 is past the work limit, which
+    verify names before it derives anything; solving for all p
+    multiplicities took about 4 s.  Exit 1, in process within 1 s."""
     p = 1000003
     problem = DetectionProblem(parse_polynomial("e^2 - p2", 2), 2)
-    witness = find_rational_witness(problem)
-    z = witness.coordinates
-    rho = LinearRepData(p, [from_rational(p, c) for c in z[:problem.n]])
-    xbars = [from_rational(p, c) for c in z[problem.n:]]
-    target = {}
-    for i, xbar in enumerate(xbars, problem.k):
-        j = 2 * i - problem.n
-        target[j] = ((l_class_linear(rho, i) - xbar)
-                     * pow(euler_class(rho) * 2 ** (2 + j), -1, p) % p)
-    b = target[2]
-    a = (target[0] - 2 * b) % p
-    xi = VirtualRep(p, 1, {0: a, 1: b, -1: b})
-    text = certificate_to_json(_derive(problem, witness, p, xi))
-    assert len(text.encode()) == 609
+    text = certificate_to_json(WitnessCertificate(
+        problem, find_rational_witness(problem), p, (0, 0), (0,),
+        VirtualRep(p, 1, {}), 0, {1: 0, 2: 0}, 0))
     start = time.perf_counter()
     assert verify_text(tmp_path / "large_prime.json", text) == (
         1, "", "verification failed: p * (m - k + 1) exceeds the work "
@@ -1085,17 +1072,17 @@ def test_cli_verify_large_prime_ends(tmp_path):
 
 
 def denominator_document(exponent):
-    """The canonical p = 7 certificate for Xi = 1/7*e^exponent at
-    z = (1, 3, 1), value 1 and N = 3.  7 divides the denominator of Xi's
-    coefficient, so Xi at the Euler class 3 is not 7-integral."""
+    """A p = 7 certificate for Xi = 1/7*e^exponent at z = (1, 3, 1),
+    value 1 and N = 3, its stored fields placeholders.  7 divides the
+    denominator of Xi's coefficient, so Xi at the Euler class 3 is not
+    7-integral."""
     p = 7
     problem = DetectionProblem(parse_polynomial("1/7*e^%d" % exponent, 2), 2)
     witness = WitnessPoint((Fraction(1), Fraction(3), Fraction(1)),
                            Fraction(1), problem.m)
-    rho, xbars, euler = LinearRepData(p, (1, 3)), (1,), 3
     return certificate_to_json(WitnessCertificate(
-        problem, witness, p, rho.residues, xbars,
-        _solve(problem, rho, xbars, euler), euler, {1: 0}, 1))
+        problem, witness, p, (1, 3), (1,), VirtualRep(p, 1, {}), 3,
+        {1: 0}, 1))
 
 
 @pytest.mark.parametrize("exponent", [10000, 64000000])
