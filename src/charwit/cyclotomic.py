@@ -11,9 +11,8 @@ level and precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 
 from .errors import DomainError, InternalConsistencyError, InvariantViolation
 
@@ -27,9 +26,28 @@ from .errors import DomainError, InternalConsistencyError, InvariantViolation
 # GTM 138, 4.2).  Inverses come from relative norms, as in _inverse.
 
 
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod the odd prime p: the least g with
+    g^((p-1)/q) != 1 mod p for every prime q dividing p - 1."""
+    primes, n, q = [], p - 1, 2
+    while n > 1:
+        if q * q > n:
+            q = n
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
 class _Level:
-    """Q[x]/Phi_L for L = p^k, or L = 1 with p = 1: phi = phi(L) and the
-    exponents jL/p, j < p - 1, of x^phi = -sum_j x^(jL/p)."""
+    """Q[x]/Phi_L for L = p^k, or L = 1 with p = 1: phi = phi(L), the
+    exponents jL/p, j < p - 1, of x^phi = -sum_j x^(jL/p), and for L > 1
+    a generator gen of the units a = 1 mod L/p with their number M:
+    gen = 1 + L/p and M = p when L > p, gen a primitive root mod p and
+    M = p - 1 when L = p."""
 
     def __init__(self, L: int):
         p = next((q for q in range(2, L + 1) if L % q == 0), 1)
@@ -41,6 +59,10 @@ class _Level:
         self.L, self.p = L, p
         self.phi = max((p - 1) * (L // p), 1)
         self.tail = tuple(j * (L // p) for j in range(p - 1))
+        if L > p:
+            self.gen, self.M = 1 + L // p, p
+        elif L > 1:
+            self.gen, self.M = _primitive_root(p), p - 1
 
 
 _level = lru_cache(maxsize=None)(_Level)
@@ -203,13 +225,23 @@ def _inverse(x: CyclotomicNumber) -> CyclotomicNumber:
     (Washington, GTM 83, ch. 2).  y, the product of the images of x under
     zeta -> zeta^a for the units a = 1 mod m, a != 1, makes n = x y fixed by
     all of them, so n lies in Q(zeta_m): its coefficients sit at multiples
-    of p.  Then 1/x = y / n, with 1/n inverted at level m."""
+    of p.  Then 1/x = y / n, with 1/n inverted at level m.
+
+    Those units are the powers g^i, i < M, of _Level's gen g.  With
+    P(t) = prod_{i<t} sigma_{g^i}(x), y = sigma_g(P(M - 1)), and
+    P(a + b) = P(a) sigma_{g^a}(P(b)), so y is built by doubling along the
+    bits of M - 1: O(log M) products where the plain product takes M - 2."""
     L = x.L
     if x.is_rational():
         return CyclotomicNumber._make(L, [x.den], x.num[0])
     lev = _level(L)
-    p, m = lev.p, L // lev.p
-    y = reduce(mul, [x._galois(a) for a in range(1 + m, L, m) if a % p])
+    p, m, g = lev.p, L // lev.p, lev.gen
+    P, h = x, g  # P(t) and g^t mod L, t = 1 at the leading bit of M - 1
+    for bit in bin(lev.M - 1)[3:]:
+        P, h = P * P._galois(h), h * h % L
+        if bit == "1":
+            P, h = P * x._galois(h), h * g % L
+    y = P._galois(g)
     n = x * y
     if any(c for i, c in enumerate(n.num) if i % p):
         raise InvariantViolation("relative norm of a cyclotomic number is "

@@ -24,7 +24,7 @@ from math import gcd
 
 from .cyclotomic import CyclotomicNumber, CyclotomicReal
 from .errors import DomainError, InvariantViolation, ParseError
-from .repring import VirtualRep, _CyclicVector
+from .repring import VirtualRep, _check_group, _CyclicVector
 from .scalars import (_field, _format_sum, _is_int, _json_document,
                       _read_digits, _read_sum, _skip_space)
 
@@ -168,11 +168,11 @@ def _group_ring_entries(values, where):
     return values
 
 
-# The largest group order p^k a form file may ask for, sized for rank up
-# to 4: multisignature on seeded random forms took up to 0.5 s at orders
-# 113 and 125, 1.9 s at 151 and over 5 s at 331 and 3^7 (a shared x86-64
-# box).  Rank-1 forms past it are cheap (about 0.4 s at order 10007), and
-# it refuses them too.
+# The largest group order p^k a form file may ask for.  multisignature on
+# rank-4 random_form(p, k, 1, 4, 0) takes 0.01 s at order 125, 0.04 s at
+# 113, 0.03 s at 127, 0.23 s at 151, 0.22 s at 199, 1.6 s at 331 and over
+# 20 s at 3^7 (a shared 2-core x86-64 box).  Rank-1 forms past it are
+# cheap (about 0.5 s at order 10007), and it refuses them too.
 FORM_ORDER_LIMIT = 125
 
 
@@ -247,6 +247,7 @@ class HermitianForm:
     """
 
     def __init__(self, p: int, k: int, parity: int, matrix, refinement=None):
+        _check_group(p, k)  # first, so that an empty matrix is checked too
         if parity not in (1, -1):
             raise DomainError("parity must be +1 or -1")
         rows = []

@@ -19,6 +19,14 @@ from .errors import DomainError
 from .scalars import is_odd_prime
 
 
+def _check_group(p: int, k: int) -> None:
+    """Refuses a cyclic group C_{p^k} with k < 1 or p not an odd prime."""
+    if k < 1:
+        raise DomainError("level exponent k must be >= 1")
+    if not is_odd_prime(p):
+        raise DomainError("group order must be a power of an odd prime")
+
+
 class _CyclicVector:
     """Int coefficients c_r at r in Z/p^k, p an odd prime and k >= 1.
 
@@ -30,13 +38,9 @@ class _CyclicVector:
     __slots__ = ("p", "k", "coeffs")
 
     def __init__(self, p: int, k: int, coeffs: dict):
-        """Checks k >= 1 and that p is an odd prime, reduces the int keys
-        mod p^k, sums the int values that land on one key and drops
-        zeros."""
-        if k < 1:
-            raise DomainError("level exponent k must be >= 1")
-        if not is_odd_prime(p):
-            raise DomainError("group order must be a power of an odd prime")
+        """Checks the group by _check_group, reduces the int keys mod
+        p^k, sums the int values that land on one key and drops zeros."""
+        _check_group(p, k)
         order = p ** k
         clean = {}
         for r, c in coeffs.items():

@@ -21,12 +21,12 @@ from charwit.detect import (DetectionProblem, WORK_LIMIT, build_certificate,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint
 from charwit.errors import DomainError, ParseError
-from charwit.repring import VirtualRep
+from charwit.repring import VirtualRep, restrict
 from charwit.scalars import rational_to_string
 from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
                             form_to_json, format_group_ring, hyperbolic,
                             multisignature, multisignature_to_json,
-                            parse_group_ring, random_form)
+                            parse_group_ring, random_form, transfer)
 from charwit.symfun import GradedPolynomial, parse_polynomial
 from test_acceptance import random_cases
 from test_symfun import CERTIFY_SUITE
@@ -328,8 +328,9 @@ def test_cli_certify_and_verify(tmp_path, capsys):
     path59 = tmp_path / "cert_p59.json"
     assert path53.exists() and path59.exists()
 
-    code, out, err = run(capsys, "verify", str(path53))
-    assert code == 0 and out.strip() == "ok"
+    for path in (path53, path59):
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and out.strip() == "ok"
 
     # byte-identical on a second run
     before = path53.read_bytes()
@@ -508,10 +509,13 @@ def test_cli_verify_accepts_only_canonical_documents(tmp_path, case):
 @pytest.mark.parametrize("N", [46, 48, 60])
 def test_cli_verify_names_stored_bound(tmp_path, N):
     """N is derived from z, the value and m when the file is read: the
-    flagship (N = 47) with any other N exits 1 naming it."""
+    flagship (N = 47) with any other N exits 1 naming it, in process
+    within 1 s."""
     text = _canonical(_set(("witness", "N"), N))(FLAGSHIP_TEXT)
+    start = time.perf_counter()
     assert verify_text(tmp_path / "c.json", text) == (
         1, "", "verification failed: stored N disagrees with z and value\n")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("prime", [54, 55])
@@ -731,19 +735,24 @@ def test_multisignature_to_json_is_the_multisig_document(parity):
 @pytest.mark.parametrize("command", ["multisig", "transfer"])
 @pytest.mark.parametrize("p, k, matrix", [
     (3, 10 ** 30, [["1"]]), (3, 40, [["1"]]), (1000003, 1, [["1"]]),
-    (2, 10 ** 30, []), (-3, 10 ** 30, [])])
+    (2, 10 ** 30, []), (-3, 10 ** 30, []), (2, 3, []), (9, 1, [])])
 def test_cli_form_past_order_limit_ends(tmp_path, capsys, command, p, k,
                                         matrix):
     """A form file whose group order |p|^k is past FORM_ORDER_LIMIT exits 1
     with the limit named, before anything computes p^k: k = 10^30 once
     hung in p ** k, and k = 40 in multisig's loop over character orders.
     An empty matrix parses no entry, so p = 2 and p = -3 meet the limit
-    before any check that p is an odd prime.  In process within 1 s."""
+    before any check that p is an odd prime.  Within the limit, p = 2 and
+    p = 9 with an empty matrix meet HermitianForm's check of p, which
+    `transfer` once passed with exit 0.  In process within 1 s."""
     path = tmp_path / "form.json"
     path.write_text(json.dumps({"p": p, "k": k, "parity": 1,
                                 "matrix": matrix}))
-    report = ("error: the group order p^k exceeds the form limit %d\n"
-              % FORM_ORDER_LIMIT)
+    if (p, k) in ((2, 3), (9, 1)):
+        report = "error: group order must be a power of an odd prime\n"
+    else:
+        report = ("error: the group order p^k exceeds the form limit %d\n"
+                  % FORM_ORDER_LIMIT)
     proc = charwit_process(command, "--form", str(path), timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", report)
     start = time.perf_counter()
@@ -784,16 +793,36 @@ def test_cli_multisig_singular_is_failure(tmp_path, capsys):
     assert code == 1 and err != ""
 
 
-def test_cli_transfer_feeds_multisig(tmp_path, capsys):
-    form = tmp_path / "form.json"
-    form.write_text(form_to_json(HermitianForm(3, 2, 1, [["1"]])))
-    code, out, err = run(capsys, "transfer", "--form", str(form))
-    assert code == 0
-    down = tmp_path / "down.json"
-    down.write_text(out)
-    code, out, err = run(capsys, "multisig", "--form", str(down))
-    assert code == 0
-    assert json.loads(out)["multiplicities"] == [[0, 3], [1, 3], [2, 3]]
+@pytest.mark.parametrize("form, multiplicities", [
+    (HermitianForm(3, 2, 1, [["1"]]), [[0, 3], [1, 3], [2, 3]]),
+    (HermitianForm(3, 2, 1, [["1", "g"], ["g^8", "2"]]), None),
+    (HermitianForm(3, 2, -1, [["g - g^8", "1"], ["-1", "g - g^8"]],
+                   ["g", "g"]), None),
+    (random_form(7, 2, 1, 6, 1), None),
+    (random_form(7, 2, -1, 6, 1), None),
+], ids=["unit", "level-2", "skew-refined", "p7-rank6-hermitian",
+        "p7-rank6-skew"])
+def test_cli_transfer_feeds_multisig(tmp_path, capsys, form, multiplicities):
+    """`multisig` on a form prints its in-process multisignature, and
+    `charwit transfer --form FILE | charwit multisig --form /dev/stdin`
+    prints the multisignature of the transfer, which is the restriction of
+    the form's: level-2 forms at p = 3, one skew with a refinement, and
+    rank-6 forms at p = 7 of both parities."""
+    path = tmp_path / "form.json"
+    path.write_text(form_to_json(form))
+    sign = multisignature(form)
+    assert run(capsys, "multisig", "--form", str(path)) == (
+        0, multisignature_to_json(sign), "")
+    down = charwit_process("transfer", "--form", str(path))
+    assert (down.returncode, down.stderr) == (0, "")
+    piped = charwit_process("multisig", "--form", "/dev/stdin",
+                            input=down.stdout)
+    moved = multisignature(transfer(form))
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        0, multisignature_to_json(moved), "")
+    assert moved == restrict(sign)
+    if multiplicities is not None:
+        assert json.loads(piped.stdout)["multiplicities"] == multiplicities
 
 
 def test_cli_unknown_polynomial_variable(capsys):
@@ -801,13 +830,15 @@ def test_cli_unknown_polynomial_variable(capsys):
     assert code == 2
 
 
-def charwit_process(*argv, timeout=20):
-    """`python -m charwit argv` in a fresh process, which must end within
-    timeout seconds (subprocess.TimeoutExpired fails the test)."""
+def charwit_process(*argv, timeout=20, input=None):
+    """`python -m charwit argv` in a fresh process, reading input as its
+    stdin, which must end within timeout seconds
+    (subprocess.TimeoutExpired fails the test)."""
     src = os.path.dirname(os.path.dirname(charwit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "charwit", *argv], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          input=input, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("buffered", [False, True],

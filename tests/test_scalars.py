@@ -274,7 +274,7 @@ def test_cyclotomic_level_one_is_rational():
 
 def test_cyclotomic_inverse_roundtrip():
     rng = random.Random(23)
-    for level in (3, 5, 7, 9, 27):
+    for level in (3, 5, 7, 9, 25, 27, 49, 113, 121, 125):
         one = CyclotomicNumber.rational(level, 1)
         for _ in range(20):
             x = CyclotomicNumber.from_exponents(
@@ -284,6 +284,26 @@ def test_cyclotomic_inverse_roundtrip():
                 continue
             assert x * x.inverse() == one
             assert x.conjugate().conjugate() == x
+
+
+def test_cyclotomic_inverse_products_by_doubling(monkeypatch):
+    """At level 113 the units a = 1 mod 1 are all 112 units, so the
+    conjugate product has 111 factors: the plain product took 110 products
+    and 112 in all, doubling along the bits of 111 takes 11 and 13 in all.
+    These are counts, not timings."""
+    x = CyclotomicNumber.from_exponents(113, [(0, 2), (1, -1), (40, 3)])
+    products = []
+    mul = CyclotomicNumber.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    y = x.inverse()
+    assert len(products) <= 16
+    monkeypatch.undo()
+    assert x * y == CyclotomicNumber.rational(113, 1)
 
 
 def test_cyclotomic_conjugation_is_a_ring_map():
