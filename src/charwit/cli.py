@@ -14,9 +14,9 @@ from types import SimpleNamespace
 
 from .detect import (DetectionProblem, build_certificate,
                      certificate_from_json, certificate_to_json,
-                     find_rational_witness, verify_certificate)
+                     certify_primes, find_rational_witness,
+                     verify_certificate)
 from .errors import CharwitError, ParseError
-from .scalars import odd_primes_above
 from .symfun import l_table, parse_polynomial
 
 
@@ -50,7 +50,7 @@ def _cmd_certify(args):
         raise CharwitError("need at least one prime")
     problem = _problem_from_args(args)
     witness = find_rational_witness(problem)
-    primes = odd_primes_above(witness.N)
+    primes = certify_primes(problem, witness)
     for _ in range(args.primes):
         p = next(primes)
         cert = build_certificate(problem, witness, p)

@@ -13,7 +13,9 @@ representations of C_p:
      point is evaluated numerically (to_l_coordinates() and specialize()
      give the same polynomial symbolically; the pipeline never calls them),
   3. record the prime bound N from the point and the value,
-  4. admit each odd prime p > N within the work limit (_admission),
+  4. admit each odd prime p > N within the work limit at which every
+     coefficient of Xi and every P_i value is p-integral (_admission), as
+     certify_primes yields them, so that Xi is read mod p by one sum,
   5. derive every certificate field from (z, p) (_derive): the residues,
      the targets, the virtual representation xi realizing the free
      coordinates (Chern-character targets solved, then symmetrized), the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import product
-from math import ceil, prod
+from math import prod
 
 from .cyclic_coh import (euler_class, l_class_linear, pullback_l_nonlinear,
                          LinearRepData)
@@ -39,7 +41,8 @@ from .repring import VirtualRep, solve_chern_targets, symmetrize
 from .scalars import (_field, _is_int, _json_document, from_rational,
                       is_odd_prime, largest_prime_factor, odd_primes_above,
                       rational_from_string, rational_to_string)
-from .symfun import ell_polynomial, GradedPolynomial, l_table, parse_polynomial
+from .symfun import (ell_polynomial, GradedPolynomial, l_leading_coefficient,
+                     l_table, parse_polynomial)
 
 
 class DetectionProblem:
@@ -48,8 +51,8 @@ class DetectionProblem:
     n is the complex rank of the linear representation to be used, so e has
     weight n.  k = ceil(n/2) is the first L-class index that can be
     prescribed freely; m = max(k, the largest p index of Xi) is the largest
-    index that matters.  The homogeneous weight r means Xi detects degree
-    degree_2r = 2r.  These are derived here and nowhere else.
+    index that matters, at most M_LIMIT.  The homogeneous weight r means Xi
+    detects degree degree_2r = 2r.  These are derived here and nowhere else.
     """
 
     def __init__(self, polynomial: GradedPolynomial, n: int):
@@ -77,8 +80,10 @@ class DetectionProblem:
             raise DomainError("a constant polynomial detects nothing")
         self.polynomial = polynomial
         self.n = n
-        self.k = ceil(n / 2)
+        self.k = (n + 1) // 2
         self.m = max(self.k, top)
+        if self.m > M_LIMIT:
+            raise DomainError("m exceeds the L-class index limit %d" % M_LIMIT)
         self.weight = r
         self.degree_2r = 2 * r
         self._top = top
@@ -112,7 +117,7 @@ def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    k = ceil(n / 2)
+    k = (n + 1) // 2
     assignment = {}
     for name in l_polynomial.variables():
         if name == "e":
@@ -170,50 +175,17 @@ def _l_form_at(problem, e, x):
     return problem.polynomial.evaluate(_l_values(problem, e, x))
 
 
-def _p_part(p, q):
-    """(t, a, b) with q = p^t * a/b and p dividing neither a nor b, or
-    None for q = 0."""
-    q = Fraction(q)
-    if not q:
-        return None
-    a, b, t = q.numerator, q.denominator, 0
-    while a % p == 0:
-        a, t = a // p, t + 1
-    while b % p == 0:
-        b, t = b // p, t - 1
-    return t, a, b
-
-
 def _l_form_mod(problem, e, x, p):
     """from_rational(p, _l_form_at(problem, e, x)), without the value over
-    Q.  A term c * prod v^k of Xi is p^t times a unit u; with D the largest
-    -t (0 if none is negative), p^D times the L-form is p-integral and is
-    summed mod p^(D+1), each power by pow(u, k, p^(D+1)), so a power costs
-    the bit length of its exponent, not the digits of its value over Q.
-    Terms with t > 0 vanish mod p.  If p divides the denominator of the
-    sum, that is total % p^D != 0, this raises from_rational's error."""
-    values = {name: _p_part(p, v)
+    Q: at an admitted prime every coefficient of Xi and every P_i value is
+    p-integral (_integrality), so each is reduced mod p once and each power
+    taken by pow(v, k, p), which costs the bit length of its exponent, not
+    the digits of its value over Q."""
+    values = {name: from_rational(p, v)
               for name, v in _l_values(problem, e, x).items()}
-    terms = []
-    for mono, c in problem.polynomial.terms.items():
-        factors = [(_p_part(p, c), 1)]
-        factors += [(values[name], k) for name, k in mono]
-        if all(part for part, _ in factors):
-            terms.append((sum(part[0] * k for part, k in factors), factors))
-    depth = max([-t for t, _ in terms] + [0])
-    modulus = p ** (depth + 1)
-    total = 0
-    for t, factors in terms:
-        if t <= 0:
-            term = p ** (t + depth)
-            for (_, a, b), k in factors:
-                unit = a * pow(b, -1, modulus)
-                term = term * pow(unit, k, modulus) % modulus
-            total += term
-    total %= modulus
-    if total % p ** depth:
-        raise DomainError("denominator vanishes mod %d" % p)
-    return total // p ** depth
+    return sum(from_rational(p, c) * prod(pow(values[name], k, p)
+                                          for name, k in mono)
+               for mono, c in problem.polynomial.terms.items()) % p
 
 
 def _witness_value(problem, z):
@@ -442,17 +414,35 @@ def certificate_from_json(text: str) -> WitnessCertificate:
                               l_pullbacks, evaluation)
 
 
-# The most work a certificate may ask: the Chern-target solve fills p targets
-# and makes about p/2 modular powers per free coordinate x_k..x_m, so certify
-# and verify cost about p * (m - k + 1).  The slowest certificate within this
-# limit verifies in under a second.
+# The most work a certificate may ask.  The Chern-target solve fills p
+# targets and makes about p/2 modular powers per free coordinate x_k..x_m,
+# so certify and verify cost about p * (m - k + 1); the derivation builds
+# ell_1..ell_m and P_1..P_m over Q at a cost cubic in m, so DetectionProblem
+# bounds m apart.  On a shared 2-core x86-64 box a `charwit verify` within
+# both limits took 0.5-0.9 s at p = 99991 and odd n (a 4.3 MB xi_rep), and at
+# most 0.45 s otherwise (m = 40: Xi = p40 at n = 2, e at n = 80); at m = 60
+# one took 1.6 s, and certify --xi e --n 400 (m = 200) took 75 s.
 WORK_LIMIT = 10 ** 5
+M_LIMIT = 40
+
+
+def _integrality(problem, p):
+    """The first rule that keeps Xi or the P_i at integers from being
+    p-integral, as its report, or None.  The P_i divide only by indices
+    below p and by k c_k = +-l_leading_coefficient(k) for k up to Xi's
+    largest p index (Milnor-Stasheff, Characteristic Classes, section 19)."""
+    if any(c.denominator % p == 0 for c in problem.polynomial.terms.values()):
+        return "modulus divides a denominator of a coefficient of Xi"
+    if any(l_leading_coefficient(k).numerator % p == 0
+           for k in range(1, problem._top + 1)):
+        return "modulus divides an L-series coefficient"
 
 
 def _admission(problem, witness, p):
     """The first fact that keeps p from certifying the problem at the
     witness, as its report, or None: p is an odd prime, p > N, p is within
-    the work limit, and z has one coordinate per a_j and per x_k..x_m."""
+    the work limit, z has one coordinate per a_j and per x_k..x_m, and Xi
+    and the P_i are p-integral (_integrality)."""
     if not is_odd_prime(p):
         return "modulus is not an odd prime"
     if p <= witness.N:
@@ -461,6 +451,14 @@ def _admission(problem, witness, p):
         return "p * (m - k + 1) exceeds the work limit %d" % WORK_LIMIT
     if len(witness.coordinates) != problem.n + problem.m - problem.k + 1:
         return "witness has the wrong number of coordinates"
+    return _integrality(problem, p)
+
+
+def certify_primes(problem: DetectionProblem, witness: WitnessPoint):
+    """The odd primes above N that pass _integrality, in increasing order;
+    p * (m - k + 1) grows with p, so the work limit is left to _admission."""
+    return (p for p in odd_primes_above(witness.N)
+            if not _integrality(problem, p))
 
 
 def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
@@ -545,13 +543,13 @@ def _verify(cert: WitnessCertificate):
 
 def run_pipeline(polynomial: GradedPolynomial, n: int,
                  prime_count: int) -> list:
-    """Certificates for the first prime_count odd primes above the bound N."""
+    """Certificates for the first prime_count primes of certify_primes."""
     if prime_count < 1:
         raise DomainError("need at least one prime")
     problem = DetectionProblem(polynomial, n)
     witness = find_rational_witness(problem)
     certificates = []
-    primes = odd_primes_above(witness.N)
+    primes = certify_primes(problem, witness)
     for _ in range(prime_count):
         cert = build_certificate(problem, witness, next(primes))
         ok, report = verify_certificate(cert)

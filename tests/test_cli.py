@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import charwit
 from charwit.cli import main
-from charwit.detect import (DetectionProblem, WORK_LIMIT, build_certificate,
+from charwit.detect import (DetectionProblem, M_LIMIT, WORK_LIMIT,
+                            build_certificate,
                             certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint
@@ -341,18 +342,32 @@ def test_cli_certify_and_verify(tmp_path, capsys):
 
 def test_cli_certify_where_xi_cancels_a_denominator_of_p2(tmp_path, capsys):
     """P_2 = (45 x_2 + x_1^2)/7, so at p = 7 a P_2 value is not 7-integral,
-    but Xi = 46 e^2 - 7 p2 + p1^2 cancels the 7: the L-form at z = (1, 1, 1,
-    1) is 1, N = 5, and p = 7 is certified.  The hash is of the
-    certificate written before Xi was evaluated mod p term by term."""
+    though Xi = 46 e^2 - 7 p2 + p1^2 cancels the 7 at z = (1, 1, 1, 1):
+    N = 5, certify skips 7 and writes p = 11, the bytes it wrote before 7
+    was skipped, and a p = 7 document exits 1 naming the rule."""
     prefix = str(tmp_path / "cert")
     code, out, err = run(capsys, "certify", "--xi", "46*e^2 - 7*p2 + p1^2",
                          "--n", "2", "--primes", "1", "--out", prefix)
-    assert (code, out, err) == (0, "p=7 eval=1 OK\n", "")
-    path = tmp_path / "cert_p7.json"
+    assert (code, out, err) == (0, "p=11 eval=1 OK\n", "")
+    path = tmp_path / "cert_p11.json"
+    assert list(tmp_path.iterdir()) == [path]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "cf9e763023ed1fed628e3475fb307fdaff0e47928e54d075eaa8e4f34e7aa64c")
+        "4f04bcb3900128d9e7e79be7c8202033852baaae81e3e326d2cf156a9cf78c96")
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out.strip()) == (0, "ok")
+
+    problem = DetectionProblem(
+        parse_polynomial("46*e^2 - 7*p2 + p1^2", 2), 2)
+    witness = find_rational_witness(problem)
+    assert witness.N == 5
+    text = certificate_to_json(WitnessCertificate(
+        problem, witness, 7, (1, 1), (1, 1), VirtualRep(7, 1, {}), 1,
+        {1: 0, 2: 0}, 1))
+    start = time.perf_counter()
+    assert verify_text(tmp_path / "p7.json", text) == (
+        1, "", "verification failed: modulus divides an L-series "
+        "coefficient\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_verify_failure_paths(tmp_path, capsys):
@@ -991,6 +1006,31 @@ def test_cli_certify_past_work_limit_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [400, 10 ** 400 + 1], ids=["400", "401-digit"])
+def test_cli_past_the_m_limit_ends(tmp_path, capsys, n):
+    """Xi = e at n = 400 has m = 200, where certify ran 75 s; at a 401-digit
+    n, ceil(n / 2) in floats raised OverflowError.  witness, certify and
+    verify exit 1 naming the m limit before any L-table is built, within
+    1 s in process, and certify leaves no file."""
+    report = "m exceeds the L-class index limit %d\n" % M_LIMIT
+    doc = json.loads(FLAGSHIP_TEXT)
+    k = (n + 1) // 2
+    doc["problem"].update(xi="e", n=n, m=k, k=k, degree_2r=2 * n)
+    path = tmp_path / "doc.json"
+    start = time.perf_counter()
+    assert run(capsys, "witness", "--xi", "e", "--n", str(n)) == (
+        1, "", "error: " + report)
+    assert run(capsys, "certify", "--xi", "e", "--n", str(n), "--primes",
+               "1", "--out", str(tmp_path / "cw")) == (1, "", "error: " + report)
+    assert verify_text(path, json.dumps(doc, indent=2) + "\n") == (
+        1, "", "verification failed: " + report)
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == [path]
+    proc = charwit_process("witness", "--xi", "e", "--n", str(n), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: " + report)
+
+
 def doctored(xi, n, m, degree_2r, prime):
     """The flagship certificate with another Xi, n, m, degree 2r and prime,
     z padded with ones to the coordinate count they need, and the N they
@@ -1105,8 +1145,7 @@ def test_cli_verify_large_prime_ends(tmp_path):
 def denominator_document(exponent):
     """A p = 7 certificate for Xi = 1/7*e^exponent at z = (1, 3, 1),
     value 1 and N = 3, its stored fields placeholders.  7 divides the
-    denominator of Xi's coefficient, so Xi at the Euler class 3 is not
-    7-integral."""
+    denominator of Xi's coefficient, so 7 is not admitted."""
     p = 7
     problem = DetectionProblem(parse_polynomial("1/7*e^%d" % exponent, 2), 2)
     witness = WitnessPoint((Fraction(1), Fraction(3), Fraction(1)),
@@ -1118,14 +1157,14 @@ def denominator_document(exponent):
 
 @pytest.mark.parametrize("exponent", [10000, 64000000])
 def test_cli_verify_p_in_a_denominator_of_xi_ends(tmp_path, exponent):
-    """The derivation finds the sum of Xi's terms not p-integral and names
-    it without evaluating 3^exponent/7 over Q, whose 4772 digits at
-    exponent 10000 once ended verify in a ValueError traceback: exit 1,
-    in process within 1 s."""
+    """Admission names the denominator before any derivation, so verify
+    never evaluates 3^exponent/7 over Q, whose 4772 digits at exponent
+    10000 once ended verify in a ValueError traceback: exit 1, in process
+    within 1 s."""
     path = tmp_path / "denominator.json"
     path.write_text(denominator_document(exponent))
-    report = ("verification failed: invalid certificate data: "
-              "denominator vanishes mod 7\n")
+    report = ("verification failed: modulus divides a denominator of a "
+              "coefficient of Xi\n")
     proc = charwit_process("verify", str(path), timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", report)
     start = time.perf_counter()

@@ -12,7 +12,8 @@ from charwit.detect import (DetectionProblem, WitnessCertificate,
                             find_rational_witness, run_pipeline, specialize,
                             to_l_coordinates, verify_certificate)
 import charwit.detect as detect
-from charwit.detect import _l_form_at, _l_form_mod, _prime_support
+from charwit.detect import (_admission, _integrality, _l_form_at, _l_form_mod,
+                            _prime_support)
 from charwit.errors import CharwitError, DomainError, InvariantViolation
 from charwit.repring import VirtualRep
 from charwit.scalars import from_rational, largest_prime_factor
@@ -48,13 +49,18 @@ def test_specialize_examples():
     assert specialize(xvar(2), 2) == xvar(2)
 
 
-def test_problem_bookkeeping():
+def test_problem_bookkeeping(monkeypatch):
     prob = DetectionProblem(FLAGSHIP, 2)
     assert (prob.n, prob.k, prob.m, prob.weight) == (2, 1, 2, 4)
     assert prob.coordinate_names() == ["a1", "a2", "x1", "x2"]
     prob = DetectionProblem(pvar(3) - evar(3) ** 2, 3)
     assert (prob.n, prob.k, prob.m, prob.weight) == (3, 2, 3, 6)
     assert prob.coordinate_names() == ["a1", "a2", "a3", "x2", "x3"]
+    # k = ceil(n/2) in integers, where float division gave 2^52; the m
+    # limit, which refuses such an n, is lifted here
+    monkeypatch.setattr(detect, "M_LIMIT", 2 ** 53)
+    n = 2 ** 53 + 1
+    assert DetectionProblem(evar(n), n).k == 2 ** 52 + 1
 
 
 def test_problem_validation():
@@ -70,6 +76,11 @@ def test_problem_validation():
         DetectionProblem(evar(3) ** 2 - pvar(2), 2)  # e carries weight 3
     with pytest.raises(DomainError):
         DetectionProblem(GradedPolynomial.variable("q1", 2), 2)
+    assert DetectionProblem(pvar(40), 2).m == detect.M_LIMIT == 40
+    for xi, n in ((pvar(41), 2), (evar(81), 81)):  # m = 41
+        with pytest.raises(DomainError, match="^m exceeds the L-class index "
+                           "limit 40$"):
+            DetectionProblem(xi, n)
 
 
 def test_witness_flagship():
@@ -463,11 +474,6 @@ def test_prime_support_refuses_exactly_the_unreadable_parts():
         sys.set_int_max_str_digits(saved)
 
 
-def _outcome(f):
-    try:
-        return f()
-    except DomainError as exc:
-        return str(exc)
 
 
 # 45 L_2 and 945 L_3 have integer coefficients in the p_i, while the P_i
@@ -481,10 +487,11 @@ L_NUMERATORS = (l_table(3).l(2) * 45, l_table(3).l(3) * 945)
        st.sampled_from((1, 2, 3, 5, 7, 31)), st.data())
 def test_l_form_mod_matches_the_rational_form(case, in_l, power, den, data):
     """The certificate's evaluation, Xi mod p at e and the L-pullbacks,
-    summed term by term with pow(u, k, p^(D+1)), is the L-form over Q
-    reduced mod p, or the same DomainError: at small primes above 2m + 1,
-    7 and 31 among them, at coefficients with denominators p can divide,
-    and at Xi written in p2 and p3 or in 45 L_2 and 945 L_3."""
+    summed term by term with pow(v, k, p), is the L-form over Q reduced mod
+    p, at every prime above 2m + 1 where Xi and the P_i are p-integral:
+    7 and 31 are drawn whenever no coefficient of Xi has them in its
+    denominator and P_2, P_3 do not divide by them, for Xi written in p2
+    and p3 or in 45 L_2 and 945 L_3."""
     poly, n = case
     if in_l:
         poly = poly.substitute({name: img for name, img
@@ -492,37 +499,39 @@ def test_l_form_mod_matches_the_rational_form(case, in_l, power, den, data):
                                 if name in poly.variables()})
     problem = DetectionProblem(poly ** power / den, n)
     p = data.draw(st.sampled_from([q for q in (3, 5, 7, 11, 13, 29, 31, 37)
-                                   if q > 2 * problem.m + 1]))
+                                   if q > 2 * problem.m + 1
+                                   and not _integrality(problem, q)]))
     residues = st.integers(0, p - 1)
     e = data.draw(residues)
     x = [None] + [data.draw(residues) for _ in range(problem.m)]
-    assert _outcome(lambda: _l_form_mod(problem, e, x.__getitem__, p)) == (
-        _outcome(lambda: from_rational(
-            p, _l_form_at(problem, e, x.__getitem__))))
+    got = _l_form_mod(problem, e, x.__getitem__, p)
+    assert isinstance(got, int)
+    assert got == from_rational(p, _l_form_at(problem, e, x.__getitem__))
 
 
 L2_NUM, L3_NUM = L_NUMERATORS
+DENOMINATOR = "modulus divides a denominator of a coefficient of Xi"
+L_SERIES = "modulus divides an L-series coefficient"
 
 
-@pytest.mark.parametrize("xi, n, p, grid", [
-    (46 * evar(2) ** 2 - 7 * pvar(2) + pvar(1) ** 2, 2, 7, None),
-    ((evar(2) ** 2 + L2_NUM) / 7, 2, 7, None),
-    ((evar(2) ** 2 + L2_NUM) ** 2 / 49, 2, 7, None),
-    ((evar(2) ** 3 + L3_NUM) / 31, 2, 31, (1, 5)),
-], ids=["cancelled-7", "depth-1", "depth-2", "depth-1-at-31"])
-def test_l_form_mod_where_the_terms_have_p_in_their_denominators(xi, n, p,
-                                                                 grid):
-    """Every e and x_1..x_m in [0, p), x_1..x_(m-1) from grid if given: the
-    terms of these Xi have p in their denominators, so p^D times the
-    L-form is read mod p^(D+1), and the sweep meets points where the sum
-    is p-integral and nonzero mod p."""
+@pytest.mark.parametrize("xi, n, p, report", [
+    (46 * evar(2) ** 2 - 7 * pvar(2) + pvar(1) ** 2, 2, 7, L_SERIES),
+    ((evar(2) ** 2 + L2_NUM) / 7, 2, 7, DENOMINATOR),
+    ((evar(2) ** 2 + L2_NUM) ** 2 / 49, 2, 7, DENOMINATOR),
+    ((evar(2) ** 3 + L3_NUM) / 31, 2, 31, DENOMINATOR),
+    (pvar(3), 2, 31, L_SERIES),
+    (46 * evar(2) ** 2 - 7 * pvar(2) + pvar(1) ** 2, 2, 11, None),
+], ids=["cancelled-7", "depth-1", "depth-2", "depth-1-at-31", "p3-at-31",
+        "cancelled-at-11"])
+def test_admission_names_the_integrality_rule(xi, n, p, report):
+    """Xi cancels the 7 of P_2, or the 31 of P_3, only through coefficients
+    with p in their denominators, or it keeps P_2 or P_3 and so divides by
+    p: either way p is not admitted, after the four cheaper checks pass,
+    and certify_primes skips it.  At 11 the same Xi is admitted."""
     problem = DetectionProblem(xi, n)
-    axes = [grid] * (problem.m - 1) if grid else [range(p)] * (problem.m - 1)
-    outcomes = set()
-    for point in itertools.product(range(p), *axes, range(p)):
-        e, x = point[0], (None,) + point[1:]
-        got = _outcome(lambda: _l_form_mod(problem, e, x.__getitem__, p))
-        assert got == _outcome(lambda: from_rational(
-            p, _l_form_at(problem, e, x.__getitem__)))
-        outcomes.add(got)
-    assert any(isinstance(got, int) and got for got in outcomes)
+    witness = WitnessPoint([1] * (n + problem.m - problem.k + 1), 1,
+                           problem.m)
+    assert witness.N < p
+    assert _admission(problem, witness, p) == report
+    assert (p in itertools.takewhile(lambda q: q <= p, detect.certify_primes(
+        problem, witness))) == (report is None)
