@@ -35,11 +35,11 @@ print("symmetrized:", sym.serialize())
 # a free linear representation of weights (1, 2) and its classes
 rho = LinearRepData(p, (1, 2))
 print("euler class: %d*c^2" % euler_class(rho))
-print("L_1 of rho: %d*c^2" % l_class_linear(rho, 1))
+print("L_1 of rho: %d*c^2" % l_class_linear(rho, 1)[0])
 
 # the corrected L-class pullback once a virtual summand is attached
 print("L_2 pullback with correction xi: %d*c^4"
-      % pullback_l_nonlinear(rho, sym, 2, 2))
+      % pullback_l_nonlinear(rho, sym, 2, 2)[1])
 
 # restriction along C_p < C_{p^2} folds exponents mod p
 deep = VirtualRep(3, 2, {4: 1, 2: 1})

@@ -2,12 +2,13 @@
 
 H^(2j)(BC_p; F_p) is one-dimensional on c^j, where c is the Euler class of
 the standard character, so a class in a known degree is its coefficient on
-c^j: an int in [0, p).  Every function here returns that coefficient, and
-its docstring names the degree.  Everything a certificate mentions lives
-here: Euler classes and L-classes of fixed-point-free linear
-representations, the mod-p Chern character of a virtual representation,
-and the L-class of the total space twisted by a representation correction
-term.
+c^j: an int in [0, p).  Every function here returns that coefficient, or,
+for the L-classes, the list of coefficients in every degree 4, 8, ..., 4m,
+from one series; each docstring names the degrees.  Everything a
+certificate mentions lives here: Euler classes and L-classes of
+fixed-point-free linear representations, the mod-p Chern character of a
+virtual representation, and the L-class of the total space twisted by a
+representation correction term.
 """
 
 from __future__ import annotations
@@ -62,21 +63,19 @@ def euler_class(rho: LinearRepData) -> int:
     return prod
 
 
-def l_class_linear(rho: LinearRepData, i: int) -> int:
-    """The i-th L-class of a sum of characters, ell_i(a_1..a_n) * c^(2i) in
-    H^(4i)(BC_p; F_p), as its coefficient.
+def l_class_linear(rho: LinearRepData, m: int) -> list:
+    """The L-class of a sum of characters in degrees 4, 8, ..., 4m: entry
+    i - 1 is the coefficient of ell_i(a_1..a_n) * c^(2i) in H^(4i)(BC_p; F_p).
 
     ell_i has denominators built from primes up to 2i+1 only, so reduction
-    mod p is legitimate exactly when p > 2i+1.
+    mod p is legitimate exactly when p > 2m+1; l_table refuses m < 1.
     """
     p = rho.p
-    if i < 1:
-        raise DomainError("L-classes are indexed from 1")
-    if p <= 2 * i + 1:
+    if p <= 2 * m + 1:
         raise DomainError(
             "ell_%d has denominators divisible by primes up to %d; "
-            "p = %d is too small to reduce" % (i, 2 * i + 1, p))
-    return from_rational(p, l_table(i).ell(i, rho.residues))
+            "p = %d is too small to reduce" % (m, 2 * m + 1, p))
+    return [from_rational(p, v) for v in l_table(m).ell(rho.residues)]
 
 
 def chern_character(xi: VirtualRep, j: int) -> int:
@@ -91,20 +90,17 @@ def chern_character(xi: VirtualRep, j: int) -> int:
     if j < 0 or j > p - 1:
         raise DomainError("ch_%d is not defined mod %d "
                           "(factorial not invertible)" % (j, p))
-    acc = 0
-    for r, m in xi.coeffs.items():
-        power = 1 if j == 0 else pow(r, j, p)
-        acc = (acc + m * power) % p
+    acc = sum(m * pow(r, j, p) for r, m in xi.coeffs.items())
     return acc * pow(factorial(j), -1, p) % p
 
 
 def pullback_l_nonlinear(rho: LinearRepData, xi: VirtualRep, n: int,
-                         i: int) -> int:
-    """L-class in degree 4i of the twisted total space, as its coefficient
-    on c^(2i).
+                         m: int) -> list:
+    """L-class of the twisted total space in degrees 4, 8, ..., 4m: entry
+    i - 1 is its coefficient on c^(2i).
 
-    For 2i < n this is the linear answer l_class_linear(rho, i); for
-    2i >= n the correction term enters:
+    For 2i < n this is the linear answer, entry i - 1 of
+    l_class_linear(rho, m); for 2i >= n the correction term enters:
 
         ell_i(a) * c^(2i)  -  2^(2+2i-n) * e(rho) * ch_(2i-n)(xi).
     """
@@ -113,9 +109,9 @@ def pullback_l_nonlinear(rho: LinearRepData, xi: VirtualRep, n: int,
                           % (n, rho.n))
     if xi.p != rho.p or xi.k != 1:
         raise DomainError("xi must be a virtual representation of C_%d" % rho.p)
-    linear = l_class_linear(rho, i)
-    if 2 * i < n:
-        return linear
-    corr = (pow(2, 2 + 2 * i - n, rho.p) * euler_class(rho)
-            * chern_character(xi, 2 * i - n))
-    return (linear - corr) % rho.p
+    p, euler, pulled = rho.p, euler_class(rho), l_class_linear(rho, m)
+    for i in range((n + 1) // 2, m + 1):
+        j = 2 * i - n
+        pulled[i - 1] = (pulled[i - 1] - pow(2, 2 + j, p) * euler
+                         * chern_character(xi, j)) % p
+    return pulled

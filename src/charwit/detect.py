@@ -23,7 +23,10 @@ representations of C_p:
 
 Verification runs the same admission and derivation, compares every stored
 field with it exactly and checks Xi(z) over Q; N is derived by WitnessPoint
-only.  The certificate document is written and read here too.
+only.  Every z entry is bounded before it is used: WitnessPoint refuses a
+part of more digits than verify reads before factoring it, and admission
+refuses an entry off the search grid before z is reduced mod p or Xi(z)
+evaluated over Q.  The certificate document is written and read here too.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class DetectionProblem:
     weight n.  k = ceil(n/2) is the first L-class index that can be
     prescribed freely; m = max(k, the largest p index of Xi) is the largest
     index that matters, at most M_LIMIT.  The homogeneous weight r means Xi
-    detects degree degree_2r = 2r.  These are derived here and nowhere else.
+    detects degree degree_2r = 2r, and the witness search ends by the shell
+    grid_bound = floor(r/2) + 1.  These are derived here and nowhere else.
     """
 
     def __init__(self, polynomial: GradedPolynomial, n: int):
@@ -86,6 +90,7 @@ class DetectionProblem:
             raise DomainError("m exceeds the L-class index limit %d" % M_LIMIT)
         self.weight = r
         self.degree_2r = 2 * r
+        self.grid_bound = r // 2 + 1
         self._top = top
 
     def coordinate_names(self) -> list:
@@ -121,10 +126,8 @@ def specialize(l_polynomial: GradedPolynomial, n: int) -> GradedPolynomial:
     assignment = {}
     for name in l_polynomial.variables():
         if name == "e":
-            names = ["a%d" % j for j in range(1, n + 1)]
-            assignment["e"] = GradedPolynomial(
-                dict.fromkeys(names, 1),
-                {tuple((a, 1) for a in names): Fraction(1)})
+            assignment["e"] = prod(GradedPolynomial.variable("a%d" % j, 1)
+                                   for j in range(1, n + 1))
         elif name.startswith("x") and int(name[1:]) < k:
             assignment[name] = ell_polynomial(int(name[1:]), n)
     out = l_polynomial.substitute(assignment)
@@ -151,14 +154,6 @@ class WitnessPoint:
         return "WitnessPoint(z=%s, value=%s, N=%d)" % (
             "(" + ", ".join(str(c) for c in self.coordinates) + ")",
             self.value, self.N)
-
-
-def _grid_values(shell: int) -> list:
-    """1, -1, 2, -2, ..., shell, -shell."""
-    out = []
-    for b in range(1, shell + 1):
-        out.extend((b, -b))
-    return out
 
 
 def _l_values(problem, e, x):
@@ -190,11 +185,13 @@ def _l_form_mod(problem, e, x, p):
 
 def _witness_value(problem, z):
     """Xi at z = (a, x_k..x_m): the L-form at e = a_1...a_n, x_i = ell_i(a)
-    for i < k and the free x_i read off z."""
+    for i < k, from one series up to the last index Xi asks for, and the
+    free x_i read off z."""
     n, k = problem.n, problem.k
-    a = z[:n]
+    a, below = z[:n], min(k - 1, problem._top)
+    ells = l_table(below).ell(a) if below else ()
     return _l_form_at(problem, prod(a), lambda i: z[n + i - k] if i >= k
-                      else l_table(i).ell(i, a))
+                      else ells[i - 1])
 
 
 def _prime_support(values):
@@ -219,23 +216,24 @@ def find_rational_witness(problem: DetectionProblem) -> WitnessPoint:
     1, -1, 2, -2, ...; the search is deterministic and finite because the
     P_i are invertible, so the L-form of a nonzero Xi is nonzero, and
     ell_1, ..., ell_(k-1) and a_1...a_n are algebraically independent, so
-    it specializes to a nonzero polynomial, which cannot vanish on
-    arbitrarily large grids.  WitnessPoint derives N from the point.
+    it specializes to a nonzero polynomial.  That polynomial is homogeneous
+    of weight r with every coordinate of weight at least 1, so its degree
+    in each coordinate is at most r, and it cannot vanish on the grid of
+    shell s, a product of 2s >= r + 1 values per coordinate (Alon,
+    "Combinatorial Nullstellensatz", Combin. Probab. Comput. 8, 1999,
+    Lemma 2.1): the search ends by shell grid_bound = floor(r/2) + 1.
+    WitnessPoint derives N from the point.
     """
     names = problem.coordinate_names()
-    value, point = None, None
-    shell = 0
-    while value is None:
-        shell += 1
-        values = _grid_values(shell)
+    for shell in range(1, problem.grid_bound + 1):
+        values = [v for b in range(1, shell + 1) for v in (b, -b)]
         for candidate in product(values, repeat=len(names)):
             if shell > 1 and all(abs(c) < shell for c in candidate):
                 continue  # seen in an earlier shell
-            v = _witness_value(problem, candidate)
-            if v:
-                value, point = v, candidate
-                break
-    return WitnessPoint(point, value, problem.m)
+            value = _witness_value(problem, candidate)
+            if value:
+                return WitnessPoint(candidate, value, problem.m)
+    raise InternalConsistencyError("no witness within the search grid")
 
 
 class WitnessCertificate:
@@ -416,12 +414,13 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 
 # The most work a certificate may ask.  The Chern-target solve fills p
 # targets and makes about p/2 modular powers per free coordinate x_k..x_m,
-# so certify and verify cost about p * (m - k + 1); the derivation builds
-# ell_1..ell_m and P_1..P_m over Q at a cost cubic in m, so DetectionProblem
-# bounds m apart.  On a shared 2-core x86-64 box a `charwit verify` within
-# both limits took 0.5-0.9 s at p = 99991 and odd n (a 4.3 MB xi_rep), and at
-# most 0.45 s otherwise (m = 40: Xi = p40 at n = 2, e at n = 80); at m = 60
-# one took 1.6 s, and certify --xi e --n 400 (m = 200) took 75 s.
+# so certify and verify cost about p * (m - k + 1); ell_1..ell_m and
+# P_1..P_m each come from one series over Q whose numbers grow with m, so
+# DetectionProblem bounds m apart.  On a shared 2-core x86-64 box a `charwit
+# verify` within both limits took 0.4-0.55 s at p = 99991 and odd n (a 4.3
+# MB xi_rep), and at most 0.16 s otherwise (m = 40: Xi = p40 at n = 2, e at
+# n = 80); at m = 60 one took 0.5 s, and certify --xi e --n 400 (m = 200)
+# took 2.8 s.
 WORK_LIMIT = 10 ** 5
 M_LIMIT = 40
 
@@ -441,8 +440,9 @@ def _integrality(problem, p):
 def _admission(problem, witness, p):
     """The first fact that keeps p from certifying the problem at the
     witness, as its report, or None: p is an odd prime, p > N, p is within
-    the work limit, z has one coordinate per a_j and per x_k..x_m, and Xi
-    and the P_i are p-integral (_integrality)."""
+    the work limit, z has one coordinate per a_j and per x_k..x_m, each an
+    integer of the search grid (1 <= |z_i| <= grid_bound), and Xi and the
+    P_i are p-integral (_integrality)."""
     if not is_odd_prime(p):
         return "modulus is not an odd prime"
     if p <= witness.N:
@@ -451,6 +451,9 @@ def _admission(problem, witness, p):
         return "p * (m - k + 1) exceeds the work limit %d" % WORK_LIMIT
     if len(witness.coordinates) != problem.n + problem.m - problem.k + 1:
         return "witness has the wrong number of coordinates"
+    if any(c.denominator != 1 or not 1 <= abs(c) <= problem.grid_bound
+           for c in witness.coordinates):
+        return "witness has a coordinate outside the search grid"
     return _integrality(problem, p)
 
 
@@ -476,20 +479,19 @@ def _derive(problem, witness, p):
     virtual representation xi whose L-pullbacks hit the x-bars,
     ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n; then the
     pullbacks and the evaluation."""
-    n = problem.n
-    z = witness.coordinates
+    n, z = problem.n, witness.coordinates
     rho = LinearRepData(p, [from_rational(p, c) for c in z[:n]])
     xbars = tuple(from_rational(p, c) for c in z[n:])
-    euler = euler_class(rho)
+    euler, ells = euler_class(rho), l_class_linear(rho, problem.m)
     chern = [0] * p
     for i, xbar in enumerate(xbars, problem.k):
         j = 2 * i - n
         assert 0 <= j <= p - 3, "Chern index out of range"
-        ell = l_class_linear(rho, i)
-        chern[j] = (ell - xbar) * pow(euler * pow(2, 2 + j, p), -1, p) % p
+        chern[j] = ((ells[i - 1] - xbar)
+                    * pow(euler * pow(2, 2 + j, p), -1, p) % p)
     xi = symmetrize(solve_chern_targets(p, chern), n)
-    l_pullbacks = {i: pullback_l_nonlinear(rho, xi, n, i)
-                   for i in range(1, problem.m + 1)}
+    pulled = pullback_l_nonlinear(rho, xi, n, problem.m)
+    l_pullbacks = dict(enumerate(pulled, 1))
     evaluation = _l_form_mod(problem, euler, l_pullbacks.__getitem__, p)
     return WitnessCertificate(problem, witness, p, rho.residues, xbars, xi,
                               euler, l_pullbacks, evaluation)

@@ -233,9 +233,11 @@ def largest_prime_factor(n: int) -> int:
     n = abs(n)
     best = 1
     for q in _MR_BASES:
-        while n and n % q == 0:
-            best = q
-            n //= q
+        while n and n % q == 0:  # by the largest q^(2^j) that divides n
+            best, d = q, q
+            while n % (d * d) == 0:
+                d *= d
+            n //= d
     parts = [n] if n > 1 else []
     while parts:
         m = parts.pop()

@@ -17,14 +17,15 @@ squared roots off log(1 + sum_j p_j u^j) and exponentiates, yielding
 
 together with the inverse polynomials P_i expressing p_i in the L_j.  The
 same recurrences give the symmetric forms ell_i used on the cyclic-group
-side, and LTable.ell and LTable.p_values evaluate ell_i and P_i at rational
-numbers without expanding any polynomial.
+side, and LTable.ell and LTable.p_values evaluate ell_1..ell_M and
+P_1..P_M at rational numbers, one series each, without expanding any
+polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import DomainError, ParseError
 from .scalars import (_format_sum, _read_digits, _read_rational, _read_sum,
@@ -366,10 +367,7 @@ def _log_series(a, order: int) -> list:
     sum_{0<i<k} i g_i a_(k-i)."""
     kg = [0]
     for k in range(1, order + 1):
-        acc = k * a[k]
-        for i in range(1, k):
-            acc = acc - kg[i] * a[k - i]
-        kg.append(acc)
+        kg.append(k * a[k] - sum(kg[i] * a[k - i] for i in range(1, k)))
     return kg
 
 
@@ -378,10 +376,7 @@ def _exp_series(kg, one, order: int) -> list:
     from k g_k (kg[0] is ignored): m E_m = sum_{0<k<=m} k g_k E_(m-k)."""
     e = [one]
     for m in range(1, order + 1):
-        acc = kg[1] * e[m - 1]
-        for k in range(2, m + 1):
-            acc = acc + kg[k] * e[m - k]
-        e.append(acc / m)
+        e.append(sum(kg[k] * e[m - k] for k in range(1, m + 1)) / m)
     return e
 
 
@@ -422,8 +417,8 @@ class LTable:
     """L-polynomials L_1..L_M in the p_i and their inverses P_1..P_M in x_i.
 
     A table holds only k c_k up to k = M.  ell() and p_values() evaluate
-    ell_i and the P_i at numbers from it; l() and p() expand the
-    polynomials on their first call.
+    all of ell_1..ell_M or P_1..P_M at numbers from it; l() and p() expand
+    the polynomials on their first call.
     """
 
     def __init__(self, max_index: int):
@@ -456,16 +451,13 @@ class LTable:
     def p(self, i: int) -> GradedPolynomial:
         return self._expand()[1][self._check(i)]
 
-    def ell(self, i: int, roots) -> Fraction:
-        """ell_i(a) at rational roots a: L_i at p_j = e_j(a_1^2, ..., a_n^2),
-        from the power sums s_k = sum_j a_j^(2k), over one denominator D."""
-        self._check(i)
-        roots = [Fraction(a) for a in roots]
-        D = lcm(*(a.denominator for a in roots))
-        nums = [a.numerator * (D // a.denominator) for a in roots]
-        s = [Fraction(sum(v ** (2 * k) for v in nums), D ** (2 * k))
-             for k in range(i + 1)]
-        return _l_series(self._kc, s, Fraction(1), i)[i]
+    def ell(self, roots, one=Fraction(1)) -> list:
+        """[ell_1(a), ..., ell_M(a)] at roots a, ints, Fractions or
+        polynomials with unit one, from one series: L at p_j = e_j(a_1^2,
+        ..., a_n^2), read off the power sums s_k = sum_j a_j^(2k)."""
+        M = self.max_index
+        s = [sum(a ** (2 * k) for a in roots) for k in range(M + 1)]
+        return _l_series(self._kc, s, one, M)[1:]
 
     def p_values(self, x) -> list:
         """[P_1(x), ..., P_M(x)] at rational x = (x_1, ..., x_M)."""
@@ -505,5 +497,4 @@ def ell_polynomial(i: int, n: int) -> GradedPolynomial:
     if i < 1 or n < 1:
         raise DomainError("ell_polynomial wants i >= 1 and n >= 1")
     a = [GradedPolynomial.variable("a%d" % j, 1) for j in range(1, n + 1)]
-    s = [sum(x ** (2 * k) for x in a) for k in range(i + 1)]
-    return _l_series(l_table(i)._kc, s, GradedPolynomial.constant(1), i)[i]
+    return l_table(i).ell(a, GradedPolynomial.constant(1))[i - 1]

@@ -20,7 +20,7 @@ from charwit.detect import (DetectionProblem, M_LIMIT, WORK_LIMIT,
                             build_certificate,
                             certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
-from charwit.detect import WitnessCertificate, WitnessPoint
+from charwit.detect import WitnessCertificate, WitnessPoint, _derive
 from charwit.errors import DomainError, ParseError
 from charwit.repring import VirtualRep, restrict
 from charwit.scalars import rational_to_string
@@ -1139,6 +1139,25 @@ def test_cli_verify_large_prime_ends(tmp_path):
     assert verify_text(tmp_path / "large_prime.json", text) == (
         1, "", "verification failed: p * (m - k + 1) exceeds the work "
         "limit %d\n" % WORK_LIMIT)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("xi, p", [("p40", 2477), ("p10", 29)])
+def test_cli_verify_off_grid_witness_ends(tmp_path, xi, p):
+    """Every z entry 2^14000 (4215 digits, prime support 2), the value the
+    evaluation derived from that z, every other field derived too: verify
+    evaluated Xi(z) over Q for 8.6 s at p40 before it failed.  No entry
+    certify can write lies off the search grid, so admission names the
+    grid rule before any evaluation over Q: exit 1, in process within 1 s."""
+    problem = DetectionProblem(parse_polynomial(xi, 2), 2)
+    z = [Fraction(2 ** 14000)] * (2 + problem.m)
+    value = _derive(problem, WitnessPoint(z, 1, problem.m), p).evaluation
+    text = certificate_to_json(
+        _derive(problem, WitnessPoint(z, value, problem.m), p))
+    start = time.perf_counter()
+    assert verify_text(tmp_path / "off_grid.json", text) == (
+        1, "", "verification failed: witness has a coordinate outside the "
+        "search grid\n")
     assert time.perf_counter() - start < 1.0
 
 

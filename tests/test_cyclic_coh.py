@@ -1,12 +1,16 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charwit.cyclic_coh import (LinearRepData, chern_character, euler_class,
                                 l_class_linear, pullback_l_nonlinear)
 from charwit.errors import DomainError
 from charwit.repring import VirtualRep
+from charwit.scalars import from_rational
+from test_symfun import l_value_oracle
 
 
 def test_linear_rep_data_canonicalizes():
@@ -27,9 +31,9 @@ def test_euler_class_frozen():
 
 
 def test_l_class_linear_frozen():
-    v = l_class_linear(LinearRepData(7, (1, 1)), 1)
+    v = l_class_linear(LinearRepData(7, (1, 1)), 1)[0]
     assert v == 3
-    v = l_class_linear(LinearRepData(11, (2,)), 2)
+    v = l_class_linear(LinearRepData(11, (2,)), 2)[1]
     assert v == 6
 
 
@@ -38,7 +42,22 @@ def test_l_class_linear_prime_bound():
     with pytest.raises(DomainError):
         l_class_linear(LinearRepData(5, (1, 2)), 2)
     # l_2(1, 2) = 1/15 = 1 mod 7
-    assert l_class_linear(LinearRepData(7, (1, 2)), 2) == 1
+    assert l_class_linear(LinearRepData(7, (1, 2)), 2)[1] == 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([7, 11, 13, 53]).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(1, min((p - 3) // 2, 8)),
+    st.lists(st.integers(-3 * p, 3 * p).filter(lambda a: a % p),
+             min_size=1, max_size=6))))
+def test_l_class_linear_matches_the_product_oracle(case):
+    """Entry i - 1 of l_class_linear(rho, m) is the u^i coefficient of
+    prod_j f(a_j^2 u), f(u) = t/tanh(t) with u = t^2, over Q at the
+    integer weights a_j, reduced mod p."""
+    p, m, weights = case
+    squares = [Fraction(a * a) for a in weights]
+    assert l_class_linear(LinearRepData(p, weights), m) == [
+        from_rational(p, l_value_oracle(squares, i)) for i in range(1, m + 1)]
 
 
 def test_chern_character_frozen():
@@ -66,7 +85,7 @@ def test_pullback_nonlinear_hand_value():
     """
     rho = LinearRepData(11, (1, 2))
     xi = VirtualRep(11, 1, {1: 1, 0: -1})
-    v = pullback_l_nonlinear(rho, xi, 2, 2)
+    v = pullback_l_nonlinear(rho, xi, 2, 2)[1]
     assert v == 9
 
 
@@ -96,10 +115,13 @@ def mod_p_grid():
             xi = VirtualRep(p, 1, {rng.randrange(p): rng.randint(-9, 9)
                                    for _ in range(4)})
             yield "e", p, rho.residues, n, euler_class(rho)
-            for i in range(1, min((p - 1) // 2, 9)):
-                yield "l", p, rho.residues, i, l_class_linear(rho, i)
+            m = min((p - 1) // 2, 9) - 1
+            linear = l_class_linear(rho, m)
+            pulled = pullback_l_nonlinear(rho, xi, n, m)
+            for i in range(1, m + 1):
+                yield "l", p, rho.residues, i, linear[i - 1]
                 yield ("L", p, rho.residues + tuple(xi.serialize()), i,
-                       pullback_l_nonlinear(rho, xi, n, i))
+                       pulled[i - 1])
             for j in range(p):
                 yield ("ch", p, tuple(xi.serialize()), j,
                        chern_character(xi, j))

@@ -7,11 +7,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from charwit.detect import (DetectionProblem, WitnessCertificate,
+from charwit.detect import (M_LIMIT, DetectionProblem, WitnessCertificate,
                             WitnessPoint, build_certificate,
                             find_rational_witness, run_pipeline, specialize,
                             to_l_coordinates, verify_certificate)
 import charwit.detect as detect
+import charwit.symfun as symfun
 from charwit.detect import (_admission, _integrality, _l_form_at, _l_form_mod,
                             _prime_support)
 from charwit.errors import CharwitError, DomainError, InvariantViolation
@@ -19,6 +20,7 @@ from charwit.repring import VirtualRep
 from charwit.scalars import from_rational, largest_prime_factor
 from charwit.symfun import (GradedPolynomial, ell_polynomial, l_table,
                             parse_polynomial)
+from test_symfun import CERTIFY_SUITE, WITNESS_SUITE
 
 
 def evar(n):
@@ -274,17 +276,27 @@ def test_verify_derives_once(flagship_cert, monkeypatch):
     assert len(solves) == 1
 
 
+OFF_GRID = "witness has a coordinate outside the search grid"
+
+
 @pytest.mark.parametrize("p, z, report", [
     (54, (1, 1, 1, 1), "modulus is not an odd prime"),
     (43, (1, 1, 1, 1), "modulus does not exceed the witness bound N"),
     (53, (1, 1, 1), "witness has the wrong number of coordinates"),
     (53, (1, 1, 1, 1, 1), "witness has the wrong number of coordinates"),
+    (53, (1, 1, 4, 1), OFF_GRID),
+    (53, (1, -4, 1, 1), OFF_GRID),
+    (53, (0, 1, 1, 1), OFF_GRID),
+    (53, (1, 1, 1, Fraction(1, 2)), OFF_GRID),
+    (53, (2 ** 14000, 1, 1, 1), OFF_GRID),
 ])
 def test_build_certificate_names_what_verify_names(flagship_cert, p, z,
                                                    report):
     """build_certificate and verify_certificate admit a prime by one rule
     and name its failures with the same texts; a z without one coordinate
-    per a_j and per x_k..x_m is refused before it is reduced."""
+    per a_j and per x_k..x_m, or with one that is not an integer of the
+    search grid (1 <= |z_i| <= grid_bound = 3 at weight 4), is refused
+    before it is reduced."""
     problem = flagship_cert.problem
     witness = WitnessPoint(z, flagship_cert.witness.value, problem.m)
     with pytest.raises(DomainError) as err:
@@ -339,6 +351,43 @@ def test_witness_search_factors_each_number_once(factor_calls, xi, n, calls):
     each z entry and of the value once, when WitnessPoint derives N."""
     find_rational_witness(DetectionProblem(parse_polynomial(xi, n), n))
     assert len(factor_calls) == calls
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """One entry per expansion of the L-series (symfun._l_series)."""
+    calls = []
+    expand = symfun._l_series
+    monkeypatch.setattr(symfun, "_l_series",
+                        lambda *args: calls.append(1) or expand(*args))
+    return calls
+
+
+@pytest.mark.parametrize("xi, n", [("e", n) for n in range(2, 2 * M_LIMIT + 1)]
+                         + CERTIFY_SUITE)
+def test_derive_expands_the_l_series_at_most_twice(series_calls, xi, n):
+    """One series for the Chern targets and one for the pullbacks, for every
+    m up to M_LIMIT (Xi = e at n = 2..80), however many indices m has."""
+    problem = DetectionProblem(parse_polynomial(xi, n), n)
+    witness = find_rational_witness(problem)
+    p = next(detect.certify_primes(problem, witness))
+    series_calls.clear()
+    detect._derive(problem, witness, p)
+    assert len(series_calls) <= 2
+
+
+@pytest.mark.parametrize("xi, n", dict.fromkeys(
+    [("e", 2 * M_LIMIT)] + CERTIFY_SUITE + WITNESS_SUITE))
+def test_witness_search_expands_the_l_series_once_per_point(
+        monkeypatch, series_calls, xi, n):
+    """Each grid point the search evaluates reads its ell_i off at most one
+    series, however many of them Xi asks for."""
+    points = []
+    value = detect._witness_value
+    monkeypatch.setattr(detect, "_witness_value",
+                        lambda *args: points.append(1) or value(*args))
+    find_rational_witness(DetectionProblem(parse_polynomial(xi, n), n))
+    assert len(series_calls) <= len(points)
 
 
 def test_verify_names_witness_value_forgery(flagship_cert):
@@ -526,7 +575,7 @@ L_SERIES = "modulus divides an L-series coefficient"
 def test_admission_names_the_integrality_rule(xi, n, p, report):
     """Xi cancels the 7 of P_2, or the 31 of P_3, only through coefficients
     with p in their denominators, or it keeps P_2 or P_3 and so divides by
-    p: either way p is not admitted, after the four cheaper checks pass,
+    p: either way p is not admitted, after the five cheaper checks pass,
     and certify_primes skips it.  At 11 the same Xi is admitted."""
     problem = DetectionProblem(xi, n)
     witness = WitnessPoint([1] * (n + problem.m - problem.k + 1), 1,

@@ -134,6 +134,20 @@ def test_largest_prime_factor_matches_trial_division(n):
     assert largest_prime_factor(n) == trial_largest_prime_factor(n)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(scalars._MR_BASES),
+                          st.integers(0, 3000)), max_size=4),
+       st.integers(1, 10 ** 6))
+def test_largest_prime_factor_strips_high_powers_of_small_primes(powers, c):
+    """q^e with q <= 41 is divided out by the largest q^(2^j) that divides
+    what is left, so 2^14000 takes a few dozen divisions, not 14000."""
+    n = c
+    for q, e in powers:
+        n *= q ** e
+    assert largest_prime_factor(n) == max(
+        [trial_largest_prime_factor(c)] + [q for q, e in powers if e])
+
+
 def test_largest_prime_factor_splits_large_semiprimes():
     # the witness value of e^4 - p6 at n = 3 and its two large factors
     assert largest_prime_factor(9668371 * 25018291) == 25018291

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charwit.symfun as symfun
-from charwit.cli import main
+from charwit.cli import L_TABLE_LIMIT, main
 from charwit.detect import (DetectionProblem, find_rational_witness,
                             run_pipeline, verify_certificate)
 from charwit.errors import DomainError
@@ -248,6 +249,29 @@ def test_l_table_12_prints_two_digit_names_in_natural_order(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == L_TABLE_12_SHA256
 
 
+# SHA-256 of `charwit l-table --max 16`, printed before the limit was set.
+L_TABLE_16_SHA256 = \
+    "b2b7b14e908f3ba1beae0963707935273ad8c21b49cca6a83b6ea586d9f6f91e"
+
+
+def test_l_table_at_the_limit_prints_what_it_printed(capsys):
+    assert main(["l-table", "--max", str(L_TABLE_LIMIT)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == L_TABLE_16_SHA256
+
+
+@pytest.mark.parametrize("top", [L_TABLE_LIMIT + 1, 100000])
+def test_l_table_past_the_limit_ends(capsys, top):
+    """One past the limit, or --max 100000, which ran past 30 s expanding
+    polynomials, exits 1 with no stdout, naming the limit, within 1 s in
+    process."""
+    start = time.perf_counter()
+    assert main(["l-table", "--max", str(top)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: --max exceeds the l-table limit %d\n" % L_TABLE_LIMIT)
+
+
 def avar(j):
     return GradedPolynomial.variable("a%d" % j, 1)
 
@@ -327,15 +351,16 @@ def test_l_genus_of_even_projective_spaces():
        st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
                 min_size=1, max_size=6))
 def test_l_at_squares_matches_series_product(m, roots):
-    """L_m at p_j = e_j(b_1^2, ..., b_n^2), and LTable.ell(m, b), equal the
-    u^m coefficient of prod_j f(b_j^2 u), f(u) = t/tanh(t) with u = t^2."""
+    """L_m at p_j = e_j(b_1^2, ..., b_n^2), and entry m - 1 of
+    LTable.ell(b), equal the u^m coefficient of prod_j f(b_j^2 u),
+    f(u) = t/tanh(t) with u = t^2."""
     table = l_table(m)
     squares = [b * b for b in roots]
     expected = l_value_oracle(squares, m)
     point = {"p%d" % j: elementary(squares, j) for j in range(1, m + 1)
              if "p%d" % j in table.l(m).variables()}
     assert table.l(m).evaluate(point) == expected
-    assert table.ell(m, roots) == expected
+    assert table.ell(roots)[m - 1] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +481,7 @@ def test_p_values_match_p_polynomials(x):
 @given(st.integers(1, 8), st.lists(small_fractions, min_size=1, max_size=6))
 def test_p_values_of_ell_are_elementary_in_squares(m, roots):
     table = l_table(m)
-    ells = [l_table(i).ell(i, roots) for i in range(1, m + 1)]
+    ells = table.ell(roots)
     squares = [a * a for a in roots]
     assert table.p_values(ells) == [elementary(squares, j)
                                     for j in range(1, m + 1)]
