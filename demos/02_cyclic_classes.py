@@ -39,7 +39,7 @@ print("L_1 of rho: %d*c^2" % l_class_linear(rho, 1)[0])
 
 # the corrected L-class pullback once a virtual summand is attached
 print("L_2 pullback with correction xi: %d*c^4"
-      % pullback_l_nonlinear(rho, sym, 2, 2)[1])
+      % pullback_l_nonlinear(rho, sym, 2)[1])
 
 # restriction along C_p < C_{p^2} folds exponents mod p
 deep = VirtualRep(3, 2, {4: 1, 2: 1})

@@ -60,14 +60,9 @@ def _cmd_certify(args):
     witness = find_rational_witness(problem)
     primes = certify_primes(problem, witness)
     for _ in range(args.primes):
-        p = next(primes)
-        cert = build_certificate(problem, witness, p)
-        ok, report = verify_certificate(cert)
-        if not ok:
-            print("p=%d FAILED: %s" % (p, report), file=sys.stderr)
-            return 1
+        cert = build_certificate(problem, witness, next(primes))
         text = certificate_to_json(cert)
-        path = "%s_p%d.json" % (args.out, p)
+        path = "%s_p%d.json" % (args.out, cert.prime)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         print(cert.summary())

@@ -94,22 +94,19 @@ def chern_character(xi: VirtualRep, j: int) -> int:
     return acc * pow(factorial(j), -1, p) % p
 
 
-def pullback_l_nonlinear(rho: LinearRepData, xi: VirtualRep, n: int,
-                         m: int) -> list:
+def pullback_l_nonlinear(rho: LinearRepData, xi: VirtualRep, m: int) -> list:
     """L-class of the twisted total space in degrees 4, 8, ..., 4m: entry
     i - 1 is its coefficient on c^(2i).
 
-    For 2i < n this is the linear answer, entry i - 1 of
+    For 2i < n = rho.n this is the linear answer, entry i - 1 of
     l_class_linear(rho, m); for 2i >= n the correction term enters:
 
         ell_i(a) * c^(2i)  -  2^(2+2i-n) * e(rho) * ch_(2i-n)(xi).
     """
-    if n != rho.n:
-        raise DomainError("n = %d does not match the %d weights of rho"
-                          % (n, rho.n))
     if xi.p != rho.p or xi.k != 1:
         raise DomainError("xi must be a virtual representation of C_%d" % rho.p)
-    p, euler, pulled = rho.p, euler_class(rho), l_class_linear(rho, m)
+    p, n, euler = rho.p, rho.n, euler_class(rho)
+    pulled = l_class_linear(rho, m)
     for i in range((n + 1) // 2, m + 1):
         j = 2 * i - n
         pulled[i - 1] = (pulled[i - 1] - pow(2, 2 + j, p) * euler

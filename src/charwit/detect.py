@@ -19,14 +19,16 @@ representations of C_p:
   5. derive every certificate field from (z, p) (_derive): the residues,
      the targets, the virtual representation xi realizing the free
      coordinates (Chern-character targets solved, then symmetrized), the
-     Euler and L pullbacks and the evaluation, which reproduces Xi(z) mod p.
+     Euler and L pullbacks and the evaluation, then check its claims once
+     (_claims): the targets are hit and the evaluation is Xi(z) mod p, not 0.
 
-Verification runs the same admission and derivation, compares every stored
-field with it exactly and checks Xi(z) over Q; N is derived by WitnessPoint
-only.  Every z entry is bounded before it is used: WitnessPoint refuses a
-part of more digits than verify reads before factoring it, and admission
-refuses an entry off the search grid before z is reduced mod p or Xi(z)
-evaluated over Q.  The certificate document is written and read here too.
+Verification runs the same admission, derivation and claims, and adds the
+comparison of every stored field with the derivation and the check of
+Xi(z) over Q; N is derived by WitnessPoint only.  Every z entry is bounded
+before it is used: WitnessPoint refuses a part of more digits than verify
+reads before factoring it, and admission refuses an entry off the search
+grid before z is reduced mod p or Xi(z) evaluated over Q.  The
+certificate document is written and read here too.
 """
 
 from __future__ import annotations
@@ -158,15 +160,15 @@ class WitnessPoint:
 
 def _l_values(problem, e, x):
     """The value of each variable of Xi at e and p_i = P_i(x_1..x_i), over
-    Q, where x(i) gives x_i, for i up to Xi's largest p index."""
+    Q, for the list x = [x_1, x_2, ...], read up to Xi's largest p index."""
     top = problem._top
-    p = l_table(top).p_values([x(i) for i in range(1, top + 1)]) if top else ()
+    p = l_table(top).p_values(x[:top]) if top else ()
     return {name: e if name == "e" else p[int(name[1:]) - 1]
             for name in problem.polynomial.variables()}
 
 
 def _l_form_at(problem, e, x):
-    """The L-form of Xi at e and x_i = x(i), over Q."""
+    """The L-form of Xi at e and x = [x_1, x_2, ...], over Q."""
     return problem.polynomial.evaluate(_l_values(problem, e, x))
 
 
@@ -187,11 +189,9 @@ def _witness_value(problem, z):
     """Xi at z = (a, x_k..x_m): the L-form at e = a_1...a_n, x_i = ell_i(a)
     for i < k, from one series up to the last index Xi asks for, and the
     free x_i read off z."""
-    n, k = problem.n, problem.k
-    a, below = z[:n], min(k - 1, problem._top)
-    ells = l_table(below).ell(a) if below else ()
-    return _l_form_at(problem, prod(a), lambda i: z[n + i - k] if i >= k
-                      else ells[i - 1])
+    n, a, below = problem.n, z[:problem.n], min(problem.k - 1, problem._top)
+    ells = l_table(below).ell(a) if below else []
+    return _l_form_at(problem, prod(a), ells + list(z[n:]))
 
 
 def _prime_support(values):
@@ -466,11 +466,16 @@ def certify_primes(problem: DetectionProblem, witness: WitnessPoint):
 
 def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
                       p: int) -> WitnessCertificate:
-    """The certificate for one admitted prime p, as _derive makes it."""
+    """The certificate for one admitted prime p, as _derive makes it, once;
+    a failed claim (_claims) raises InternalConsistencyError naming it."""
     report = _admission(problem, witness, p)
     if report:
         raise DomainError(report)
-    return _derive(problem, witness, p)
+    cert = _derive(problem, witness, p)
+    report = _claims(cert)
+    if report:
+        raise InternalConsistencyError("p=%d FAILED: %s" % (p, report))
+    return cert
 
 
 def _derive(problem, witness, p):
@@ -490,16 +495,28 @@ def _derive(problem, witness, p):
         chern[j] = ((ells[i - 1] - xbar)
                     * pow(euler * pow(2, 2 + j, p), -1, p) % p)
     xi = symmetrize(solve_chern_targets(p, chern), n)
-    pulled = pullback_l_nonlinear(rho, xi, n, problem.m)
-    l_pullbacks = dict(enumerate(pulled, 1))
-    evaluation = _l_form_mod(problem, euler, l_pullbacks.__getitem__, p)
+    pulled = pullback_l_nonlinear(rho, xi, problem.m)
     return WitnessCertificate(problem, witness, p, rho.residues, xbars, xi,
-                              euler, l_pullbacks, evaluation)
+                              euler, dict(enumerate(pulled, 1)),
+                              _l_form_mod(problem, euler, pulled, p))
+
+
+def _claims(cert):
+    """The first failing claim of a derived certificate, or None: the targets
+    are hit at i = k..m, and the evaluation is nonzero and Xi(z) mod p."""
+    for i, target in enumerate(cert.targets, cert.problem.k):
+        if cert.l_pullbacks[i] != target:
+            return "target mismatch at i = %d" % i
+    if not cert.evaluation:
+        return "evaluation vanished mod p"
+    if cert.evaluation != from_rational(cert.prime, cert.witness.value):
+        return "evaluation differs from Xi(z) mod p"
 
 
 def verify_certificate(cert: WitnessCertificate):
     """Admit p and derive the certificate as build_certificate does, compare
-    every stored field with the derivation, then check what it claims.
+    every stored field with the derivation, check its claims (_claims) and
+    last the witness value over Q.
     Returns (ok, report), the report naming the first failing check; domain
     and arithmetic errors become failures, never raised."""
     try:
@@ -510,7 +527,6 @@ def verify_certificate(cert: WitnessCertificate):
 
 def _verify(cert: WitnessCertificate):
     problem, witness, p = cert.problem, cert.witness, cert.prime
-    k, m = problem.k, problem.m
     report = _admission(problem, witness, p)
     if report:
         return False, report
@@ -523,21 +539,16 @@ def _verify(cert: WitnessCertificate):
         return False, "xi differs from the symmetrized Chern-target solution"
     if cert.euler != derived.euler:
         return False, "euler pullback mismatch"
-    if sorted(cert.l_pullbacks) != list(range(1, m + 1)):
+    if sorted(cert.l_pullbacks) != list(range(1, problem.m + 1)):
         return False, "L-pullback indices are not 1..m"
-    for i in range(1, m + 1):
+    for i in range(1, problem.m + 1):
         if cert.l_pullbacks[i] != derived.l_pullbacks[i]:
             return False, "L-pullback mismatch at i = %d" % i
     if cert.evaluation != derived.evaluation:
         return False, "evaluation differs from the stored value"
-
-    for i in range(k, m + 1):
-        if derived.l_pullbacks[i] != derived.targets[i - k]:
-            return False, "target mismatch at i = %d" % i
-    if not derived.evaluation:
-        return False, "evaluation vanished mod p"
-    if derived.evaluation != from_rational(p, witness.value):
-        return False, "evaluation differs from Xi(z) mod p"
+    report = _claims(derived)
+    if report:
+        return False, report
     if witness.value != _witness_value(problem, witness.coordinates):
         return False, "witness value differs from Xi(z)"
     return True, "ok"
@@ -545,18 +556,12 @@ def _verify(cert: WitnessCertificate):
 
 def run_pipeline(polynomial: GradedPolynomial, n: int,
                  prime_count: int) -> list:
-    """Certificates for the first prime_count primes of certify_primes."""
+    """Certificates for the first prime_count primes of certify_primes, each
+    built, and its claims checked, once by build_certificate."""
     if prime_count < 1:
         raise DomainError("need at least one prime")
     problem = DetectionProblem(polynomial, n)
     witness = find_rational_witness(problem)
-    certificates = []
     primes = certify_primes(problem, witness)
-    for _ in range(prime_count):
-        cert = build_certificate(problem, witness, next(primes))
-        ok, report = verify_certificate(cert)
-        if not ok:
-            raise InternalConsistencyError(
-                "freshly built certificate failed verification: %s" % report)
-        certificates.append(cert)
-    return certificates
+    return [build_certificate(problem, witness, next(primes))
+            for _ in range(prime_count)]

@@ -10,6 +10,7 @@ numbers of the forms live in the cyclotomic module.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd
 
@@ -227,8 +228,8 @@ def largest_prime_factor(n: int) -> int:
     rho; a part counts as prime only when is_prime says so.  A part at or
     above the range where is_prime is exact is divided by the odd d < 2^16
     only.  Every search is bounded: when such a cofactor stays out of
-    range, or rho cannot split a composite, DomainError names the number
-    instead of returning a guess.
+    range, or rho cannot split a composite, DomainError names the number,
+    or its digit count past what str() converts, instead of a guess.
     """
     n = abs(n)
     best = 1
@@ -247,10 +248,14 @@ def largest_prime_factor(n: int) -> int:
                     best = max(best, d)
                     m //= d
             if m >= _MR_LIMIT:
-                raise DomainError("cannot factor %d: at or above the "
+                try:
+                    part = str(m)
+                except ValueError:
+                    part = "a %d-digit number" % (Decimal(m).adjusted() + 1)
+                raise DomainError("cannot factor %s: at or above the "
                                   "certified primality range %d after "
                                   "dividing out the factors below 2^16"
-                                  % (m, _MR_LIMIT))
+                                  % (part, _MR_LIMIT))
             if m > 1:
                 parts.append(m)
         elif is_prime(m):

@@ -361,21 +361,22 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
 # the multiplicative sequence of t/tanh(t)
 
 
-def _log_series(a, order: int) -> list:
-    """k g_k for k = 0..order, where log(1 + sum_{k>0} a_k u^k) = sum_k g_k
-    u^k (a[0] is ignored): u f' = f u (log f)' gives k g_k = k a_k -
-    sum_{0<i<k} i g_i a_(k-i)."""
+def _log_series(a) -> list:
+    """k g_k for k = 0..M, where log(1 + sum_{k>0} a_k u^k) = sum_k g_k u^k
+    and M is the last index of a (a[0] is ignored): u f' = f u (log f)'
+    gives k g_k = k a_k - sum_{0<i<k} i g_i a_(k-i)."""
     kg = [0]
-    for k in range(1, order + 1):
+    for k in range(1, len(a)):
         kg.append(k * a[k] - sum(kg[i] * a[k - i] for i in range(1, k)))
     return kg
 
 
-def _exp_series(kg, one, order: int) -> list:
-    """E_0 = one, E_1, ..., E_order, where sum_m E_m u^m = exp(sum_k g_k u^k),
-    from k g_k (kg[0] is ignored): m E_m = sum_{0<k<=m} k g_k E_(m-k)."""
-    e = [one]
-    for m in range(1, order + 1):
+def _exp_series(kg) -> list:
+    """E_0 = 1, E_1, ..., E_M, where sum_m E_m u^m = exp(sum_k g_k u^k), from
+    k g_k, M the last index of kg (kg[0] is ignored; the int E_0 serves
+    Fractions and polynomials): m E_m = sum_{0<k<=m} k g_k E_(m-k)."""
+    e = [1]
+    for m in range(1, len(kg)):
         e.append(sum(kg[k] * e[m - k] for k in range(1, m + 1)) / m)
     return e
 
@@ -389,20 +390,19 @@ def _log_f_series(order: int) -> list:
                   for k in range(1, order + 1)]
 
 
-def _l_series(kc, s, one, order: int) -> list:
-    """1, L_1, ..., L_order at the power sums s_k of the squared roots:
-    L = exp(sum_k c_k s_k u^k)."""
-    return _exp_series([0] + [kc[k] * s[k] for k in range(1, order + 1)],
-                       one, order)
+def _l_series(kc, s) -> list:
+    """1, L_1, ..., L_M at the power sums s_k of the squared roots, M the
+    last index of s (s[0] is ignored): L = exp(sum_k c_k s_k u^k)."""
+    return _exp_series([0] + [kc[k] * s[k] for k in range(1, len(s))])
 
 
-def _p_series(kc, x, one, order: int) -> list:
-    """1, P_1, ..., P_order at x_1..x_order (x[0] is ignored): the power
-    sums are s_k = k [log(1 + sum_i x_i u^i)]_k / (k c_k), and
-    1 + sum_j p_j u^j = exp(sum_k (-1)^(k-1) s_k u^k / k)."""
-    log_x = _log_series(x, order)
+def _p_series(kc, x) -> list:
+    """1, P_1, ..., P_M at x_1..x_M, M the last index of x (x[0] is
+    ignored): the power sums are s_k = k [log(1 + sum_i x_i u^i)]_k /
+    (k c_k), and 1 + sum_j p_j u^j = exp(sum_k (-1)^(k-1) s_k u^k / k)."""
+    log_x = _log_series(x)
     return _exp_series([0] + [(-1) ** (k - 1) * log_x[k] / kc[k]
-                              for k in range(1, order + 1)], one, order)
+                              for k in range(1, len(x))])
 
 
 def l_leading_coefficient(i: int) -> Fraction:
@@ -436,13 +436,12 @@ class LTable:
         """(L_0..L_M, P_0..P_M); Newton's identities read the power sums
         off log(1 + sum_j p_j u^j) as (-1)^(k-1) s_k / k."""
         if self._polys is None:
-            M, one = self.max_index, GradedPolynomial.constant(1)
+            M = self.max_index
             pv, xv = ([None] + [GradedPolynomial.variable(v + str(j), 2 * j)
                                 for j in range(1, M + 1)] for v in "px")
-            log_p = _log_series(pv, M)
+            log_p = _log_series(pv)
             s = [0] + [(-1) ** (k - 1) * log_p[k] for k in range(1, M + 1)]
-            self._polys = (_l_series(self._kc, s, one, M),
-                           _p_series(self._kc, xv, one, M))
+            self._polys = (_l_series(self._kc, s), _p_series(self._kc, xv))
         return self._polys
 
     def l(self, i: int) -> GradedPolynomial:
@@ -451,21 +450,20 @@ class LTable:
     def p(self, i: int) -> GradedPolynomial:
         return self._expand()[1][self._check(i)]
 
-    def ell(self, roots, one=Fraction(1)) -> list:
+    def ell(self, roots) -> list:
         """[ell_1(a), ..., ell_M(a)] at roots a, ints, Fractions or
-        polynomials with unit one, from one series: L at p_j = e_j(a_1^2,
-        ..., a_n^2), read off the power sums s_k = sum_j a_j^(2k)."""
-        M = self.max_index
-        s = [sum(a ** (2 * k) for a in roots) for k in range(M + 1)]
-        return _l_series(self._kc, s, one, M)[1:]
+        polynomials, from one series: L at p_j = e_j(a_1^2, ..., a_n^2),
+        read off the power sums s_k = sum_j a_j^(2k)."""
+        s = [sum(a ** (2 * k) for a in roots)
+             for k in range(self.max_index + 1)]
+        return _l_series(self._kc, s)[1:]
 
     def p_values(self, x) -> list:
         """[P_1(x), ..., P_M(x)] at rational x = (x_1, ..., x_M)."""
         if len(x) != self.max_index:
             raise DomainError("p_values wants %d values, got %d"
                               % (self.max_index, len(x)))
-        return _p_series(self._kc, [None] + [Fraction(v) for v in x],
-                         Fraction(1), self.max_index)[1:]
+        return _p_series(self._kc, [None] + [Fraction(v) for v in x])[1:]
 
 
 _l_table_cache: dict[int, LTable] = {}
@@ -497,4 +495,4 @@ def ell_polynomial(i: int, n: int) -> GradedPolynomial:
     if i < 1 or n < 1:
         raise DomainError("ell_polynomial wants i >= 1 and n >= 1")
     a = [GradedPolynomial.variable("a%d" % j, 1) for j in range(1, n + 1)]
-    return l_table(i).ell(a, GradedPolynomial.constant(1))[i - 1]
+    return l_table(i).ell(a)[i - 1]

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charwit
+import charwit.detect as detect
 from charwit.cli import main
 from charwit.detect import (DetectionProblem, M_LIMIT, WORK_LIMIT,
                             build_certificate,
                             certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint, _derive
-from charwit.errors import DomainError, ParseError
+from charwit.errors import DomainError, InternalConsistencyError, ParseError
 from charwit.repring import VirtualRep, restrict
 from charwit.scalars import rational_to_string
 from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
@@ -338,6 +339,76 @@ def test_cli_certify_and_verify(tmp_path, capsys):
     run(capsys, "certify", "--xi", "e^2 - p2", "--n", "2",
         "--primes", "2", "--out", prefix)
     assert path53.read_bytes() == before
+
+
+@pytest.fixture
+def derived_primes(monkeypatch):
+    """The prime of each detect._derive call."""
+    primes = []
+    derive = detect._derive
+    monkeypatch.setattr(detect, "_derive",
+                        lambda *args: primes.append(args[2]) or derive(*args))
+    return primes
+
+
+def test_certify_derives_each_certificate_once(derived_primes, tmp_path,
+                                               capsys):
+    """run_pipeline and charwit certify derive each certificate once and
+    check its claims on that derivation, with no second derivation to
+    verify it: 14 by each path for the 7 certify-suite problems at 2
+    primes."""
+    certified = []
+    for xi, n in CERTIFY_SUITE:
+        certs = run_pipeline(parse_polynomial(xi, n), n, 2)
+        assert run(capsys, "certify", "--xi", xi, "--n", str(n), "--primes",
+                   "2", "--out", str(tmp_path / "cw"))[0] == 0
+        certified += [c.prime for c in certs] * 2
+    assert len(certified) == 28 and derived_primes == certified
+
+
+@pytest.mark.parametrize("xi, n, p, i", [("e^2 - p2", 2, 53, 1),
+                                         ("p3 - e^2", 3, 727, 2)])
+def test_a_failed_claim_ends_certify_naming_it(monkeypatch, tmp_path, capsys,
+                                               xi, n, p, i):
+    """An xi that misses the targets (detect.symmetrize made to add chi^1,
+    which moves every ch_j) fails the first claim: build_certificate and
+    run_pipeline raise InternalConsistencyError naming p and the claim, and
+    charwit certify exits 1 naming it, with no traceback and no file."""
+    symmetrize = detect.symmetrize
+    monkeypatch.setattr(detect, "symmetrize", lambda solved, n: (
+        symmetrize(solved, n) + VirtualRep.character(solved.p, 1, 1)))
+    report = "p=%d FAILED: target mismatch at i = %d" % (p, i)
+    problem = DetectionProblem(parse_polynomial(xi, n), n)
+    with pytest.raises(InternalConsistencyError, match="^%s$" % report):
+        build_certificate(problem, find_rational_witness(problem), p)
+    with pytest.raises(InternalConsistencyError, match="^%s$" % report):
+        run_pipeline(problem.polynomial, n, 2)
+    assert run(capsys, "certify", "--xi", xi, "--n", str(n), "--primes", "2",
+               "--out", str(tmp_path / "cw")) == (1, "", "error: %s\n"
+                                                  % report)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_sites_bind_on_the_cli_path(monkeypatch, tmp_path, capsys):
+    """The benchmark's traced runs wrap the names perfbench/tracer.py lists
+    where the CLI path binds them.  certify, witness and verify run with
+    every site wrapped, and layer_metrics reads their spans, so a rename or
+    a signature change that breaks a traced run fails here."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    tracer = import_module("tracer")
+    spans = tracer.Tracer()
+    prefix = str(tmp_path / "cw")
+    try:
+        tracer.install_cli_sites(spans)
+        assert main(["certify", "--xi", "e^2 - p2", "--n", "2", "--primes",
+                     "2", "--out", prefix]) == 0
+        assert main(["witness", "--xi", "e^2 - p2", "--n", "2"]) == 0
+        assert main(["verify", prefix + "_p53.json"]) == 0
+    finally:
+        spans.restore()
+    assert capsys.readouterr().err == ""
+    assert tracer.layer_metrics(spans.spans, 3)["cli.cert_bytes"] > 0
 
 
 def test_cli_certify_where_xi_cancels_a_denominator_of_p2(tmp_path, capsys):

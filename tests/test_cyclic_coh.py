@@ -85,23 +85,20 @@ def test_pullback_nonlinear_hand_value():
     """
     rho = LinearRepData(11, (1, 2))
     xi = VirtualRep(11, 1, {1: 1, 0: -1})
-    v = pullback_l_nonlinear(rho, xi, 2, 2)[1]
+    v = pullback_l_nonlinear(rho, xi, 2)[1]
     assert v == 9
 
 
 def test_pullback_linear_branch():
     rho = LinearRepData(11, (1, 2, 3))
     xi = VirtualRep(11, 1, {})
-    assert pullback_l_nonlinear(rho, xi, 3, 1) == l_class_linear(rho, 1)
+    assert pullback_l_nonlinear(rho, xi, 1) == l_class_linear(rho, 1)
 
 
 def test_pullback_validates_rank():
     rho = LinearRepData(11, (1, 2))
-    xi = VirtualRep(11, 1, {})
     with pytest.raises(DomainError):
-        pullback_l_nonlinear(rho, xi, 3, 2)
-    with pytest.raises(DomainError):
-        pullback_l_nonlinear(rho, VirtualRep(7, 1, {}), 2, 2)
+        pullback_l_nonlinear(rho, VirtualRep(7, 1, {}), 2)
 
 
 def mod_p_grid():
@@ -117,7 +114,7 @@ def mod_p_grid():
             yield "e", p, rho.residues, n, euler_class(rho)
             m = min((p - 1) // 2, 9) - 1
             linear = l_class_linear(rho, m)
-            pulled = pullback_l_nonlinear(rho, xi, n, m)
+            pulled = pullback_l_nonlinear(rho, xi, m)
             for i in range(1, m + 1):
                 yield "l", p, rho.residues, i, linear[i - 1]
                 yield ("L", p, rho.residues + tuple(xi.serialize()), i,

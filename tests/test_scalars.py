@@ -189,6 +189,26 @@ def test_largest_prime_factor_raises_when_rho_fails(monkeypatch):
         largest_prime_factor(n)
 
 
+def test_largest_prime_factor_names_the_digits_of_an_unprintable_part():
+    """(10^9 + 7)^500 has 4501 digits, more than str() converts at the
+    default limit of 4300: the DomainError names its digit count, not a
+    ValueError from formatting it, and the 400th power (3601 digits) is
+    named in full."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^cannot factor a 4501-digit "
+                           "number: at or above the certified primality"):
+            largest_prime_factor((10 ** 9 + 7) ** 500)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(DomainError, match="^cannot factor %d: "
+                           % (10 ** 9 + 7) ** 400):
+            largest_prime_factor((10 ** 9 + 7) ** 400)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_is_odd_prime_caches_only_primes():
     assert not is_odd_prime(2)
     assert not is_odd_prime(9)
