@@ -425,17 +425,17 @@ def _diagonalize(mat, level: int):
     none of them again.
     The pivot column a[i][s] is built once, and the pivot row is its
     conjugate, so nothing is mirrored.  If the remaining diagonal is zero,
-    v_s <- v_s + v_j lam first makes a[s][s] nonzero for the first
-    remaining s with a nonzero entry, not the one of least degree, and for
-    the j in adj[s] of least degree, the lowest index on ties: lam = 1, or
-    zeta when a[j][s] + conj(a[j][s]) = 0.  In lower storage that adds
-    a[c][j] lam to a[c][s] for the c in adj[j] other than s, and sets
-    a[s][s] = t + conj(t) with t = lam_bar a[j][s], a[s][s] and a[j][j]
-    being zero.  Row s is left as it is: for remaining b < s, a[j][b] = 0,
-    since s is the first remaining index with a nonzero entry, so every c
-    in adj[j] and in adj[s], j included, is above s.  Minimum degree would
-    not give that for s, so this step keeps the first s; any j in adj[s]
-    does.
+    the first remaining s with a nonzero entry and the j in adj[s] of least
+    degree, the lowest index on ties, span a hyperbolic plane
+    P = [[0, conj(x)], [x, 0]], x = a[j][s] != 0, eliminated as one 2 x 2
+    pivot: the symmetric-indefinite step of Bunch and Parlett (SIAM J.
+    Numer. Anal. 8, 1971).  P^-1 = [[0, w], [conj(w), 0]] with w = x^-1, the
+    step's one inverse, so with u_i = a[i][s] w and v_i = a[i][j] the Schur
+    complement replaces each remaining a[i][l], l <= i, by
+    a[i][l] - u_i conj(v_l) - v_i conj(u_l).  The pair's pivots are 1 and
+    -x conj(x): both are real, their product is det P, and det P < 0 at
+    every embedding, so P has one positive and one negative eigenvalue
+    there, as they do.
 
     Returns the pivots, each nonzero and fixed by conjugation; raises
     InvariantViolation when the matrix is singular.
@@ -469,16 +469,45 @@ def _diagonalize(mat, level: int):
                     "form is singular at a character of order %d" % level)
             j = min(adj[s], key=lambda i: (len(adj[i]), i))
             x = a[j][s]
-            lam = CyclotomicNumber.rational(level, 1)
-            if not x + x.conjugate():
-                lam = CyclotomicNumber.zeta(level)
-            lam_bar = lam.conjugate()
-            for c in adj[j] - {s}:
-                y = a[c][j] if c > j else a[j][c].conjugate()
-                a[c][s] = a[c][s] + y * lam
-                link(c, s, a[c][s])
-            t = lam_bar * x
-            a[s][s] = t + t.conjugate()
+            w = x.inverse()
+            rest.remove(s)
+            rest.remove(j)
+            pivots += [CyclotomicNumber.rational(level, 1),
+                       -(x * x.conjugate())]
+            # (u_i, v_i, conj(v_i), conj(u_i)) over the remaining i joined to
+            # s or j, None where zero; each such i is above s, which is the
+            # first remaining index with an entry
+            below, cols = sorted((adj[s] | adj[j]) - {s, j}), []
+            for i in below:
+                u = a[i][s] * w if i in adj[s] else None
+                if i not in adj[j]:
+                    v = vb = None
+                elif i > j:
+                    v = a[i][j]
+                    vb = v.conjugate()
+                else:
+                    vb = a[j][i]
+                    v = vb.conjugate()
+                adj[i].discard(s)
+                adj[i].discard(j)
+                cols.append((u, v, vb, u and u.conjugate()))
+            for n, i in enumerate(below):
+                u, v, _, _ = cols[n]
+                ai = a[i]
+                for l, (_, _, vb, ub) in zip(below, cols[:n + 1]):
+                    d = u * vb if u and vb else None
+                    if v and ub:
+                        d = v * ub if d is None else d + v * ub
+                    if d is None:
+                        continue
+                    ai[l] = ai[l] - d
+                    if l < i:
+                        link(i, l, ai[l])
+                    elif ai[i]:
+                        live[i] = _bits(ai[i])
+                    else:
+                        live.pop(i, None)
+            continue
         rest.remove(s)
         live.pop(s, None)
         pivots.append(a[s][s])
@@ -526,9 +555,11 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     u = zeta - zeta^(-1) is hermitian: at zeta^t, u Lambda =
     2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
     t > d/2.  A singular evaluation at any character means the form was not
-    unimodular and raises.  The pivot order does not matter: every step is
-    a congruence, and each embedding respects conjugation, so the signs
-    obey Sylvester's law of inertia.
+    unimodular and raises.  Neither the pivot order nor the pairs matter:
+    every step, a 1 x 1 pivot or a zero-diagonal pair eliminated as one
+    hyperbolic plane, is a congruence to a block whose pivots have its
+    inertia at every embedding, and each embedding respects conjugation,
+    so the signs obey Sylvester's law of inertia.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
@@ -751,8 +782,10 @@ def signature_int(b: IntegerForm) -> int:
     The matrix is the hermitian form at the trivial character, so its
     lower triangle goes through _diagonalize at level 1 and the pivots are
     signed as multisignature signs them there; by Sylvester's law of
-    inertia their signs count the positive and negative eigenvalues.  A
-    singular matrix raises InvariantViolation.
+    inertia their signs count the positive and negative eigenvalues.  When
+    no diagonal entry remains, a pair [[0, x], [x, 0]] is eliminated in
+    one step with the pivots 1 and -x^2, as at every level.  A singular
+    matrix raises InvariantViolation.
     """
     if b.parity != 1:
         raise DomainError("signature is for symmetric forms")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -665,20 +666,27 @@ def _hermitian_draw(rng, L, rank, zero_diagonal):
 
 
 def _cofactor_det(m):
-    """Laplace expansion along the first row."""
-    if len(m) == 1:
-        return m[0][0]
-    total = CyclotomicNumber.rational(m[0][0].L, 0)
-    for c, x in enumerate(m[0]):
-        term = x * _cofactor_det([row[:c] + row[c + 1:] for row in m[1:]])
-        total = total - term if c % 2 else total + term
-    return total
+    """Laplace expansion along the first row, each minor (the rows below
+    row r on a set of columns) expanded once."""
+    @functools.lru_cache(maxsize=None)
+    def minor(r, cols):
+        if r == len(m) - 1:
+            return m[r][cols[0]]
+        total = CyclotomicNumber.rational(m[0][0].L, 0)
+        for n, c in enumerate(cols):
+            if m[r][c]:
+                term = m[r][c] * minor(r + 1, cols[:n] + cols[n + 1:])
+                total = total - term if n % 2 else total + term
+        return total
+
+    return minor(0, tuple(range(len(m))))
 
 
 def _pivot_oracle_draws():
-    """A hand case needing lam = zeta, whose off-diagonal entry
-    u = zeta - zeta^-1 has u + conj(u) = 0, and 150 seeded draws, every
-    other one with a zero diagonal."""
+    """A hand case, a hyperbolic pair whose off-diagonal entry
+    u = zeta - zeta^-1 has u + conj(u) = 0 (the lambda step needed
+    lam = zeta there), and 150 seeded draws, every other one with a zero
+    diagonal."""
     rng = random.Random(2208)
     u = CyclotomicNumber.zeta(5) - CyclotomicNumber.zeta(5).conjugate()
     zero = CyclotomicNumber.rational(5, 0)
@@ -693,8 +701,8 @@ def _pivot_oracle_draws():
 def test_diagonalize_pivot_oracle():
     """Every pivot is nonzero and real, and their product is det(A): each
     congruence the elimination applies has determinant 1.  A singular A
-    raises.  The hand case needs lam = zeta: its off-diagonal entry
-    u = zeta - zeta^-1 has u + conj(u) = 0."""
+    raises.  The hand case is one hyperbolic pair, whose off-diagonal
+    entry u = zeta - zeta^-1 has u + conj(u) = 0."""
     draws = _pivot_oracle_draws()
     counts = {True: 0, False: 0}
     for L, a in draws:
@@ -748,15 +756,21 @@ def _bits(x):
     return x.den.bit_length() + sum(n.bit_length() for n in x.num)
 
 
-def _diagonalize_by_scan(mat, level, by_size=True):
+def _diagonalize_by_scan(mat, level, by_size=True, pairs=None):
     """The elimination with every choice made by a full scan: each pivot
     scans the remaining indices for a nonzero diagonal entry and takes the
     least degree, then, by_size, the fewest bits, measured afresh at every
-    scan, then the lowest index; the zero-diagonal step takes the partner
-    in adj[s] of least degree, the lowest index on ties.  With by_size
-    false it is the elimination as it was before sizes counted: the lowest
-    index breaks degree ties, and the partner is the least index in
-    adj[s]."""
+    scan, then the lowest index; the zero-diagonal step takes the first
+    remaining s with a nonzero entry and its partner j in adj[s] of least
+    degree, the lowest index on ties, and eliminates the block P on s and
+    j by the dense Schur complement A - B P^-1 B*, P^-1 from the 2 x 2
+    adjugate, with the pivots 1 and det P.  Each such (s, j) is appended
+    to pairs when given.
+    With by_size false it is the elimination as it was before sizes
+    counted and before the pair step: the lowest index breaks degree ties,
+    the partner is the least index in adj[s], and v_s <- v_s + v_j lam,
+    lam = 1, or zeta when a[j][s] + conj(a[j][s]) = 0, makes a[s][s]
+    nonzero for a 1 x 1 pivot."""
     a = [list(row[:i + 1]) for i, row in enumerate(mat)]
     adj = [set() for _ in a]
 
@@ -767,6 +781,9 @@ def _diagonalize_by_scan(mat, level, by_size=True):
         else:
             adj[i].discard(j)
             adj[j].discard(i)
+
+    def entry(i, j):
+        return a[i][j] if j <= i else a[j][i].conjugate()
 
     for i, row in enumerate(a):
         for j in range(i):
@@ -783,6 +800,31 @@ def _diagonalize_by_scan(mat, level, by_size=True):
             if s is None:
                 raise InvariantViolation("singular")
             j = min(adj[s], key=lambda i: (len(adj[i]) if by_size else 0, i))
+            if by_size:
+                if pairs is not None:
+                    pairs.append((s, j))
+                p00, p01, p10, p11 = (entry(s, s), entry(s, j), entry(j, s),
+                                      entry(j, j))
+                det = p00 * p11 - p01 * p10
+                inv = det.inverse()
+                q00, q01, q10, q11 = (p11 * inv, -p01 * inv, -p10 * inv,
+                                      p00 * inv)
+                rest.remove(s)
+                rest.remove(j)
+                pivots += [CyclotomicNumber.rational(level, 1), det]
+                border = [(i, entry(i, s), entry(i, j)) for i in rest]
+                for i, bs, bj in border:
+                    fs, fj = bs * q00 + bj * q10, bs * q01 + bj * q11
+                    for l, cs, cj in border:
+                        if l <= i and (fs or fj) and (cs or cj):
+                            a[i][l] = a[i][l] - (fs * cs.conjugate()
+                                                 + fj * cj.conjugate())
+                            if l < i:
+                                link(i, l, a[i][l])
+                for i in (s, j):
+                    for l in list(adj[i]):
+                        link(i, l, None)
+                continue
             x = a[j][s]
             lam = CyclotomicNumber.rational(level, 1)
             if not x + x.conjugate():
@@ -823,11 +865,12 @@ def _pivots_or_singular(diagonalize, mat, level):
 
 def test_diagonalize_pivot_order_matches_the_scan():
     """The tracked live diagonal and its sizes pick the pivots, and the
-    zero-diagonal step the partners, that a full scan picks, ties
-    included: the same pivot list on the oracle's draws and on the rank-42
-    transfers of the budget test at orders 1 and 7 (the lower triangle of
-    the skew one at order 1 read as a symmetric matrix), and singular on
-    the same draws."""
+    zero-diagonal step the pairs, that a full scan picks, ties included,
+    and the sparse pair update gives the dense 2 x 2 Schur complement: the
+    same pivot list on the oracle's draws and on the rank-42 transfers of
+    the budget test at orders 1 and 7 (the lower triangle of the skew one
+    at order 1 read as a symmetric matrix), and singular on the same
+    draws."""
     cases = _pivot_oracle_draws()
     for parity in (1, -1):
         g = transfer(random_form(7, 2, parity, 6, 1))
@@ -836,12 +879,13 @@ def test_diagonalize_pivot_order_matches_the_scan():
                         else GroupRingElement.evaluate)
             cases.append((d, [[evaluate(x, d) for x in row[:i + 1]]
                               for i, row in enumerate(g.matrix)]))
-    singular = 0
+    singular, pairs = 0, []
     for L, a in cases:
-        expected = _pivots_or_singular(_diagonalize_by_scan, a, L)
+        expected = _pivots_or_singular(
+            lambda m, level: _diagonalize_by_scan(m, level, pairs=pairs), a, L)
         singular += expected == "singular"
         assert _pivots_or_singular(_diagonalize, a, L) == expected
-    assert singular >= 10
+    assert singular >= 10 and len(pairs) >= 100
 
 
 def _permutation(rng, n):
@@ -909,9 +953,10 @@ def test_multisignature_rejects_non_real_pivot(monkeypatch):
 @pytest.mark.parametrize(
     "p, seed, parity, levels, evaluations, inverses, updates, galois, signs", [
         (7, 1, 1, 2, 602, 52, 1290, 700, 168),
-        (7, 1, -1, 1, 56, 35, 210, 700, 126),
-        (5, 5, 1, 2, 210, 53, 2163, 588, 90),
-    ], ids=["hermitian", "skew", "hermitian-tie-break"])
+        (7, 1, -1, 1, 56, 21, 0, 182, 126),
+        (5, 5, 1, 2, 210, 40, 1701, 417, 90),
+        (7, 2, 1, 2, 56, 42, 0, 140, 168),
+    ], ids=["hermitian", "skew", "hermitian-tie-break", "hyperbolic"])
 def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
                                     evaluations, inverses, updates, galois,
                                     signs):
@@ -925,8 +970,15 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     lower entries nonzero for the hermitian form, 56 for the skew one):
     minimum-degree pivots of least size do 1290 updates on the hermitian
     form and 52 inverses (1308 and 54 with degree ties broken by index),
-    where first-nonzero pivots fill it in and do 3532.  The third is the
-    form the size tie-break slowed most, pinned at its counts.
+    where first-nonzero pivots fill it in and do 3532.  The skew one
+    reaches only zero-diagonal steps, 21 hyperbolic pairs with no other
+    entry to update: one inverse and no update each, where making a[s][s]
+    nonzero and pivoting on s and then on j took 35 inverses, 210 updates
+    and 280 Galois images.  The third is the form the size tie-break
+    slowed most (53 inverses, 2163 updates and 588 Galois images before
+    the pair step).  The fourth is a hermitian form whose eliminations at
+    orders 1 and 7 take 21 pair steps each and nothing else (52 inverses,
+    92 updates and 280 Galois images before the pair step).
     Each pivot is signed once per conjugate pair of embeddings: once at
     order 1 and phi(d)/2 times at order d > 1, where signing at every
     embedding took 294 and 252 signs on the first two.  These are counts,
@@ -958,7 +1010,7 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
         == levels * nonzero == evaluations
     assert counts.pop("inverse") == inverses
     assert counts.pop("_galois") <= galois
-    assert counts.pop("__sub__") <= updates
+    assert counts.pop("__sub__", 0) <= updates
     assert counts.pop("sign") == pairs == signs
     assert not counts
 
@@ -1017,6 +1069,105 @@ def test_pivot_inertia_matches_the_index_tie_break(case):
         assert got == "singular"
     else:
         assert got != "singular" and _inertia(got, L) == _inertia(expected, L)
+
+
+def _lambda_step(mat, level):
+    """The elimination with the zero-diagonal step of v_s <- v_s + v_j lam
+    and two 1 x 1 pivots, which the pair step replaced."""
+    return _diagonalize_by_scan(mat, level, by_size=False)
+
+
+@st.composite
+def zero_diagonal_matrices(draw):
+    """Hermitian matrices over Q(zeta_L) of rank 1 to 8 whose diagonal is
+    zero but in about one place in five, and whose entries below it are
+    zero in about a quarter of the places and otherwise purely imaginary
+    (u + conj(u) = 0, the entries that needed lam = zeta) in about three
+    quarters of the rest."""
+    L = draw(st.sampled_from((1, 3, 5, 7, 9, 25, 49)))
+    rank = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        x = CyclotomicNumber.from_exponents(
+            L, [(rng.randrange(L), rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 3))])
+        return x - x.conjugate() if rng.random() < 0.75 else x
+
+    zero = CyclotomicNumber.rational(L, 0)
+    a = [[zero] * rank for _ in range(rank)]
+    for i in range(rank):
+        if rng.random() < 0.2:
+            x = entry()
+            a[i][i] = x + x.conjugate()
+        for j in range(i):
+            if rng.random() < 0.75:
+                a[i][j] = entry()
+                a[j][i] = a[i][j].conjugate()
+    return L, a
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(zero_diagonal_matrices())
+def test_pair_step_matches_the_lambda_step(case):
+    """On zero-diagonal-heavy draws the pair step is singular with the
+    lambda step, its pivots count as many positive and negative values at
+    every embedding, and their product is det A."""
+    L, a = case
+    expected = _pivots_or_singular(_lambda_step, a, L)
+    got = _pivots_or_singular(_diagonalize, a, L)
+    if expected == "singular":
+        assert got == "singular"
+        return
+    assert got != "singular" and _inertia(got, L) == _inertia(expected, L)
+    product = CyclotomicNumber.rational(L, 1)
+    for x in got:
+        product = product * x
+    assert product == _cofactor_det(a)
+
+
+def _mixed_hyperbolic(p, k, planes, seed):
+    """diag(-1 + g + g^-1, 1) + planes hyperbolic planes, mixed by a seeded
+    transvection.  The first entry, -1 + 2 cos(2 pi t / d) at zeta_d^t,
+    changes sign with t, so the form's multisignature is not a multiple of
+    the regular character."""
+    unit = HermitianForm(p, k, 1, [["-1 + g + g^-1", 0], [0, 1]])
+    f = direct_sum(unit, hyperbolic(p, k, 1, planes))
+    return congruence(f, _random_transvection(p, k, f.rank, seed))
+
+
+PAIR_FORMS = [(p, k, planes, seed) for p, k in ((3, 1), (7, 1), (3, 2), (5, 2))
+              for planes in (1, 2) for seed in (2, 3)]
+
+
+def test_pair_step_keeps_multisignatures(monkeypatch):
+    """Seeded forms whose eliminations reach the pair step, and their
+    transfers, have the multisignature bytes the lambda step gives, none
+    of them zero; the digest was frozen from the elimination that took the
+    lambda step."""
+    forms = []
+    for p, k, planes, seed in PAIR_FORMS:
+        f = _mixed_hyperbolic(p, k, planes, seed)
+        forms += [f, transfer(f)] if k > 1 else [f]
+    pairs = []
+
+    def recorded(mat, level):
+        pivots = _diagonalize(mat, level)
+        assert _diagonalize_by_scan(mat, level, pairs=pairs) == pivots
+        return pivots
+
+    texts = []
+    for f in forms:
+        monkeypatch.setattr(lforms, "_diagonalize", recorded)
+        before = len(pairs)
+        got = json.dumps(multisignature(f).serialize())
+        assert len(pairs) > before
+        monkeypatch.setattr(lforms, "_diagonalize", _lambda_step)
+        assert json.dumps(multisignature(f).serialize()) == got
+        assert got != "[]"
+        texts.append(got)
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "2ed6e6705bb8b07a2f67dc172c621565d021767e95f28d18a0e4b4b210d6dee0")
 
 
 # ---------------------------------------------------------------------------
@@ -1188,7 +1339,7 @@ def test_signature_int_matches_jacobi_rule(a):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_signature_int_zero_diagonal_matches_jacobi_after_mixing(q, data):
-    """A symmetric A with zero diagonal starts on the fallback, with rows
+    """A symmetric A with zero diagonal starts on the pair step, with rows
     coupled and odd cycles allowed.  B = P^T A P for P = L U, L and U unit
     lower and upper triangular, mostly has nonzero leading minors, and
     Jacobi's rule on B gives the signature of A."""
@@ -1212,8 +1363,7 @@ def hyperbolic_sums(draw):
     """[[0, M], [M^T, 0]] + diag(units) for a unimodular M, in a permuted
     basis, and its signature sum(units).  The first block is congruent to
     hyperbolic planes by diag(I, M) and keeps a zero diagonal, so the
-    elimination reaches the zero-diagonal fallback with rows still
-    coupled."""
+    elimination reaches the pair step with rows still coupled."""
     planes = draw(st.integers(1, 3))
     m = draw(unimodular_matrices(planes))
     units = draw(st.lists(st.sampled_from((1, -1)), max_size=3))
