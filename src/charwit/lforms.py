@@ -233,7 +233,7 @@ def reduce_refinement(x: GroupRingElement, parity: int) -> GroupRingElement:
             out[r] = out.get(r, 0) + c
     if parity == -1:
         out[0] = out.get(0, 0) % 2
-    return GroupRingElement(x.p, x.k, out)
+    return GroupRingElement._make(x.p, x.k, out)
 
 
 class HermitianForm:
@@ -244,30 +244,61 @@ class HermitianForm:
     conjugate transpose.  Skew forms (eps = -1) carry the quadratic
     refinement values mu(v_a), reduced mod g - eps g^(-1); hermitian forms
     carry none, their refinement quotient being trivial.
+
+    The constructor is for outside input: each entry and refinement value
+    may be a GroupRingElement over (p, k), an int or a group-ring string,
+    and is coerced by _entry.  _make is for the forms lforms builds from
+    GroupRingElements over (p, k) it made itself or took from checked
+    forms; it trusts their type and ring and skips only _entry.  Both run
+    every form-level check, in this order: the group (_check_group), the
+    parity, the square shape, eps-symmetry over the pairs a <= b, and for
+    skew forms the refinement's length and its compatibility with the
+    diagonal after reduce_refinement.
     """
 
     def __init__(self, p: int, k: int, parity: int, matrix, refinement=None):
-        _check_group(p, k)  # first, so that an empty matrix is checked too
+        # first, so that an empty matrix is checked too
+        self._check_kind(p, k, parity)
+        entry = self._entry
+        self._fill(p, k, parity,
+                   [[entry(p, k, x) for x in row] for row in matrix],
+                   refinement, entry)
+
+    @classmethod
+    def _make(cls, p: int, k: int, parity: int, rows,
+              refinement=None) -> "HermitianForm":
+        """The form with the given rows of GroupRingElements over (p, k),
+        without the per-entry coercion of the constructor."""
+        self = object.__new__(cls)
+        self._check_kind(p, k, parity)
+        self._fill(p, k, parity, rows, refinement)
+        return self
+
+    @staticmethod
+    def _check_kind(p, k, parity):
+        _check_group(p, k)
         if parity not in (1, -1):
             raise DomainError("parity must be +1 or -1")
-        rows = []
-        for row in matrix:
-            rows.append(tuple(self._entry(p, k, x) for x in row))
+
+    def _fill(self, p, k, parity, rows, refinement, entry=None):
+        """Sets the form from rows of GroupRingElements over (p, k) after
+        the square, symmetry and refinement checks; entry, when given,
+        coerces each refinement value first."""
         q = len(rows)
         if any(len(row) != q for row in rows):
             raise DomainError("matrix must be square")
         self.p = p
         self.k = k
         self.parity = parity
-        self.matrix = tuple(rows)
+        self.matrix = matrix = tuple(map(tuple, rows))
         self.rank = q
         order = p ** k
-        for a in range(q):
+        for a, row in enumerate(matrix):
             # the condition at (b, a) is the one at (a, b), so the first
             # failure in row-major order always has a <= b
             for b in range(a, q):
-                upper = self.matrix[a][b].coeffs
-                lower = self.matrix[b][a].coeffs
+                upper = row[b].coeffs
+                lower = matrix[b][a].coeffs
                 if not upper and not lower:
                     continue
                 mirror = {(-r) % order: parity * c for r, c in upper.items()}
@@ -282,14 +313,14 @@ class HermitianForm:
         else:
             if refinement is None:
                 refinement = [GroupRingElement.zero(p, k)] * q
-            ref = [reduce_refinement(self._entry(p, k, x), parity)
-                   for x in refinement]
+            elif entry is not None:
+                refinement = [entry(p, k, x) for x in refinement]
+            ref = [reduce_refinement(x, parity) for x in refinement]
             if len(ref) != q:
                 raise DomainError("refinement needs one value per basis vector")
-            for a in range(q):
-                lhs = self.matrix[a][a]
-                rhs = ref[a] + parity * ref[a].conjugate()
-                if lhs != rhs:
+            for a, mu in enumerate(ref):
+                # mu + eps conj(mu), eps = -1
+                if matrix[a][a] != mu - mu.conjugate():
                     raise InvariantViolation(
                         "refinement incompatible with the form at index %d" % a)
             self.refinement = tuple(ref)
@@ -339,7 +370,7 @@ def hyperbolic(p: int, k: int, parity: int, half_rank: int) -> HermitianForm:
         rows[2 * h][2 * h + 1] = one
         rows[2 * h + 1][2 * h] = parity * one
     refinement = None if parity == 1 else [zero] * q
-    return HermitianForm(p, k, parity, rows, refinement)
+    return HermitianForm._make(p, k, parity, rows, refinement)
 
 
 def direct_sum(f1: HermitianForm, f2: HermitianForm) -> HermitianForm:
@@ -354,8 +385,8 @@ def direct_sum(f1: HermitianForm, f2: HermitianForm) -> HermitianForm:
         rows.append([zero] * q1 + list(f2.matrix[b]))
     refinement = None
     if f1.parity == -1:
-        refinement = list(f1.refinement) + list(f2.refinement)
-    return HermitianForm(f1.p, f1.k, f1.parity, rows, refinement)
+        refinement = f1.refinement + f2.refinement
+    return HermitianForm._make(f1.p, f1.k, f1.parity, rows, refinement)
 
 
 def congruence(form: HermitianForm, change) -> HermitianForm:
@@ -389,7 +420,7 @@ def congruence(form: HermitianForm, change) -> HermitianForm:
             for c, d in combinations(support[a], 2):
                 acc = acc + e[a][c] * lam[c][d] * e[a][d].conjugate()
             refinement.append(acc)
-    return HermitianForm(p, k, form.parity, new, refinement)
+    return HermitianForm._make(p, k, form.parity, new, refinement)
 
 
 # ---------------------------------------------------------------------------
@@ -649,15 +680,18 @@ def transfer(form: HermitianForm) -> HermitianForm:
     The module keeps its lambda and mu but is viewed over the subgroup,
     with basis v_a, v_a g, ..., v_a g^(p-1); entries are traces
     Tr(lambda_ab g^(j-i)), and the refinement of v_a g^i is Tr(mu_a).
-    Each lambda_ab is traced once at every shift (_trace), and its trace
-    at shift s fills the diagonal j - i = s of the p x p block (a, b).
+    Each nonzero lambda_ab is traced once at every shift (_trace), and its
+    trace at shift s fills the diagonal j - i = s of the p x p block (a, b);
+    the zero entries share one list of 2p - 1 zero traces.
     """
     if form.k < 2:
         raise DomainError("transfer needs level k >= 2")
     p, k, q = form.p, form.k, form.rank
+    zeros = [GroupRingElement._make(p, k - 1, {})] * (2 * p - 1)
     rows = []
     for a in range(q):
-        traced = [_trace(lam) for lam in form.matrix[a]]
+        traced = [_trace(lam) if lam.coeffs else zeros
+                  for lam in form.matrix[a]]
         for i in range(p):
             rows.append([t[j - i] for t in traced for j in range(p)])
     refinement = None
@@ -665,7 +699,7 @@ def transfer(form: HermitianForm) -> HermitianForm:
         refinement = []
         for a in range(q):
             refinement.extend([_trace(form.refinement[a])[0]] * p)
-    return HermitianForm(p, k - 1, form.parity, rows, refinement)
+    return HermitianForm._make(p, k - 1, form.parity, rows, refinement)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,142 @@ def test_transfer_carries_refinement():
             assert t.refinement[3 * a + i] == traced
 
 
+def _corrupt_trace(monkeypatch, hit, shift, by):
+    """Patches lforms._trace so that the first call on an x with hit(x)
+    adds `by` to its trace at `shift`."""
+    trace, done = lforms._trace, []
+
+    def corrupted(x):
+        t = trace(x)
+        if not done and hit(x):
+            done.append(x)
+            t[shift] = t[shift] + by
+        return t
+    monkeypatch.setattr(lforms, "_trace", corrupted)
+
+
+@pytest.mark.parametrize("parity, name", [(1, "hermitian"), (-1, "skew")])
+def test_transfer_keeps_the_symmetry_check(monkeypatch, parity, name):
+    """transfer checks the form it builds: a trace of the first nonzero
+    lambda_ab (a <= b, the form being eps-symmetric) raised by 1 at shift 1
+    breaks the symmetry first at (a p, b p + 1), whose mirror holds the
+    untouched trace of lambda_ba at shift -1."""
+    p = 7
+    f = random_form(p, 2, parity, 6, 1)
+    a, b = next((a, b) for a in range(6) for b in range(6) if f.matrix[a][b])
+    _corrupt_trace(monkeypatch, bool, 1, GroupRingElement.one(p, 1))
+    with pytest.raises(InvariantViolation,
+                       match=r"^matrix is not %s-symmetric at \(%d, %d\)$"
+                       % (name, a * p, b * p + 1)):
+        transfer(f)
+
+
+def test_transfer_keeps_the_refinement_check(monkeypatch):
+    """A trace of mu_0 raised by h at shift 0 changes mu(v_0) - conj(mu(v_0))
+    by h - h^(-1) != 0, which the diagonal entry no longer matches."""
+    p = 7
+    f = random_form(p, 2, -1, 6, 1)
+    target = f.refinement[0]
+    _corrupt_trace(monkeypatch, lambda x: x is target, 0,
+                   GroupRingElement(p, 1, {1: 1}))
+    with pytest.raises(InvariantViolation,
+                       match="^refinement incompatible with the form at "
+                       "index 0$"):
+        transfer(f)
+
+
+def test_hyperbolic_checks_the_parity():
+    with pytest.raises(DomainError, match=r"^parity must be \+1 or -1$"):
+        hyperbolic(3, 1, 2, 1)
+
+
+@pytest.mark.parametrize("via", ["init", "make"])
+@pytest.mark.parametrize("p, k, parity, rows, error, message", [
+    (3, 1, 1, [[1, 0], [0]], DomainError, "matrix must be square"),
+    (3, 1, 1, [[1, 0], [0, 1], [0, 1]], DomainError, "matrix must be square"),
+    (3, 1, 0, [[1]], DomainError, r"parity must be \+1 or -1"),
+    (9, 1, 1, [[1]], DomainError,
+     "group order must be a power of an odd prime"),
+    (3, 1, 1, [[0, 1], [0, 0]], InvariantViolation,
+     r"matrix is not hermitian-symmetric at \(0, 1\)"),
+], ids=["ragged", "tall", "parity", "group", "asymmetric"])
+def test_both_constructors_run_the_form_checks(via, p, k, parity, rows,
+                                               error, message):
+    """The public constructor and _make refuse alike; _make is given the
+    rows as GroupRingElements, the public one as ints."""
+    build = HermitianForm
+    if via == "make":
+        build = HermitianForm._make
+        rows = [[GroupRingElement._make(p, k, {0: x}) for x in row]
+                for row in rows]
+    with pytest.raises(error, match="^%s$" % message):
+        build(p, k, parity, rows)
+
+
+def _hyperbolic_rows(parity, rank):
+    return [[1 if b == a + 1 and a % 2 == 0
+             else parity if b == a - 1 and a % 2 else 0
+             for b in range(rank)] for a in range(rank)]
+
+
+@pytest.mark.parametrize("p, k, rank", TRANSFER_CELLS + ((7, 2, 6),))
+def test_internal_builders_match_the_public_constructor(p, k, rank):
+    """transfer, congruence, direct_sum and hyperbolic build their forms
+    with _make; each equals the form the public constructor builds from
+    rows found independently, in its matrix, its refinement and its form
+    file: _transfer_by_entry, the dense congruence, and the block and
+    hyperbolic rows written here with int entries."""
+    rng = random.Random(1000 * p + 100 * k + rank)
+    for parity in (1, -1):
+        for _ in range(2):
+            f, g = (random_form(p, k, parity, rank, rng.randrange(10 ** 6))
+                    for _ in range(2))
+            change = _random_transvection(p, k, rank, rng.randrange(10 ** 6))
+            rows, refinement = _transfer_by_entry(f)
+            block = ([list(row) + [0] * rank for row in f.matrix]
+                     + [[0] * rank + list(row) for row in g.matrix])
+            skew = parity == -1
+            pairs = [
+                (transfer(f),
+                 HermitianForm(p, k - 1, parity, rows, refinement)),
+                (congruence(f, change), _dense_congruence(f, change)),
+                (direct_sum(f, g),
+                 HermitianForm(p, k, parity, block,
+                               f.refinement + g.refinement if skew else None)),
+                (hyperbolic(p, k, parity, rank // 2),
+                 HermitianForm(p, k, parity, _hyperbolic_rows(parity, rank),
+                               [0] * rank if skew else None)),
+            ]
+            for made, public in pairs:
+                assert made.matrix == public.matrix
+                assert made.refinement == public.refinement
+                assert form_to_json(made) == form_to_json(public)
+
+
+@pytest.mark.parametrize("parity, nonzero", [(1, 20), (-1, 12)])
+def test_transfer_work_counts(monkeypatch, parity, nonzero):
+    """The transfer of random_form(7, 2, parity, 6, 1) traces each nonzero
+    lambda_ab once (20 and 12 of the 36) and each refinement value of a
+    skew form once, and coerces no entry: its rows reach the form through
+    _make, not through HermitianForm._entry.  Counts, not timings."""
+    f = random_form(7, 2, parity, 6, 1)
+    assert sum(1 for row in f.matrix for x in row if x) == nonzero
+    counts = {}
+
+    def count(name, function):
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(lforms, "_trace", count("_trace", lforms._trace))
+    monkeypatch.setattr(HermitianForm, "_entry",
+                        staticmethod(count("_entry", HermitianForm._entry)))
+    t = transfer(f)
+    assert counts == {"_trace": nonzero + (6 if parity == -1 else 0)}
+    assert t == HermitianForm(7, 1, parity, *_transfer_by_entry(f))
+
+
 # ---------------------------------------------------------------------------
 # integer forms
 
