@@ -19,6 +19,7 @@ values are kept so that congruences transport the refinement exactly.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -437,36 +438,41 @@ def _diagonalize(mat, level: int):
 
     Only the lower triangle is read: row i may stop at a[i][i], and any
     entry above the diagonal stands for the conjugate of its mirror.
-    Symmetric Schur-complement elimination, as in LDL* (Golub-Van Loan,
-    4.1-4.2): pivot on a remaining s with a[s][s] != 0 and replace each
-    remaining a[i][j], j <= i, by a[i][j] - a[i][s] a[s][s]^-1 a[s][j].  The
-    pivot is chosen by the symmetric minimum-degree rule (Markowitz,
-    Management Sci. 3, 1957; George-Liu, SIAM Review 31, 1989): the s with
-    the fewest remaining nonzero a[i][s], which keeps the fill-in of a
-    sparse matrix small.  Among those it takes the a[s][s] of fewest bits
-    (_bits), then the lowest index.  Size matters because every update of
-    the step multiplies by a[s][s]^-1, whose height over Q(zeta_49) can be
-    far above that of a[s][s]: one large pivot spreads its height into
-    every later entry, and the pivots after it grow in turn.  adj[i]
-    holds the remaining j != i with a[i][j] != 0; it is built from the
-    nonzero entries of the matrix given, and kept exact wherever an update
-    creates or cancels an entry.  live maps each remaining i with
-    a[i][i] != 0 to _bits(a[i][i]), kept exact where an update writes a
-    diagonal entry, so the choice scans only the candidates and measures
-    none of them again.
-    The pivot column a[i][s] is built once, and the pivot row is its
-    conjugate, so nothing is mirrored.  If the remaining diagonal is zero,
-    the first remaining s with a nonzero entry and the j in adj[s] of least
-    degree, the lowest index on ties, span a hyperbolic plane
-    P = [[0, conj(x)], [x, 0]], x = a[j][s] != 0, eliminated as one 2 x 2
-    pivot: the symmetric-indefinite step of Bunch and Parlett (SIAM J.
-    Numer. Anal. 8, 1971).  P^-1 = [[0, w], [conj(w), 0]] with w = x^-1, the
-    step's one inverse, so with u_i = a[i][s] w and v_i = a[i][j] the Schur
-    complement replaces each remaining a[i][l], l <= i, by
-    a[i][l] - u_i conj(v_l) - v_i conj(u_l).  The pair's pivots are 1 and
+    Symmetric block elimination, as in LDL* (Golub-Van Loan, 4.1-4.2) with
+    the 1 x 1 and 2 x 2 blocks of Bunch and Parlett (SIAM J. Numer. Anal. 8,
+    1971): each step picks a pivot block B of remaining indices and
+    replaces the rest A by its Schur complement A - C B^-1 C*, C the
+    entries joining the rest to B.  The block is one s with a[s][s] != 0
+    when the remaining diagonal has one, chosen by the symmetric
+    minimum-degree rule (Markowitz, Management Sci. 3, 1957; George-Liu,
+    SIAM Review 31, 1989): the s with the fewest remaining nonzero a[i][s],
+    which keeps the fill-in of a sparse matrix small.  Among those it takes
+    the a[s][s] of fewest bits (_bits), then the lowest index.  Size matters
+    because every update of the step multiplies by a[s][s]^-1, whose height
+    over Q(zeta_49) can be far above that of a[s][s]: one large pivot
+    spreads its height into every later entry, and the pivots after it
+    grow in turn.  If the remaining diagonal is zero, the block is the
+    first remaining s with a nonzero entry and the j in adj[s] of least
+    degree, the lowest index on ties, which span a hyperbolic plane
+    P = [[0, conj(x)], [x, 0]], x = a[j][s] != 0.  Its pivots are 1 and
     -x conj(x): both are real, their product is det P, and det P < 0 at
     every embedding, so P has one positive and one negative eigenvalue
     there, as they do.
+    One update serves both blocks: each remaining a[i][l], l <= i, loses
+    sum_t left_t(i) right_t(l) over the i and l joined to the block.  For
+    s alone there is one term, left(i) = a[i][s] a[s][s]^-1 and right(l) =
+    conj(a[l][s]).  For the plane, P^-1 = [[0, w], [conj(w), 0]] with
+    w = x^-1, and with u_i = a[i][s] w and v_i = a[i][j] there are two,
+    (u_i, conj(v_l)) and (v_i, conj(u_l)).  C B^-1 C* is zero when a column
+    of C is: a block with no neighbour, or a plane joined to the rest
+    through s alone or through j alone, leaves the rest as it is, and its
+    step takes no inverse.  Each entry read is conjugated at most once.
+    adj[i] holds the remaining j != i with a[i][j] != 0; it is built from
+    the nonzero entries of the matrix given, and kept exact wherever an
+    update creates or cancels an entry.  live maps each remaining i with
+    a[i][i] != 0 to _bits(a[i][i]), kept exact where an update writes a
+    diagonal entry, so the choice scans only the candidates and measures
+    none of them again.
 
     Returns the pivots, each nonzero and fixed by conjugation; raises
     InvariantViolation when the matrix is singular.
@@ -483,6 +489,12 @@ def _diagonalize(mat, level: int):
             adj[i].discard(j)
             adj[j].discard(i)
 
+    def entry(i, j):
+        """a[i][j] and its conjugate, read from the stored triangle."""
+        x = a[i][j] if i > j else a[j][i]
+        y = x.conjugate()
+        return (x, y) if i > j else (y, x)
+
     for i, row in enumerate(a):
         for j in range(i):
             if row[j]:
@@ -493,74 +505,56 @@ def _diagonalize(mat, level: int):
     pivots = []
     while rest:
         s = min(live, key=lambda i: (len(adj[i]), live[i], i), default=None)
-        if s is None:
+        if s is not None:
+            block, x = (s,), a[s][s]
+            del live[s]
+            pivots.append(x)
+        else:
             s = next((i for i in rest if adj[i]), None)
             if s is None:
                 raise InvariantViolation(
                     "form is singular at a character of order %d" % level)
             j = min(adj[s], key=lambda i: (len(adj[i]), i))
             x = a[j][s]
-            w = x.inverse()
-            rest.remove(s)
-            rest.remove(j)
+            block = (s, j)
             pivots += [CyclotomicNumber.rational(level, 1),
                        -(x * x.conjugate())]
-            # (u_i, v_i, conj(v_i), conj(u_i)) over the remaining i joined to
-            # s or j, None where zero; each such i is above s, which is the
-            # first remaining index with an entry
-            below, cols = sorted((adj[s] | adj[j]) - {s, j}), []
-            for i in below:
-                u = a[i][s] * w if i in adj[s] else None
-                if i not in adj[j]:
-                    v = vb = None
-                elif i > j:
-                    v = a[i][j]
-                    vb = v.conjugate()
-                else:
-                    vb = a[j][i]
-                    v = vb.conjugate()
-                adj[i].discard(s)
-                adj[i].discard(j)
-                cols.append((u, v, vb, u and u.conjugate()))
-            for n, i in enumerate(below):
-                u, v, _, _ = cols[n]
-                ai = a[i]
-                for l, (_, _, vb, ub) in zip(below, cols[:n + 1]):
-                    d = u * vb if u and vb else None
-                    if v and ub:
-                        d = v * ub if d is None else d + v * ub
-                    if d is None:
-                        continue
-                    ai[l] = ai[l] - d
-                    if l < i:
-                        link(i, l, ai[l])
-                    elif ai[i]:
-                        live[i] = _bits(ai[i])
-                    else:
-                        live.pop(i, None)
-            continue
-        rest.remove(s)
-        live.pop(s, None)
-        pivots.append(a[s][s])
-        # the pivot column a[i][s] and row a[s][i] = conj(a[i][s]) over
-        # adj[s]; off it both are zero and nothing moves
-        below, column, row = sorted(adj[s]), [], []
+        sides = [adj[b].difference(block) for b in block]
+        below = sorted(set().union(*sides))
+        for b in block:
+            rest.remove(b)
         for i in below:
-            adj[i].discard(s)
-            x = a[i][s] if i > s else a[s][i]
-            y = x.conjugate()
-            column.append(x if i > s else y)
-            row.append(y if i > s else x)
-        if below:
-            inv = a[s][s].inverse()
-            for n, i in enumerate(below):
-                f = column[n] * inv
-                ai = a[i]
-                for j, y in zip(below[:n], row):
-                    ai[j] = ai[j] - f * y
-                    link(i, j, ai[j])
-                ai[i] = ai[i] - f * row[n]
-                if ai[i]:
+            adj[i].difference_update(block)
+        if not all(sides):
+            continue  # a column of C is zero, so C B^-1 C* = 0
+        w = x.inverse()
+        left, right = [], []  # the terms of each i in below, None where zero
+        for i in below:
+            if len(block) == 1:
+                c, cb = entry(i, s)
+                left.append((c * w,))
+                right.append((cb,))
+            else:
+                # s is the first remaining index with an entry, so i > s
+                u = a[i][s] * w if i in adj[s] else None
+                v, vb = entry(i, j) if i in adj[j] else (None, None)
+                left.append((u, v))
+                right.append((vb, None if u is None else u.conjugate()))
+        for n, i in enumerate(below):
+            ai, fs = a[i], left[n]
+            for l, ys in zip(below, right[:n + 1]):
+                if len(fs) == 1:  # s alone: one term, never zero
+                    d = fs[0] * ys[0]
+                else:
+                    terms = [f * y for f, y in zip(fs, ys)
+                             if f is not None and y is not None]
+                    if not terms:
+                        continue
+                    d = sum(terms[1:], terms[0])
+                ai[l] = ai[l] - d
+                if l < i:
+                    link(i, l, ai[l])
+                elif ai[i]:
                     live[i] = _bits(ai[i])
                 else:
                     live.pop(i, None)
@@ -587,10 +581,11 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
     t > d/2.  A singular evaluation at any character means the form was not
     unimodular and raises.  Neither the pivot order nor the pairs matter:
-    every step, a 1 x 1 pivot or a zero-diagonal pair eliminated as one
-    hyperbolic plane, is a congruence to a block whose pivots have its
-    inertia at every embedding, and each embedding respects conjugation,
-    so the signs obey Sylvester's law of inertia.
+    every step, one Schur-complement update on a 1 x 1 pivot or on a
+    zero-diagonal pair spanning a hyperbolic plane, is a congruence to a
+    block whose pivots have its inertia at every embedding, and each
+    embedding respects conjugation, so the signs obey Sylvester's law of
+    inertia.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
@@ -633,21 +628,23 @@ def _skew_evaluate(x: GroupRingElement, d: int) -> CyclotomicNumber:
 
 def _check_nonsingular_rational(mat):
     """Rank check of an integer matrix, the skew evaluation at the trivial
-    character, by fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
-    each step divides exactly by the previous pivot."""
-    rows = [list(row) for row in mat]
-    prev = 1
+    character, by exact elimination over Q on sparse rows: each row is a
+    dict of its nonzero entries, and each step updates only the rows with
+    an entry in the pivot column."""
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in mat]
     for col in range(len(rows)):
-        i = next((i for i, row in enumerate(rows) if row[col]), None)
+        i = next((i for i, row in enumerate(rows) if col in row), None)
         if i is None:
             raise InvariantViolation("form is singular at the trivial character")
         top = rows.pop(i)
-        pivot = top[col]
+        pivot = top.pop(col)
         for row in rows:
-            f = row[col]
-            for j in range(col + 1, len(row)):
-                row[j] = (pivot * row[j] - f * top[j]) // prev
-        prev = pivot
+            if col in row:
+                f = row.pop(col) / pivot
+                for j, y in top.items():
+                    row[j] = row.get(j, 0) - f * y
+                    if not row[j]:
+                        del row[j]
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +814,8 @@ def signature_int(b: IntegerForm) -> int:
     lower triangle goes through _diagonalize at level 1 and the pivots are
     signed as multisignature signs them there; by Sylvester's law of
     inertia their signs count the positive and negative eigenvalues.  When
-    no diagonal entry remains, a pair [[0, x], [x, 0]] is eliminated in
-    one step with the pivots 1 and -x^2, as at every level.  A singular
+    no diagonal entry remains, a pair [[0, x], [x, 0]] is the step's block,
+    with the pivots 1 and -x^2, as at every level.  A singular
     matrix raises InvariantViolation.
     """
     if b.parity != 1:
