@@ -100,8 +100,10 @@ class CyclotomicNumber:
     def _make(cls, L: int, num: list, den: int) -> "CyclotomicNumber":
         """num/den for an int list num of any length and an int den != 0,
         reduced mod Phi_L and divided by gcd(den, *num) taken with the sign
-        of den."""
-        num = _reduce(_level(L), num)
+        of den.  A list of exactly phi coefficients is already reduced."""
+        lev = _level(L)
+        if len(num) != lev.phi:
+            num = _reduce(lev, num)
         g = gcd(den, *num) if den > 0 else -gcd(den, *num)
         self = object.__new__(cls)
         self.L, self.den = L, den // g
@@ -167,12 +169,8 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        b = other.num
-        out = [0] * (2 * len(b) - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        out = [0] * (2 * len(self.num) - 1)
+        _mul_into(out, self.num, other.num, 1)
         return CyclotomicNumber._make(self.L, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -214,10 +212,46 @@ class CyclotomicNumber:
         return hash((self.L, self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __repr__(self):
         return "CyclotomicNumber(%d, %r)" % (self.L, list(self.coeffs))
+
+
+def _mul_into(out: list, a, b, scale: int) -> None:
+    """Add scale * a * b to out, for coefficient lists a and b and out at
+    least len(a) + len(b) - 1 long; the product is left unreduced.  The
+    one product loop of the field: __mul__ and _sub_products share it."""
+    for i, x in enumerate(a):
+        if x:
+            x *= scale
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+
+
+def _sub_products(a: CyclotomicNumber, xs, ys) -> CyclotomicNumber:
+    """a - sum_t xs[t] ys[t], for numbers at the level of a, skipping each t
+    where xs[t] or ys[t] is None; a itself when every t is skipped.
+
+    The products accumulate unreduced in one (2 phi - 1)-long list over a
+    common denominator, raised to the lcm only when a term needs it, so the
+    result costs one reduction mod Phi_L and one gcd however many terms it
+    has.  The encoding is canonical, so it is the one that the public
+    operators give for a - (x y + ...)."""
+    out = None
+    for x, y in zip(xs, ys):
+        if x is None or y is None:
+            continue
+        d = x.den * y.den
+        if out is None:
+            den, out = a.den, list(a.num)
+            out += [0] * (len(out) - 1)
+        f = d // gcd(den, d)  # den * f = lcm(den, d)
+        if f != 1:
+            out = [c * f for c in out]
+            den *= f
+        _mul_into(out, x.num, y.num, -(den // d))
+    return a if out is None else CyclotomicNumber._make(a.L, out, den)
 
 
 def _inverse(x: CyclotomicNumber) -> CyclotomicNumber:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, CyclotomicReal
+from .cyclotomic import CyclotomicNumber, CyclotomicReal, _sub_products
 from .errors import DomainError, InvariantViolation, ParseError
 from .repring import VirtualRep, _check_group, _CyclicVector
 from .scalars import (_field, _format_sum, _is_int, _json_document,
@@ -463,10 +463,14 @@ def _diagonalize(mat, level: int):
     s alone there is one term, left(i) = a[i][s] a[s][s]^-1 and right(l) =
     conj(a[l][s]).  For the plane, P^-1 = [[0, w], [conj(w), 0]] with
     w = x^-1, and with u_i = a[i][s] w and v_i = a[i][j] there are two,
-    (u_i, conj(v_l)) and (v_i, conj(u_l)).  C B^-1 C* is zero when a column
-    of C is: a block with no neighbour, or a plane joined to the rest
-    through s alone or through j alone, leaves the rest as it is, and its
-    step takes no inverse.  Each entry read is conjugated at most once.
+    (u_i, conj(v_l)) and (v_i, conj(u_l)).  Each updated entry is one call
+    of the cyclotomic kernel _sub_products, which subtracts all its terms
+    at once: one reduction mod Phi_level and one gcd, whatever the block.
+    An entry that no term reaches is left as it is.  C B^-1 C* is zero
+    when a column of C is: a block with no neighbour, or a plane joined to
+    the rest through s alone or through j alone, leaves the rest as it is,
+    and its step takes no inverse.  Each entry read is conjugated at most
+    once.
     adj[i] holds the remaining j != i with a[i][j] != 0; it is built from
     the nonzero entries of the matrix given, and kept exact wherever an
     update creates or cancels an entry.  live maps each remaining i with
@@ -543,15 +547,10 @@ def _diagonalize(mat, level: int):
         for n, i in enumerate(below):
             ai, fs = a[i], left[n]
             for l, ys in zip(below, right[:n + 1]):
-                if len(fs) == 1:  # s alone: one term, never zero
-                    d = fs[0] * ys[0]
-                else:
-                    terms = [f * y for f, y in zip(fs, ys)
-                             if f is not None and y is not None]
-                    if not terms:
-                        continue
-                    d = sum(terms[1:], terms[0])
-                ai[l] = ai[l] - d
+                d = _sub_products(ai[l], fs, ys)
+                if d is ai[l]:
+                    continue  # no term joins i and l
+                ai[l] = d
                 if l < i:
                     link(i, l, ai[l])
                 elif ai[i]:

@@ -760,6 +760,37 @@ def test_random_form_wide_digest_frozen():
         "c6e02e8bf8945d87f6b202ffbc1ffde7dbb40a36acbd70328b82d505f4519ea8")
 
 
+def test_benchmark_pivots_frozen(monkeypatch):
+    """SHA-256 of every pivot, as (level, num, den), that _diagonalize
+    returns over the 32 operations of the forms benchmark: the
+    multisignature of random_form(p, k, parity, rank, seed) and of its
+    transfer on the benchmark's cells and seeds.  30 of those 32
+    multisignatures are empty, so their digests pin little of the
+    elimination; these 760 pivots from 72 eliminations pin all of it.
+    Frozen from the elimination that subtracted each Schur term with the
+    public product, sum and difference."""
+    digest, calls = hashlib.sha256(), []
+
+    def recorded(mat, level):
+        pivots = _diagonalize(mat, level)
+        calls.append(len(pivots))
+        for x in pivots:
+            digest.update(("%d %s %d\n" % (
+                x.L, ",".join(map(str, x.num)), x.den)).encode())
+        return pivots
+
+    monkeypatch.setattr(lforms, "_diagonalize", recorded)
+    for p, k, rank in ((3, 2, 4), (5, 2, 4), (3, 3, 4), (7, 2, 6)):
+        for parity in (1, -1):
+            for seed in (1, 2):
+                f = random_form(p, k, parity, rank, seed)
+                multisignature(f)
+                multisignature(transfer(f))
+    assert (len(calls), sum(calls)) == (72, 760)
+    assert digest.hexdigest() == (
+        "1dfaaac50e946e3ce82a1e84c1c2e9ca0b592782bcecf33827c70f6ec0e1b9b7")
+
+
 def _multisignature_digest(cells, seeds):
     digest = hashlib.sha256()
     for p, k, rank in cells:
@@ -1101,7 +1132,10 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     evaluated (1 and p for hermitian forms, p for skew ones), `inverses`
     inverses, at most `galois` Galois images, no conjugate per updated
     entry or per embedding of a pivot, and at most `updates` Schur
-    updates, one subtraction each.
+    updates, each one call of the cyclotomic kernel _sub_products that
+    returns a new entry, and no CyclotomicNumber subtraction.  (On the
+    third form 122 more kernel calls find no term joining i and l in a
+    pair step and return the entry itself.)
     The first two are the rank-42 transfer of the budget test (301 of 903
     lower entries nonzero for the hermitian form, 56 for the skew one):
     minimum-degree pivots of least size do 1290 updates on the hermitian
@@ -1144,12 +1178,21 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     count(CyclotomicNumber, "_galois")
     count(CyclotomicNumber, "__sub__")
     count(CyclotomicReal, "sign")
+    kernel = lforms._sub_products
+
+    def updated(a, xs, ys):
+        d = kernel(a, xs, ys)
+        if d is not a:
+            counts["_sub_products"] = counts.get("_sub_products", 0) + 1
+        return d
+    monkeypatch.setattr(lforms, "_sub_products", updated)
     multisignature(g)
     assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
         == levels * nonzero == evaluations
     assert counts.pop("inverse", 0) == inverses
     assert counts.pop("_galois") <= galois
-    assert counts.pop("__sub__", 0) <= updates
+    assert counts.pop("_sub_products", 0) <= updates
+    assert counts.pop("__sub__", 0) == 0
     assert counts.pop("sign") == pairs == signs
     assert not counts
 

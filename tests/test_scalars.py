@@ -438,6 +438,46 @@ def test_cyclotomic_integer_arithmetic_oracle(pair):
     assert all(_is_canonical(z) for z in results)
 
 
+@st.composite
+def schur_updates(draw):
+    """An entry a and 0-3 factor pairs at one level L, each factor None or
+    a number whose integer coefficients (zero and negative ones among them)
+    sit over a denominator that may share factors with the others."""
+    L = draw(st.sampled_from(CYCLOTOMIC_LEVELS))
+    phi = len(_cyclotomic_modulus(L)) - 1
+
+    def number():
+        den = draw(st.sampled_from((1, 2, 3, 4, 6, 9, 35, 1 << 64)))
+        nums = draw(st.lists(st.integers(-60, 60), min_size=phi,
+                             max_size=phi))
+        if draw(st.sampled_from(range(6))) == 5:
+            nums = [0] * phi
+        return CyclotomicNumber(L, [Fraction(n, den) for n in nums])
+
+    pairs = [tuple(None if draw(st.sampled_from(range(4))) == 0
+                   else number() for _ in range(2))
+             for _ in range(draw(st.sampled_from(range(4))))]
+    return number(), pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(schur_updates())
+def test_sub_products_matches_the_public_operators(case):
+    """The Schur-update kernel gives a - x y - ... with the encoding of the
+    public operators, skipping each pair with a None factor, and returns a
+    itself when no pair is complete."""
+    a, pairs = case
+    want = a
+    for x, y in pairs:
+        if x is not None and y is not None:
+            want = want - x * y
+    got = cyclotomic._sub_products(a, [x for x, _ in pairs],
+                                   [y for _, y in pairs])
+    assert (got.L, got.num, got.den) == (want.L, want.num, want.den)
+    assert _is_canonical(got)
+    assert (got is a) == (want is a)
+
+
 def test_cyclotomic_negative_rational_inverse():
     for L in (1, 7, 49):
         x = CyclotomicNumber.rational(L, Fraction(-6, 35))
