@@ -188,8 +188,9 @@ class CyclotomicNumber:
         return CyclotomicNumber._make(self.L, out, self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        return self._galois(-1)
+        """Complex conjugation, zeta -> zeta^(-1); a rational number is
+        its own conjugate."""
+        return self if self.is_rational() else self._galois(-1)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -203,9 +204,13 @@ class CyclotomicNumber:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if isinstance(other, CyclotomicNumber):
+            if other.L != self.L:
+                return False  # unlike arithmetic, which refuses mixed levels
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):

@@ -19,7 +19,6 @@ values are kept so that congruences transport the refinement exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -238,7 +237,7 @@ def reduce_refinement(x: GroupRingElement, parity: int) -> GroupRingElement:
 
 
 class HermitianForm:
-    """A nonsingular eps-hermitian form over Z[C_{p^k}], with refinement.
+    """An eps-hermitian form over Z[C_{p^k}], with refinement.
 
     matrix[a][b] = lambda(v_a, v_b); the parity axiom lambda(y, x) =
     eps * conj(lambda(x, y)) makes the matrix equal to eps times its
@@ -254,7 +253,8 @@ class HermitianForm:
     every form-level check, in this order: the group (_check_group), the
     parity, the square shape, eps-symmetry over the pairs a <= b, and for
     skew forms the refinement's length and its compatibility with the
-    diagonal after reduce_refinement.
+    diagonal after reduce_refinement.  Neither checks that the form is
+    nonsingular: multisignature does, character by character.
     """
 
     def __init__(self, p: int, k: int, parity: int, matrix, refinement=None):
@@ -578,13 +578,18 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     skew form is evaluated as (g - g^(-1)) Lambda, whose image u Lambda with
     u = zeta - zeta^(-1) is hermitian: at zeta^t, u Lambda =
     2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
-    t > d/2.  A singular evaluation at any character means the form was not
-    unimodular and raises.  Neither the pivot order nor the pairs matter:
-    every step, one Schur-complement update on a 1 x 1 pivot or on a
-    zero-diagonal pair spanning a hyperbolic plane, is a congruence to a
-    block whose pivots have its inertia at every embedding, and each
-    embedding respects conjugation, so the signs obey Sylvester's law of
-    inertia.
+    t > d/2.  At the trivial character u = 0, and i Lambda(1) pairs its
+    eigenvalues symmetrically, so the multiplicity is 0 and only the rank
+    is checked: u is taken at level 3 instead, zeta_3 - zeta_3^(-1) =
+    sqrt(-3), and the real skew S = Lambda(1) has the rank of the
+    hermitian sqrt(-3) S, whose zero diagonal makes every step a pair.  A
+    singular evaluation at any character means the form was not
+    unimodular and raises; the trivial character is checked first.
+    Neither the pivot order nor the pairs matter: every step, one
+    Schur-complement update on a 1 x 1 pivot or on a zero-diagonal pair
+    spanning a hyperbolic plane, is a congruence to a block whose pivots
+    have its inertia at every embedding, and each embedding respects
+    conjugation, so the signs obey Sylvester's law of inertia.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
@@ -594,9 +599,17 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     for j in range(k + 1):
         d = p ** j
         if skew and d == 1:
-            # g -> 1 sends an entry to the sum of its coefficients
-            _check_nonsingular_rational(
-                [[sum(x.coeffs.values()) for x in row] for row in form.matrix])
+            # g -> 1 sends an entry to its coefficient sum s, and s to
+            # s (zeta_3 - zeta_3^(-1)) = s + 2 s zeta_3; only the rank counts
+            sums = [[sum(x.coeffs.values()) for x in row[:i + 1]]
+                    for i, row in enumerate(form.matrix)]
+            zero = CyclotomicNumber.rational(3, 0)
+            try:
+                _diagonalize([[CyclotomicNumber._make(3, [s, 2 * s], 1)
+                               if s else zero for s in row] for row in sums], 3)
+            except InvariantViolation:
+                raise InvariantViolation(
+                    "form is singular at the trivial character") from None
             mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
             continue
         zero = CyclotomicNumber.rational(d, 0)
@@ -623,27 +636,6 @@ def _skew_evaluate(x: GroupRingElement, d: int) -> CyclotomicNumber:
         raw[(r + 1) % d] += c
         raw[(r - 1) % d] -= c
     return CyclotomicNumber._make(d, raw, 1)
-
-
-def _check_nonsingular_rational(mat):
-    """Rank check of an integer matrix, the skew evaluation at the trivial
-    character, by exact elimination over Q on sparse rows: each row is a
-    dict of its nonzero entries, and each step updates only the rows with
-    an entry in the pivot column."""
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in mat]
-    for col in range(len(rows)):
-        i = next((i for i, row in enumerate(rows) if col in row), None)
-        if i is None:
-            raise InvariantViolation("form is singular at the trivial character")
-        top = rows.pop(i)
-        pivot = top.pop(col)
-        for row in rows:
-            if col in row:
-                f = row.pop(col) / pivot
-                for j, y in top.items():
-                    row[j] = row.get(j, 0) - f * y
-                    if not row[j]:
-                        del row[j]
 
 
 # ---------------------------------------------------------------------------

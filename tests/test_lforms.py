@@ -17,8 +17,7 @@ from charwit.lforms import (GroupRingElement, HermitianForm, IntegerForm, arf,
                             format_group_ring, hyperbolic, integer_expansion,
                             multisignature, parse_group_ring, random_form,
                             reduce_refinement, signature_int, transfer)
-from charwit.lforms import (_check_nonsingular_rational, _diagonalize,
-                            _skew_evaluate)
+from charwit.lforms import _diagonalize, _skew_evaluate
 from charwit.cyclotomic import CyclotomicNumber, CyclotomicReal
 from charwit.repring import VirtualRep, restrict
 
@@ -313,8 +312,17 @@ def test_singular_forms_rejected():
     with pytest.raises(InvariantViolation):
         multisignature(HermitianForm(3, 1, 1, [[0]]))
     skew_zero = HermitianForm(3, 1, -1, [["0", "g - g^2"], ["g - g^2", "0"]])
-    with pytest.raises(InvariantViolation):
-        multisignature(skew_zero)  # singular at the trivial character
+    with pytest.raises(InvariantViolation,
+                       match="form is singular at the trivial character"):
+        multisignature(skew_zero)  # regular at order 3
+    skew_norm = HermitianForm(3, 1, -1, [["0", norm], ["-1 - g - g^2", "0"]])
+    with pytest.raises(InvariantViolation,
+                       match="form is singular at a character of order 3"):
+        multisignature(skew_norm)  # regular at the trivial character
+    # singular at every character: the trivial one is checked first
+    with pytest.raises(InvariantViolation,
+                       match="form is singular at the trivial character"):
+        multisignature(HermitianForm(3, 1, -1, [[0, 0], [0, 0]]))
 
 
 def test_congruence_transport_frozen():
@@ -768,11 +776,19 @@ def test_benchmark_pivots_frozen(monkeypatch):
     multisignatures are empty, so their digests pin little of the
     elimination; these 760 pivots from 72 eliminations pin all of it.
     Frozen from the elimination that subtracted each Schur term with the
-    public product, sum and difference."""
-    digest, calls = hashlib.sha256(), []
+    public product, sum and difference.  The first elimination of each
+    skew multisignature, its rank check at the trivial character at level
+    3, returns pivots that multisignature discards: those 16 are pinned
+    apart, by their number and their pivot total."""
+    digest, calls, checks, skew = hashlib.sha256(), [], [], [False]
 
     def recorded(mat, level):
         pivots = _diagonalize(mat, level)
+        if skew[0]:
+            skew[0] = False
+            assert level == 3
+            checks.append(len(pivots))
+            return pivots
         calls.append(len(pivots))
         for x in pivots:
             digest.update(("%d %s %d\n" % (
@@ -780,15 +796,44 @@ def test_benchmark_pivots_frozen(monkeypatch):
         return pivots
 
     monkeypatch.setattr(lforms, "_diagonalize", recorded)
+    for g in _benchmark_forms():
+        skew[0] = g.parity == -1
+        multisignature(g)
+    assert (len(checks), sum(checks)) == (16, 208)
+    assert (len(calls), sum(calls)) == (72, 760)
+    assert digest.hexdigest() == (
+        "1dfaaac50e946e3ce82a1e84c1c2e9ca0b592782bcecf33827c70f6ec0e1b9b7")
+
+
+def test_benchmark_makes_no_galois_image_of_a_rational(monkeypatch):
+    """Every Galois image fixes Q, so conjugation returns a rational
+    number as it is.  Over the 32 operations of the forms benchmark, 1019
+    of the 1755 images were of rational numbers when conjugation mapped
+    them too; now none is, and 840 images at most remain.  These are
+    counts, not timings."""
+    images = {True: 0, False: 0}
+    galois = CyclotomicNumber._galois
+
+    def counted(x, a):
+        images[x.is_rational()] += 1
+        return galois(x, a)
+
+    monkeypatch.setattr(CyclotomicNumber, "_galois", counted)
+    for g in _benchmark_forms():
+        multisignature(g)
+    assert images[True] == 0
+    assert 0 < images[False] <= 840
+
+
+def _benchmark_forms():
+    """The 32 forms of the forms benchmark: random_form(p, k, parity,
+    rank, seed) on its cells and seeds, each followed by its transfer."""
     for p, k, rank in ((3, 2, 4), (5, 2, 4), (3, 3, 4), (7, 2, 6)):
         for parity in (1, -1):
             for seed in (1, 2):
                 f = random_form(p, k, parity, rank, seed)
-                multisignature(f)
-                multisignature(transfer(f))
-    assert (len(calls), sum(calls)) == (72, 760)
-    assert digest.hexdigest() == (
-        "1dfaaac50e946e3ce82a1e84c1c2e9ca0b592782bcecf33827c70f6ec0e1b9b7")
+                yield f
+                yield transfer(f)
 
 
 def _multisignature_digest(cells, seeds):
@@ -1152,6 +1197,9 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     eliminations at orders 1 and 7 take 21 pair steps each and nothing
     else, again with no inverse (52 inverses, 92 updates and 280 Galois
     images before the pair step, and 42 inverses when every pair took one).
+    A rational number is its own conjugate, so the fourth, whose
+    conjugated entries and pivots are all rational, makes no Galois image
+    (126 when conjugation mapped rational numbers too).
     Each pivot is signed once per conjugate pair of embeddings: once at
     order 1 and phi(d)/2 times at order d > 1, where signing at every
     embedding took 294 and 252 signs on the first two.  These are counts,
@@ -1190,7 +1238,7 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
         == levels * nonzero == evaluations
     assert counts.pop("inverse", 0) == inverses
-    assert counts.pop("_galois") <= galois
+    assert counts.pop("_galois", 0) <= galois
     assert counts.pop("_sub_products", 0) <= updates
     assert counts.pop("__sub__", 0) == 0
     assert counts.pop("sign") == pairs == signs
@@ -1431,8 +1479,10 @@ def _rank_by_fractions(m):
 
 
 def test_integer_rank_check_matches_fraction_elimination():
-    """Integer skew matrices, some of them P^T B P with P singular, checked
-    against elimination over Fractions."""
+    """Integer skew matrices, some of them P^T B P with P singular: the
+    multisignature of the constant skew form over Z[C_3] with that matrix
+    fails at the trivial character exactly when elimination over Fractions
+    finds the matrix singular."""
     rng = random.Random(4243)
     counts = {True: 0, False: 0}
     for n in range(300):
@@ -1450,12 +1500,13 @@ def test_integer_rank_check_matches_fraction_elimination():
                   for j in range(q)] for i in range(q)]
         regular = _rank_by_fractions(b) == q
         counts[regular] += 1
+        form = HermitianForm(3, 1, -1, b)
         if regular:
-            _check_nonsingular_rational(b)
+            multisignature(form)
         else:
             with pytest.raises(InvariantViolation,
                                match="form is singular at the trivial character"):
-                _check_nonsingular_rational(b)
+                multisignature(form)
     assert counts[True] >= 100 and counts[False] >= 100, counts
 
 

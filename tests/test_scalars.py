@@ -302,6 +302,7 @@ def test_cyclotomic_reduction_level5():
 def test_cyclotomic_level_one_is_rational():
     x = CyclotomicNumber.rational(1, Fraction(-3, 2))
     assert x.is_rational() and x.rational_value() == Fraction(-3, 2)
+    assert x.conjugate() is x
     assert CyclotomicReal(x, 1).sign() == -1
     assert CyclotomicReal(CyclotomicNumber.rational(1, 0), 1).sign() == 0
 
@@ -504,6 +505,19 @@ def test_mixed_levels_refused():
         CyclotomicNumber.zeta(3) + CyclotomicNumber.zeta(9)
     with pytest.raises(DomainError):
         CyclotomicNumber.zeta(15)
+
+
+def test_cyclotomic_equality_across_levels():
+    """Numbers at different levels compare unequal, as group-ring elements
+    of different rings do, so one set or list holds both; arithmetic
+    across levels still raises."""
+    x, y = CyclotomicNumber(3, [1]), CyclotomicNumber(5, [1])
+    z = CyclotomicNumber.zeta(9)
+    assert x != y and not x == y and x != z and y not in [x, z]
+    assert x == 1 and y == 1 and x == CyclotomicNumber.rational(3, 1)
+    assert {x, y, z, CyclotomicNumber.rational(5, 1)} == {x, y, z}
+    with pytest.raises(DomainError):
+        x - y
 
 
 # ---------------------------------------------------------------------------
