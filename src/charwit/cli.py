@@ -17,6 +17,7 @@ from .detect import (DetectionProblem, build_certificate,
                      certify_primes, find_rational_witness,
                      verify_certificate)
 from .errors import CharwitError, ParseError
+from .scalars import _decimal, _fraction_text, _read_digits
 from .symfun import l_table, parse_polynomial
 
 
@@ -47,9 +48,9 @@ def _problem_from_args(args):
 
 def _cmd_witness(args):
     witness = find_rational_witness(_problem_from_args(args))
-    print("z = (%s)\nvalue = %s\nN = %d" % (
-        ", ".join(str(c) for c in witness.coordinates), witness.value,
-        witness.N))
+    print("z = (%s)\nvalue = %s\nN = %s" % (
+        ", ".join(map(_fraction_text, witness.coordinates)),
+        _fraction_text(witness.value), _decimal(witness.N)))
     return 0
 
 
@@ -124,17 +125,28 @@ def _cmd_transfer(args):
 
 _REQUIRED = object()
 
+
+def _int(word):
+    """An int option: [-]digits in ASCII to the end of the word, read by
+    scalars._read_digits; anything else is a ParseError."""
+    value, end = _read_digits(word, 0, "an integer", signed=True)
+    if end != len(word):
+        raise ParseError("expected the end of the number", offset=end)
+    return value
+
+
 # command -> (handler, help, options), where options maps "--name", or the
-# name of a positional argument, to (type, default or _REQUIRED)
+# name of a positional argument, to (str or _int, default or _REQUIRED)
 _COMMANDS = {
     "l-table": (_cmd_l_table, "print L-polynomials and inverses",
-                {"--max": (int, _REQUIRED)}),
+                {"--max": (_int, _REQUIRED)}),
     "witness": (_cmd_witness, "find a rational witness point",
-                {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED)}),
+                {"--xi": (str, _REQUIRED), "--n": (_int, _REQUIRED)}),
     "certify": (_cmd_certify, "emit per-prime certificates as "
                 "OUT_p<prime>.json, OUT=certificate by default",
-                {"--xi": (str, _REQUIRED), "--n": (int, _REQUIRED),
-                 "--primes": (int, _REQUIRED), "--out": (str, "certificate")}),
+                {"--xi": (str, _REQUIRED), "--n": (_int, _REQUIRED),
+                 "--primes": (_int, _REQUIRED),
+                 "--out": (str, "certificate")}),
     "verify": (_cmd_verify, "audit a certificate file",
                {"file": (str, _REQUIRED)}),
     "multisig": (_cmd_multisig, "multisignature of a form file",
@@ -214,12 +226,11 @@ def _read_command_line(argv):
             name, value = positional.pop(0), word
         else:
             raise _UsageError("unrecognized argument %s" % word)
-        kind = options[name][0]
         try:
-            values[name] = kind(value)
-        except ValueError:
-            raise _UsageError("argument %s: invalid %s value: %r"
-                              % (name, kind.__name__, value)) from None
+            values[name] = options[name][0](value)
+        except ParseError:
+            raise _UsageError("argument %s: invalid int value: %r"
+                              % (name, value)) from None
     missing = [name for name, (_, default) in options.items()
                if default is _REQUIRED and name not in values]
     if missing:

@@ -214,6 +214,8 @@ class CyclotomicNumber:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        if self.is_rational():  # equal to that Fraction, or int
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.L, self.num, self.den))
 
     def __bool__(self):

@@ -24,16 +24,20 @@ representations of C_p:
 
 Verification runs the same admission, derivation and claims, and adds the
 comparison of every stored field with the derivation and the check of
-Xi(z) over Q; N is derived by WitnessPoint only.  Every z entry is bounded
-before it is used: WitnessPoint refuses a part of more digits than verify
-reads before factoring it, and admission refuses an entry off the search
-grid before z is reduced mod p or Xi(z) evaluated over Q.  The
-certificate document is written and read here too.
+Xi(z) over Q; N is derived by WitnessPoint only.
+
+The cost of each step is bounded before it is paid: m by M_LIMIT,
+p * (m - k + 1) by WORK_LIMIT (admission), and each monomial of Xi at z by
+EVAL_BITS before Xi(z) is evaluated over Q, in the search and in verify
+alike.  Every z entry is bounded before it is used: WitnessPoint refuses
+a part of more than DIGIT_LIMIT digits (scalars) before factoring it, and
+admission refuses an entry off the search grid before z is reduced mod p
+or Xi(z) evaluated over Q.  The certificate document is written and read
+here too.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -43,9 +47,11 @@ from .cyclic_coh import (euler_class, l_class_linear, pullback_l_nonlinear,
 from .errors import (CharwitError, DomainError, InternalConsistencyError,
                      InvariantViolation, ParseError)
 from .repring import VirtualRep, solve_chern_targets, symmetrize
-from .scalars import (_field, _is_int, _json_document, from_rational,
-                      is_odd_prime, largest_prime_factor, odd_primes_above,
-                      rational_from_string, rational_to_string)
+from .scalars import (DIGIT_LIMIT, _decimal, _field, _fraction_text, _is_int,
+                      _json_document, _read_digits, _within_limit,
+                      from_rational, is_odd_prime, largest_prime_factor,
+                      odd_primes_above, rational_from_string,
+                      rational_to_string)
 from .symfun import (ell_polynomial, GradedPolynomial, l_leading_coefficient,
                      l_table, parse_polynomial)
 
@@ -73,14 +79,16 @@ class DetectionProblem:
             if name == "e":
                 if polynomial.var_weight("e") != n:
                     raise DomainError("e must carry weight n = %d" % n)
-            elif name.startswith("p") and name[1:].isdigit() and int(name[1:]) >= 1:
-                i = int(name[1:])
-                if polynomial.var_weight(name) != 2 * i:
-                    raise DomainError("%s must carry weight %d" % (name, 2 * i))
-                top = max(top, i)
-            else:
+                continue
+            i = (_read_digits(name, 1, "an index after p")[0]
+                 if name[:1] == "p" and name[1:].isdigit() and name.isascii()
+                 else 0)
+            if i < 1:
                 raise DomainError("unexpected variable %r; polynomials live in "
                                   "Q[e, p1, p2, ...]" % name)
+            if polynomial.var_weight(name) != 2 * i:
+                raise DomainError("%s must carry weight %d" % (name, 2 * i))
+            top = max(top, i)
         r = polynomial.weight()
         if r == 0:
             raise DomainError("a constant polynomial detects nothing")
@@ -153,9 +161,9 @@ class WitnessPoint:
                      _prime_support(self.coordinates + (self.value,)))
 
     def __repr__(self):
-        return "WitnessPoint(z=%s, value=%s, N=%d)" % (
-            "(" + ", ".join(str(c) for c in self.coordinates) + ")",
-            self.value, self.N)
+        return "WitnessPoint(z=(%s), value=%s, N=%s)" % (
+            ", ".join(map(_fraction_text, self.coordinates)),
+            _fraction_text(self.value), _decimal(self.N))
 
 
 def _l_values(problem, e, x):
@@ -168,8 +176,18 @@ def _l_values(problem, e, x):
 
 
 def _l_form_at(problem, e, x):
-    """The L-form of Xi at e and x = [x_1, x_2, ...], over Q."""
-    return problem.polynomial.evaluate(_l_values(problem, e, x))
+    """The L-form of Xi at e and x = [x_1, x_2, ...], over Q.  A monomial
+    whose size, the sum of k * (bits of numerator + bits of denominator)
+    over its factors v^k, exceeds EVAL_BITS is refused before any is
+    evaluated."""
+    values = _l_values(problem, e, x)
+    sizes = {name: v.numerator.bit_length() + v.denominator.bit_length()
+             for name, v in values.items()}
+    if any(sum(k * sizes[name] for name, k in mono) > EVAL_BITS
+           for mono in problem.polynomial.terms):
+        raise CharwitError("Xi at z has a term of more than %d bits, the "
+                           "evaluation budget" % EVAL_BITS)
+    return problem.polynomial.evaluate(values)
 
 
 def _l_form_mod(problem, e, x, p):
@@ -196,14 +214,12 @@ def _witness_value(problem, z):
 
 def _prime_support(values):
     """The largest prime factor of any numerator or denominator.  A part of
-    more digits than sys.get_int_max_str_digits() is refused before it is
-    factored: verify could not read it back."""
-    digits = sys.get_int_max_str_digits()
+    more than DIGIT_LIMIT digits is refused before anything is factored:
+    no certificate can hold it."""
     parts = [part for c in values for part in (c.numerator, c.denominator)]
-    limit = 10 ** digits if digits else None
-    if limit and any(abs(part) >= limit for part in parts):
+    if not all(map(_within_limit, parts)):
         raise CharwitError("the witness has a number of more than %d "
-                           "digits, which verify cannot read" % digits)
+                           "digits, which verify cannot read" % DIGIT_LIMIT)
     return max(largest_prime_factor(part) for part in parts)
 
 
@@ -280,25 +296,25 @@ _CERTIFICATE = """{
   "version": %d,
   "problem": {
     "xi": "%s",
-    "n": %d,
-    "m": %d,
-    "k": %d,
-    "degree_2r": %d
+    "n": %s,
+    "m": %s,
+    "k": %s,
+    "degree_2r": %s
   },
   "witness": {
     "z": %s,
     "value": "%s",
-    "N": %d
+    "N": %s
   },
-  "prime": %d,
+  "prime": %s,
   "residues": %s,
   "targets": %s,
   "xi_rep": %s,
   "pullbacks": {
-    "euler": %d,
+    "euler": %s,
     "L": %s
   },
-  "evaluation": %d
+  "evaluation": %s
 }
 """
 
@@ -315,34 +331,36 @@ def _json_list(items, depth):
 def _json_pairs(pairs, depth):
     """Two-int lists, as a list at nesting depth `depth`."""
     inner = "\n" + "  " * (depth + 2)
-    pair = "[" + inner + "%d," + inner + "%d\n" + "  " * (depth + 1) + "]"
-    return _json_list([pair % (a, b) for a, b in pairs], depth)
+    pair = "[" + inner + "%s," + inner + "%s\n" + "  " * (depth + 1) + "]"
+    return _json_list([pair % (_decimal(a), _decimal(b)) for a, b in pairs],
+                      depth)
 
 
 def certificate_to_json(cert: WitnessCertificate) -> str:
     """The canonical certificate text: ints, lists of ints and ASCII strings
-    with nothing to escape.  An int of Xi or 2r longer than str() converts,
-    the limit verify reads under, raises DomainError."""
+    with nothing to escape, every number written by _decimal.  A number of
+    more than DIGIT_LIMIT digits, which verify cannot read, raises
+    DomainError."""
     problem, witness = cert.problem, cert.witness
     try:
         return _CERTIFICATE % (
             CERTIFICATE_VERSION,
-            problem.polynomial, problem.n, problem.m, problem.k,
-            problem.degree_2r,
+            problem.polynomial, _decimal(problem.n), _decimal(problem.m),
+            _decimal(problem.k), _decimal(problem.degree_2r),
             _json_list(['"%s"' % rational_to_string(c)
                         for c in witness.coordinates], 2),
-            rational_to_string(witness.value), witness.N,
-            cert.prime,
-            _json_list([str(r) for r in cert.residues], 1),
-            _json_list([str(t) for t in cert.targets], 1),
+            rational_to_string(witness.value), _decimal(witness.N),
+            _decimal(cert.prime),
+            _json_list([_decimal(r) for r in cert.residues], 1),
+            _json_list([_decimal(t) for t in cert.targets], 1),
             _json_pairs(cert.xi.serialize(), 1),
-            cert.euler,
+            _decimal(cert.euler),
             _json_pairs(sorted(cert.l_pullbacks.items()), 2),
-            cert.evaluation)
-    except ValueError as err:
+            _decimal(cert.evaluation))
+    except DomainError as err:  # from _decimal
         raise DomainError("the certificate has a number of more than %d "
                           "digits, which verify cannot read"
-                          % sys.get_int_max_str_digits()) from err
+                          % DIGIT_LIMIT) from err
 
 
 def _items(mapping, key, kind, where):
@@ -423,6 +441,16 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 # took 2.8 s.
 WORK_LIMIT = 10 ** 5
 M_LIMIT = 40
+
+# The largest size of one monomial of Xi at z, as _l_form_at measures it,
+# that is evaluated over Q; the witness search, certify and verify all
+# evaluate there.  One power at the budget, p1^1398101 at z = (1, 1, 1),
+# took 0.1 s on a shared 2-core x86-64 box, so p1^1000000 (3 * 10^6) is
+# still evaluated and then refused by its digits; p1^10^8 is refused at
+# once.  Sums are slower, since Fraction addition takes gcds of the terms'
+# denominators: p2^466033 - p1^932066 took 0.4 s, and three terms each at
+# the budget with P_i denominators took 4-15 s.
+EVAL_BITS = 1 << 22
 
 
 def _integrality(problem, p):

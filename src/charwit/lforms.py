@@ -25,8 +25,8 @@ from math import gcd
 from .cyclotomic import CyclotomicNumber, CyclotomicReal, _sub_products
 from .errors import DomainError, InvariantViolation, ParseError
 from .repring import VirtualRep, _check_group, _CyclicVector
-from .scalars import (_field, _format_sum, _is_int, _json_document,
-                      _read_digits, _read_sum, _skip_space)
+from .scalars import (_decimal, _field, _format_sum, _is_int,
+                      _json_document, _read_digits, _read_sum, _skip_space)
 
 
 class GroupRingElement(_CyclicVector):
@@ -110,11 +110,10 @@ def format_group_ring(x: GroupRingElement) -> str:
     for r in sorted(x.coeffs):
         c = x.coeffs[r]
         if r == 0:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "g" if r == 1 else "g^%d" % r
+            body = _decimal(abs(c))
         else:
-            body = "%d*g" % abs(c) if r == 1 else "%d*g^%d" % (abs(c), r)
+            g = "g" if r == 1 else "g^" + _decimal(r)
+            body = g if abs(c) == 1 else _decimal(abs(c)) + "*" + g
         pieces.append((c < 0, body))
     return _format_sum(pieces)
 

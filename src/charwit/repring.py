@@ -95,6 +95,8 @@ class _CyclicVector:
                           {-r % order: c for r, c in self.coeffs.items()})
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # as a GroupRingElement equals c_0
+            return hash(self.coeffs.get(0, 0))
         return hash((self.p, self.k, frozenset(self.coeffs.items())))
 
 

@@ -6,39 +6,90 @@ readers of the certificate and form files.
 Rationals are ``fractions.Fraction``, an element of F_p is a plain int in
 [0, p), and nothing in the package touches floating point.  The cyclotomic
 numbers of the forms live in the cyclotomic module.
+
+The largest number the formats hold is DIGIT_LIMIT digits, fixed here and
+not by the interpreter: every int read from or written to text goes
+through _int_of_literal or _decimal, which count the digits first and then
+convert _CHUNK at a time, so the same text is read and written under any
+int-string limit the interpreter is set to.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DomainError, ParseError
 
 
+# Python's default int-string limit, a leading '-' not counted, which
+# bounds the quadratic cost of converting between int and decimal text
+# (CVE-2020-10735); _CHUNK stays below 640, the smallest limit Python allows.
+DIGIT_LIMIT = 4300
+_CHUNK = 600
+_CHUNK_BASE = 10 ** _CHUNK
+_DIGIT_BOUND = 10 ** DIGIT_LIMIT
+
+
+def _within_limit(n: int) -> bool:
+    """n has at most DIGIT_LIMIT digits."""
+    return -_DIGIT_BOUND < n < _DIGIT_BOUND
+
+
+def _int_of_literal(literal: str, offset=None) -> int:
+    """The int of an ASCII literal -?digits (json.loads's parse_int);
+    more than DIGIT_LIMIT digits is a ParseError at offset, which counts
+    the whole literal."""
+    digits = literal[1:] if literal[:1] == "-" else literal
+    if len(digits) > DIGIT_LIMIT:
+        raise ParseError("integer literal of %d digits is too long"
+                         % len(literal), offset=offset)
+    head = len(digits) % _CHUNK or _CHUNK
+    value = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK):
+        value = value * _CHUNK_BASE + int(digits[i:i + _CHUNK])
+    return -value if len(digits) < len(literal) else value
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of the int n, as "%d" writes it; more than
+    DIGIT_LIMIT digits is a DomainError."""
+    if -_CHUNK_BASE < n < _CHUNK_BASE:
+        return "%d" % n
+    if not _within_limit(n):
+        raise DomainError("a number of more than %d digits, the format's "
+                          "limit" % DIGIT_LIMIT)
+    chunks, rest = [], abs(n)
+    while rest >= _CHUNK_BASE:
+        rest, low = divmod(rest, _CHUNK_BASE)
+        chunks.append("%0*d" % (_CHUNK, low))
+    chunks.append("%d" % rest)
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
+
+
 def rational_to_string(x: Fraction) -> str:
     """Canonical "num/den" form, denominator always present and positive."""
     x = Fraction(x)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return _decimal(x.numerator) + "/" + _decimal(x.denominator)
+
+
+def _fraction_text(x: Fraction) -> str:
+    """str(x), written by _decimal: "num/den", or "num" for an integer."""
+    return (_decimal(x.numerator) if x.denominator == 1
+            else rational_to_string(x))
 
 
 def _read_digits(text: str, pos: int, what: str, signed: bool = False):
     """(int of the ASCII digits at pos, the position after them); signed
     also takes one leading '-'.  No digit there is the ParseError "expected
-    <what>", and more digits than sys.get_int_max_str_digits() are a
-    ParseError at pos rather than a ValueError."""
+    <what>", and more than DIGIT_LIMIT digits a ParseError at pos."""
     start = pos + 1 if signed and text[pos:pos + 1] == "-" else pos
     end = start
     while end < len(text) and "0" <= text[end] <= "9":
         end += 1
     if end == start:
         raise ParseError("expected " + what, offset=end)
-    try:
-        return int(text[pos:end]), end
-    except ValueError as exc:
-        raise ParseError("integer literal of %d digits is too long"
-                         % (end - pos), offset=pos) from exc
+    return _int_of_literal(text[pos:end], pos), end
 
 
 def _read_rational(text: str, pos: int):
@@ -122,8 +173,8 @@ def _json_document(text: str):
     import json
 
     try:
-        return json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an over-long integer
+        return json.loads(text, parse_int=_int_of_literal)
+    except json.JSONDecodeError as err:
         raise ParseError("not valid JSON: %s" % err) from err
     except RecursionError as err:
         raise ParseError("not valid JSON: nested too deeply") from err
@@ -229,7 +280,7 @@ def largest_prime_factor(n: int) -> int:
     above the range where is_prime is exact is divided by the odd d < 2^16
     only.  Every search is bounded: when such a cofactor stays out of
     range, or rho cannot split a composite, DomainError names the number,
-    or its digit count past what str() converts, instead of a guess.
+    or says it has more than DIGIT_LIMIT digits, instead of a guess.
     """
     n = abs(n)
     best = 1
@@ -248,10 +299,8 @@ def largest_prime_factor(n: int) -> int:
                     best = max(best, d)
                     m //= d
             if m >= _MR_LIMIT:
-                try:
-                    part = str(m)
-                except ValueError:
-                    part = "a %d-digit number" % (Decimal(m).adjusted() + 1)
+                part = (_decimal(m) if _within_limit(m) else
+                        "a number of more than %d digits" % DIGIT_LIMIT)
                 raise DomainError("cannot factor %s: at or above the "
                                   "certified primality range %d after "
                                   "dividing out the factors below 2^16"

@@ -28,17 +28,21 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, ParseError
-from .scalars import (_format_sum, _read_digits, _read_rational, _read_sum,
-                      _skip_space, bernoulli)
+from .scalars import (_decimal, _format_sum, _fraction_text, _read_digits,
+                      _read_rational, _read_sum, _skip_space, bernoulli)
 
 
 def _name_key(name: str):
-    # natural sort: alphabetic prefix, then numeric suffix; "e" sorts last
+    # natural sort: alphabetic prefix, then numeric suffix; "e" sorts last.
+    # The suffix's value orders as (length, digits) once its leading zeros
+    # are gone, so no index is converted to an int.
     i = 0
     while i < len(name) and not name[i].isdigit():
         i += 1
     prefix, suffix = name[:i], name[i:]
-    return (name == "e", prefix, int(suffix) if suffix.isdigit() else -1, name)
+    digits = suffix.lstrip("0")
+    return (name == "e", prefix,
+            (len(digits), digits) if suffix.isdigit() else (-1, ""), name)
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -219,6 +223,8 @@ class GradedPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        if all(mono == () for mono in self.terms):  # equal to a Fraction
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     # --- substitution and evaluation ---------------------------------------
@@ -299,10 +305,10 @@ class GradedPolynomial:
 
         pieces = []
         for mono, c in sorted(self.terms.items(), key=order):
-            factors = [name if e == 1 else "%s^%d" % (name, e)
+            factors = [name if e == 1 else name + "^" + _decimal(e)
                        for name, e in mono]
             if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
+                factors.insert(0, _fraction_text(abs(c)))
             pieces.append((c < 0, "*".join(factors)))
         return _format_sum(pieces)
 
@@ -325,7 +331,7 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
             i, end = _read_digits(text, pos + 1, "an index after p")
             if i < 1:
                 raise ParseError("Pontryagin indices start at 1", offset=pos + 1)
-            name, weight, pos = "p%d" % i, 2 * i, end
+            name, weight, pos = "p" + _decimal(i), 2 * i, end
         else:
             raise ParseError("expected a variable", offset=pos)
         exponent = 1

@@ -24,7 +24,7 @@ from charwit.detect import (DetectionProblem, M_LIMIT, WORK_LIMIT,
 from charwit.detect import WitnessCertificate, WitnessPoint, _derive
 from charwit.errors import DomainError, InternalConsistencyError, ParseError
 from charwit.repring import VirtualRep, restrict
-from charwit.scalars import rational_to_string
+from charwit.scalars import DIGIT_LIMIT, rational_to_string
 from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
                             form_to_json, format_group_ring, hyperbolic,
                             multisignature, multisignature_to_json,
@@ -249,21 +249,32 @@ def test_certificate_writer_matches_json_dumps():
 
 
 def test_certificate_writer_refuses_overlong_int():
-    """An int with more digits than str() converts raises ValueError, as
-    json.dumps did; the writer raises it as its named DomainError, which
-    certify reports as it is."""
+    """An int of more than DIGIT_LIMIT digits, where json.dumps raises
+    ValueError at the interpreter's default limit, is the writer's named
+    DomainError, which certify reports as it is; one of DIGIT_LIMIT digits
+    is written as json.dumps writes it."""
     flagship = flagship_certificate()
-    digits = sys.get_int_max_str_digits()
-    cert = WitnessCertificate(
-        flagship.problem, flagship.witness, flagship.prime, flagship.residues,
-        flagship.targets, flagship.xi, flagship.euler, flagship.l_pullbacks,
-        10 ** digits)
-    with pytest.raises(ValueError):
-        oracle_certificate_json(cert)
+
+    def with_evaluation(evaluation):
+        return WitnessCertificate(
+            flagship.problem, flagship.witness, flagship.prime,
+            flagship.residues, flagship.targets, flagship.xi, flagship.euler,
+            flagship.l_pullbacks, evaluation)
+
+    longest = with_evaluation(1 - 10 ** DIGIT_LIMIT)
+    cert = with_evaluation(10 ** DIGIT_LIMIT)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)  # json.dumps at the default
+    try:
+        assert certificate_to_json(longest) == oracle_certificate_json(longest)
+        with pytest.raises(ValueError):
+            oracle_certificate_json(cert)
+    finally:
+        sys.set_int_max_str_digits(saved)
     with pytest.raises(DomainError) as err:
         certificate_to_json(cert)
     assert str(err.value) == ("the certificate has a number of more than %d "
-                              "digits, which verify cannot read" % digits)
+                              "digits, which verify cannot read" % DIGIT_LIMIT)
 
 
 def test_certificate_json_rejects_bad_structure():
@@ -710,9 +721,18 @@ def test_cli_parse_error_exit_code(capsys):
     ["witness", "--xi", "e^2 - p2", "--n"],
     ["verify"],
     ["witness", "--xi", "e^2 - p2", "--n", "2", "--m", "3"],
+    ["witness", "--xi", "e^2 - p2", "--n", "\uff12"],
+    ["witness", "--xi", "e^2 - p2", "--n", " +2"],
+    ["witness", "--xi", "e^2 - p2", "--n=0_2"],
+    ["witness", "--xi", "e^2 - p2", "--n", "2 "],
+    ["certify", "--xi", "e^2 - p2", "--n", "2", "--primes", "+1"],
+    ["l-table", "--max", "\u0662"],
+    ["witness", "--xi", "e^2 - p2", "--n", "1" * (DIGIT_LIMIT + 1)],
 ], ids=["no command", "unknown command", "missing option", "n not int",
         "unknown option", "abbreviated option", "no value", "no file",
-        "m override"])
+        "m override", "full-width n", "spaced plus n", "underscored n",
+        "trailing space n", "plus primes", "arabic-indic max",
+        "over-long n"])
 def test_cli_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -742,7 +762,7 @@ def test_cli_option_value_may_start_with_minus(capsys):
                "-p2+e^2", "--n=2") == expected
 
 
-# More digits than Python converts to int (sys.get_int_max_str_digits()).
+# More digits than the formats hold (DIGIT_LIMIT).
 HUGE = "1" + "0" * 5000
 HUGE_FORM = '{"p": 3, "k": 1, "parity": 1, "matrix": [[%s]]}'
 
@@ -1050,10 +1070,42 @@ def test_cli_overlong_power_is_refused_before_factoring(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+BUDGET = "Xi at z has a term of more than %d bits, the evaluation budget\n" % (
+    detect.EVAL_BITS)
+
+
+def test_cli_verify_huge_power_ends_by_the_budget(tmp_path):
+    """The 469-byte document for Xi = p1^100000000 at z = (1, 1, 1) and
+    p = 7, every field derived, the value the evaluation 4: verify once
+    evaluated 3^(10^8) over Q for more than a minute at its last check.
+    The evaluation budget refuses that power before it is taken: exit 1,
+    the budget named, within 1 s."""
+    problem = DetectionProblem(parse_polynomial("p1^100000000", 2), 2)
+    z = [Fraction(1)] * 3
+    value = _derive(problem, WitnessPoint(z, 1, problem.m), 7).evaluation
+    assert value == 4
+    text = certificate_to_json(
+        _derive(problem, WitnessPoint(z, value, problem.m), 7))
+    assert len(text) == 469
+    start = time.perf_counter()
+    assert verify_text(tmp_path / "power.json", text) == (
+        1, "", "verification failed: invalid certificate data: " + BUDGET)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_witness_huge_power_ends_by_the_budget(capsys):
+    """Xi(z) = 3^(10^7) took seconds to evaluate before its digits were
+    refused; the budget refuses the power first: exit 1 within 1 s."""
+    start = time.perf_counter()
+    assert run(capsys, "witness", "--xi", "p1^10000000", "--n", "2") == (
+        1, "", "error: " + BUDGET)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cli_certify_overlong_xi_coefficient_leaves_no_file(tmp_path, capsys):
     """Xi = 3*10^4300 e - 10^4300 p1 + e is 1 at z = (1, 1, 1), so the
     witness is small, but Xi itself has a coefficient too long to write."""
-    half = "5" + "0" * (sys.get_int_max_str_digits() - 1)
+    half = "5" + "0" * (DIGIT_LIMIT - 1)
     xi = " + ".join(["%s*e" % half] * 6 + ["e"]) + " - %s*p1" % half * 2
     assert run(capsys, "witness", "--xi", xi, "--n", "2") == (
         0, "z = (1, 1, 1)\nvalue = 1\nN = 3\n", "")
@@ -1062,6 +1114,109 @@ def test_cli_certify_overlong_xi_coefficient_leaves_no_file(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: the certificate has a number of more than ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_no_module_reads_or_sets_the_interpreter_digit_limit():
+    """The formats' digit limit is scalars.DIGIT_LIMIT, fixed in one place:
+    no charwit module asks the interpreter for its int-string limit or
+    changes it."""
+    package = os.path.dirname(charwit.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                text = f.read()
+            assert "get_int_max_str_digits" not in text, name
+            assert "set_int_max_str_digits" not in text, name
+
+
+def _outcomes(setting, tmp_path, runs):
+    """(argv, exit code, stdout, stderr) of each charwit run in a fresh
+    directory, PYTHONINTMAXSTRDIGITS set to setting (None: unset), then
+    every file the runs left there."""
+    cwd = tmp_path / ("default" if setting is None else setting)
+    cwd.mkdir()
+    for name, text in runs["inputs"].items():
+        (cwd / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(charwit.__file__)))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if setting is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = setting
+    out = []
+    for argv in runs["commands"]:
+        proc = subprocess.run([sys.executable, "-m", "charwit", *argv],
+                              cwd=cwd, env=env, capture_output=True,
+                              timeout=20)
+        out.append((argv, proc.returncode, proc.stdout, proc.stderr))
+    files = {path.name: path.read_bytes() for path in cwd.iterdir()}
+    return out, files
+
+
+def test_cli_bytes_do_not_depend_on_the_interpreter_digit_limit(tmp_path):
+    """Under PYTHONINTMAXSTRDIGITS unset, 0 and 640, every command gives the
+    same exit code, stdout, stderr and written files: numbers up to
+    DIGIT_LIMIT digits are read and written, longer ones refused, the
+    same way under each.  A transfer whose entry sums to more than
+    DIGIT_LIMIT digits is a named error, not a traceback."""
+    longest = "1" + "0" * (DIGIT_LIMIT - 1)
+    xi_longest = "3%s*e - %s*p1 + e" % (longest[1:], longest)
+    xi_longer = "%s0*e^2 - p2" % longest
+    doc = json.loads(FLAGSHIP_TEXT)
+    doc["witness"]["z"][0] = longest + "/1"
+    form = HermitianForm(3, 2, 1, [["%s + g + g^8" % ("7" * 1000), "g^4"],
+                                   ["g^5", "-%s + 3" % ("9" * 999)]])
+    runs = {
+        "inputs": {
+            "z.json": json.dumps(doc, indent=2) + "\n",
+            "form.json": form_to_json(form),
+            "transferred.json": form_to_json(transfer(form)),
+            "sum.json": json.dumps({"p": 3, "k": 2, "parity": 1, "matrix": [
+                ["9" * DIGIT_LIMIT + " + " + "9" * DIGIT_LIMIT]]}),
+        },
+        "commands": [
+            ["certify", "--xi", "e^2 - p2", "--n", "2", "--primes", "2",
+             "--out", "flag"],
+            ["verify", "flag_p53.json"],
+            ["verify", "flag_p59.json"],
+            ["witness", "--xi", xi_longest, "--n", "2"],
+            ["certify", "--xi", xi_longest, "--n", "2", "--primes", "1",
+             "--out", "longest"],
+            ["verify", "longest_p5.json"],
+            ["witness", "--xi", xi_longer, "--n", "2"],
+            ["certify", "--xi", xi_longer, "--n", "2", "--primes", "1",
+             "--out", "longer"],
+            ["witness", "--xi", "p1^100000", "--n", "2"],
+            ["verify", "z.json"],
+            ["transfer", "--form", "form.json"],
+            ["multisig", "--form", "form.json"],
+            ["multisig", "--form", "transferred.json"],
+            ["witness", "--xi", "p" + "9" * 700, "--n", "2"],
+            ["witness", "--xi", "e", "--n", longest],
+            ["witness", "--xi", "e^2 - p2", "--n", "1" * 5001],
+            ["transfer", "--form", "sum.json"],
+        ],
+    }
+    default, files = _outcomes(None, tmp_path, runs)
+    codes = [code for _, code, _, _ in default]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 0, 0, 0, 1, 1, 2, 1]
+    assert default[1][2] == default[2][2] == default[5][2] == b"ok\n"
+    assert default[3][2] == b"z = (1, 1, 1)\nvalue = 1\nN = 3\n"
+    assert b'"xi": "3%s1*e - %s*p1"' % (longest[1:-1].encode(),
+                                        longest.encode()) in files[
+        "longest_p5.json"]
+    assert default[6][3] == default[7][3] == (
+        b"parse error: integer literal of %d digits is too long "
+        b"(at offset 0)\n" % (DIGIT_LIMIT + 1))
+    assert default[8][3].startswith(OVERLONG.encode())
+    assert default[9][3] == (b"verification failed: witness has a "
+                             b"coordinate outside the search grid\n")
+    assert default[10][2] == runs["inputs"]["transferred.json"].encode()
+    assert default[13][3] == default[14][3] == (
+        b"error: m exceeds the L-class index limit %d\n" % M_LIMIT)
+    assert default[16][3] == (b"error: a number of more than %d digits, "
+                              b"the format's limit\n" % DIGIT_LIMIT)
+    for setting in ("0", "640"):
+        assert _outcomes(setting, tmp_path, runs) == (default, files)
 
 
 def test_cli_certify_past_work_limit_leaves_no_file(tmp_path):

@@ -17,7 +17,7 @@ from charwit.detect import (_admission, _integrality, _l_form_at, _l_form_mod,
                             _prime_support)
 from charwit.errors import CharwitError, DomainError, InvariantViolation
 from charwit.repring import VirtualRep
-from charwit.scalars import from_rational, largest_prime_factor
+from charwit.scalars import DIGIT_LIMIT, from_rational, largest_prime_factor
 from charwit.symfun import (GradedPolynomial, ell_polynomial, l_table,
                             parse_polynomial)
 from test_symfun import CERTIFY_SUITE, WITNESS_SUITE
@@ -504,21 +504,29 @@ def test_witness_matches_symbolic_oracle_random(case):
     assert (w.coordinates, w.value, w.N) == oracle_witness(problem)
 
 
-def test_prime_support_refuses_exactly_the_unreadable_parts():
-    """The refusal boundary is 10^digits for digits =
-    sys.get_int_max_str_digits(), here lowered to 640: the power of 2 just
-    below it is factored, and 10^640 is refused, as a numerator or as a
-    denominator."""
+def test_prime_support_refuses_exactly_the_unreadable_parts(monkeypatch):
+    """The refusal boundary is 10^DIGIT_LIMIT, whatever int-string limit
+    the interpreter is set to (here 640 and 0): the power of 2 just below
+    it is factored, and 10^DIGIT_LIMIT is refused before anything is
+    factored, as a numerator or as a denominator."""
+    below = 2 ** ((10 ** DIGIT_LIMIT).bit_length() - 1)
+    report = ("^the witness has a number of more than %d digits, which "
+              "verify cannot read$" % DIGIT_LIMIT)
+    factored = []
+    monkeypatch.setattr(detect, "largest_prime_factor",
+                        lambda n: factored.append(n) or largest_prime_factor(n))
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
     try:
-        below = 2 ** ((10 ** 640).bit_length() - 1)
-        assert _prime_support([Fraction(below), Fraction(3, below)]) == 3
-        for part in (Fraction(10 ** 640), Fraction(1, 10 ** 640)):
-            with pytest.raises(CharwitError, match="^the witness has a number "
-                               "of more than 640 digits, which verify cannot "
-                               "read$"):
-                _prime_support([Fraction(5), part])
+        for setting in (640, 0):
+            sys.set_int_max_str_digits(setting)
+            assert _prime_support([Fraction(below), Fraction(3, below)]) == 3
+            assert len(factored) == 4
+            for part in (Fraction(10 ** DIGIT_LIMIT),
+                         Fraction(1, 10 ** DIGIT_LIMIT)):
+                with pytest.raises(CharwitError, match=report):
+                    _prime_support([Fraction(5), part])
+            assert len(factored) == 4
+            factored.clear()
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -584,3 +592,21 @@ def test_admission_names_the_integrality_rule(xi, n, p, report):
     assert _admission(problem, witness, p) == report
     assert (p in itertools.takewhile(lambda q: q <= p, detect.certify_primes(
         problem, witness))) == (report is None)
+
+
+def test_evaluation_budget_refuses_exactly_past_eval_bits():
+    """Xi = p1^(j+1) - 3*p1^j*e + e^(j+1) is 1 at z = (1, 1, 1), where
+    p1 = 3 and e = 1 take 2 + 1 and 1 + 1 bits.  At j + 1 = EVAL_BITS // 3
+    every monomial is within the budget, and the witness is that z with
+    N = 3; one power more puts p1^(j+1) past it, so Xi is refused before
+    anything is evaluated over Q, though its terms cancel at z."""
+    def problem(j):
+        return DetectionProblem(parse_polynomial(
+            "p1^%d - 3*p1^%d*e + e^%d" % (j + 1, j, j + 1), 2), 2)
+
+    top = detect.EVAL_BITS // 3
+    witness = find_rational_witness(problem(top - 1))
+    assert (witness.coordinates, witness.value, witness.N) == ((1, 1, 1), 1, 3)
+    with pytest.raises(CharwitError, match="^Xi at z has a term of more "
+                       "than %d bits" % detect.EVAL_BITS):
+        find_rational_witness(problem(top))

@@ -13,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from charwit import cyclotomic, scalars
 from charwit.cyclotomic import CyclotomicNumber, CyclotomicReal
 from charwit.errors import DomainError, InvariantViolation, ParseError
-from charwit.scalars import (bernoulli, from_rational, is_odd_prime, is_prime,
-                             largest_prime_factor, odd_primes_above,
+from charwit.scalars import (DIGIT_LIMIT, bernoulli, from_rational,
+                             is_odd_prime, is_prime, largest_prime_factor,
+                             odd_primes_above,
                              rational_from_string, rational_to_string)
 
 
@@ -190,21 +191,24 @@ def test_largest_prime_factor_raises_when_rho_fails(monkeypatch):
 
 
 def test_largest_prime_factor_names_the_digits_of_an_unprintable_part():
-    """(10^9 + 7)^500 has 4501 digits, more than str() converts at the
-    default limit of 4300: the DomainError names its digit count, not a
-    ValueError from formatting it, and the 400th power (3601 digits) is
-    named in full."""
+    """(10^9 + 7)^500 has 4501 digits, more than DIGIT_LIMIT: the
+    DomainError says so, not a ValueError from formatting it, and the 400th
+    power (3601 digits) is named in full, whatever int-string limit the
+    interpreter is set to."""
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
     try:
-        start = time.perf_counter()
-        with pytest.raises(DomainError, match="^cannot factor a 4501-digit "
-                           "number: at or above the certified primality"):
-            largest_prime_factor((10 ** 9 + 7) ** 500)
-        assert time.perf_counter() - start < 1.0
-        with pytest.raises(DomainError, match="^cannot factor %d: "
-                           % (10 ** 9 + 7) ** 400):
-            largest_prime_factor((10 ** 9 + 7) ** 400)
+        sys.set_int_max_str_digits(0)
+        named = "^cannot factor %d: " % (10 ** 9 + 7) ** 400
+        for setting in (640, 0, saved):
+            sys.set_int_max_str_digits(setting)
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="^cannot factor a number "
+                               "of more than %d digits: at or above the "
+                               "certified primality" % DIGIT_LIMIT):
+                largest_prime_factor((10 ** 9 + 7) ** 500)
+            assert time.perf_counter() - start < 1.0
+            with pytest.raises(DomainError, match=named):
+                largest_prime_factor((10 ** 9 + 7) ** 400)
     finally:
         sys.set_int_max_str_digits(saved)
 
@@ -518,6 +522,38 @@ def test_cyclotomic_equality_across_levels():
     assert {x, y, z, CyclotomicNumber.rational(5, 1)} == {x, y, z}
     with pytest.raises(DomainError):
         x - y
+
+
+def test_hashes_agree_with_equality():
+    """Whatever equals an int or a Fraction hashes as it does: rational
+    cyclotomic numbers at every level, group-ring elements supported at 0
+    and constant polynomials, also when arithmetic made them.  So a set or
+    a dict key finds each value whichever of them stands for it."""
+    from charwit.lforms import GroupRingElement
+    from charwit.symfun import GradedPolynomial
+
+    p1 = GradedPolynomial.variable("p1", 2)
+    zeta = CyclotomicNumber.zeta(25)
+    for value in (0, 1, -2, 10 ** 30, Fraction(1, 2), Fraction(-3, 4)):
+        same = [Fraction(value), GradedPolynomial.constant(value),
+                (p1 + value) - p1, zeta + value - zeta]
+        same += [CyclotomicNumber.rational(L, value)
+                 for L in (1, 3, 5, 9, 25, 125)]
+        if Fraction(value).denominator == 1:
+            same += [GroupRingElement(p, k, {0: value})
+                     for p, k in ((3, 1), (3, 2), (5, 1))]
+            same.append(GroupRingElement(3, 1, {1: 1, 0: value})
+                        - GroupRingElement(3, 1, {1: 1}))
+        for x in same:
+            assert x == value and hash(x) == hash(value), x
+            assert x in {value} and value in {x}
+            assert {value: "v"}[x] == "v" and {x: "x"}[value] == "x"
+        assert {value, *same} == {value}
+    distinct = [1, 2, CyclotomicNumber.zeta(3), zeta, p1,
+                GroupRingElement(3, 1, {1: 1}), GroupRingElement(5, 1, {1: 1})]
+    assert len(set(distinct + [CyclotomicNumber.rational(3, 1),
+                               GroupRingElement(5, 1, {0: 2}),
+                               GradedPolynomial.constant(2)])) == 7
 
 
 # ---------------------------------------------------------------------------
