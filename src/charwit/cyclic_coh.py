@@ -17,7 +17,7 @@ from math import factorial
 
 from .errors import DomainError
 from .repring import VirtualRep
-from .scalars import _check_odd_prime, from_rational
+from .scalars import _check_odd_prime
 from .symfun import l_table
 
 
@@ -67,15 +67,15 @@ def l_class_linear(rho: LinearRepData, m: int) -> list:
     """The L-class of a sum of characters in degrees 4, 8, ..., 4m: entry
     i - 1 is the coefficient of ell_i(a_1..a_n) * c^(2i) in H^(4i)(BC_p; F_p).
 
-    ell_i has denominators built from primes up to 2i+1 only, so reduction
-    mod p is legitimate exactly when p > 2m+1; l_table refuses m < 1.
+    ell_i has denominators built from primes up to 2i+1 only, so its series
+    runs mod p, never over Q, exactly when p > 2m+1; l_table refuses m < 1.
     """
     p = rho.p
     if p <= 2 * m + 1:
         raise DomainError(
             "ell_%d has denominators divisible by primes up to %d; "
             "p = %d is too small to reduce" % (m, 2 * m + 1, p))
-    return [from_rational(p, v) for v in l_table(m).ell(rho.residues)]
+    return l_table(m).ell(rho.residues, p)
 
 
 def chern_character(xi: VirtualRep, j: int) -> int:

@@ -6,7 +6,8 @@ prime at a time, that Xi survives evaluation against data constructed from
 representations of C_p:
 
   1. read Xi in L-class coordinates x_i: at given numbers x_i, evaluate Xi
-     at p_i = P_i(x_1..x_i), computed numerically by LTable.p_values,
+     at p_i = P_i(x_1..x_i), computed by LTable.p_values over Q in the
+     search, and mod p for a certificate,
   2. search a deterministic rational grid of points z = (a, x_k..x_m) for
      one where that L-form is nonzero at e = a_1...a_n and x_i = ell_i(a)
      for i below the threshold k = ceil(n/2), x_k..x_m being free; each
@@ -27,8 +28,8 @@ comparison of every stored field with the derivation and the check of
 Xi(z) over Q; N is derived by WitnessPoint only.
 
 The cost of each step is bounded before it is paid: m by M_LIMIT,
-p * (m - k + 1) by WORK_LIMIT (admission), and each monomial of Xi at z by
-EVAL_BITS before Xi(z) is evaluated over Q, in the search and in verify
+p * (m - k + 1) by WORK_LIMIT (admission), and the terms of Xi at z, in
+all, by EVAL_BITS before Xi(z) is evaluated over Q, in search and verify
 alike.  Every z entry is bounded before it is used: WitnessPoint refuses
 a part of more than DIGIT_LIMIT digits (scalars) before factoring it, and
 admission refuses an entry off the search grid before z is reduced mod p
@@ -166,41 +167,37 @@ class WitnessPoint:
             _fraction_text(self.value), _decimal(self.N))
 
 
-def _l_values(problem, e, x):
+def _l_values(problem, e, x, p=None):
     """The value of each variable of Xi at e and p_i = P_i(x_1..x_i), over
-    Q, for the list x = [x_1, x_2, ...], read up to Xi's largest p index."""
+    Q or, given p, mod p, at x = [x_1, x_2, ...] read up to Xi's top index."""
     top = problem._top
-    p = l_table(top).p_values(x[:top]) if top else ()
-    return {name: e if name == "e" else p[int(name[1:]) - 1]
+    pv = l_table(top).p_values(x[:top], p) if top else ()
+    return {name: e if name == "e" else pv[int(name[1:]) - 1]
             for name in problem.polynomial.variables()}
 
 
 def _l_form_at(problem, e, x):
-    """The L-form of Xi at e and x = [x_1, x_2, ...], over Q.  A monomial
-    whose size, the sum of k * (bits of numerator + bits of denominator)
-    over its factors v^k, exceeds EVAL_BITS is refused before any is
-    evaluated."""
+    """The L-form of Xi at e and x = [x_1, x_2, ...], over Q.  If the sizes
+    of its terms, each the sum of k * (bits of numerator + bits of
+    denominator) over its factors v^k, add up past EVAL_BITS, it is
+    refused before any term is evaluated."""
     values = _l_values(problem, e, x)
     sizes = {name: v.numerator.bit_length() + v.denominator.bit_length()
              for name, v in values.items()}
-    if any(sum(k * sizes[name] for name, k in mono) > EVAL_BITS
-           for mono in problem.polynomial.terms):
-        raise CharwitError("Xi at z has a term of more than %d bits, the "
-                           "evaluation budget" % EVAL_BITS)
+    if sum(k * sizes[name] for mono in problem.polynomial.terms
+           for name, k in mono) > EVAL_BITS:
+        raise CharwitError("Xi at z has terms of more than %d bits in all, "
+                           "the evaluation budget" % EVAL_BITS)
     return problem.polynomial.evaluate(values)
 
 
 def _l_form_mod(problem, e, x, p):
-    """from_rational(p, _l_form_at(problem, e, x)), without the value over
-    Q: at an admitted prime every coefficient of Xi and every P_i value is
-    p-integral (_integrality), so each is reduced mod p once and each power
-    taken by pow(v, k, p), which costs the bit length of its exponent, not
-    the digits of its value over Q."""
-    values = {name: from_rational(p, v)
-              for name, v in _l_values(problem, e, x).items()}
-    return sum(from_rational(p, c) * prod(pow(values[name], k, p)
-                                          for name, k in mono)
-               for mono, c in problem.polynomial.terms.items()) % p
+    """from_rational(p, _l_form_at(problem, e, x)) without a value over Q:
+    at an admitted prime Xi and the P_i are p-integral (_integrality), so
+    the P_i series runs mod p and each power is pow(v, k, p), which costs
+    the bit length of k, not the digits of a value over Q."""
+    return from_rational(p, problem.polynomial.evaluate(
+        _l_values(problem, e, x, p), lambda v, k: pow(v, k, p)))
 
 
 def _witness_value(problem, z):
@@ -432,24 +429,23 @@ def certificate_from_json(text: str) -> WitnessCertificate:
 
 # The most work a certificate may ask.  The Chern-target solve fills p
 # targets and makes about p/2 modular powers per free coordinate x_k..x_m,
-# so certify and verify cost about p * (m - k + 1); ell_1..ell_m and
-# P_1..P_m each come from one series over Q whose numbers grow with m, so
-# DetectionProblem bounds m apart.  On a shared 2-core x86-64 box a `charwit
-# verify` within both limits took 0.4-0.55 s at p = 99991 and odd n (a 4.3
-# MB xi_rep), and at most 0.16 s otherwise (m = 40: Xi = p40 at n = 2, e at
-# n = 80); at m = 60 one took 0.5 s, and certify --xi e --n 400 (m = 200)
-# took 2.8 s.
+# so certify and verify cost about p * (m - k + 1).  A certificate's ell_i
+# and P_i are series mod p; only the search's run over Q, with numbers
+# growing with m, so DetectionProblem bounds m apart.  With every series
+# over Q, a `charwit verify` within both limits took 0.4-0.55 s at p =
+# 99991 and odd n (4.3 MB xi_rep) on a shared 2-core x86-64 box, at most
+# 0.16 s otherwise (m = 40: Xi = p40 at n = 2, e at n = 80), one at m = 60
+# 0.5 s, and certify --xi e --n 400 (m = 200) 2.8 s.
 WORK_LIMIT = 10 ** 5
 M_LIMIT = 40
 
-# The largest size of one monomial of Xi at z, as _l_form_at measures it,
-# that is evaluated over Q; the witness search, certify and verify all
-# evaluate there.  One power at the budget, p1^1398101 at z = (1, 1, 1),
-# took 0.1 s on a shared 2-core x86-64 box, so p1^1000000 (3 * 10^6) is
-# still evaluated and then refused by its digits; p1^10^8 is refused at
-# once.  Sums are slower, since Fraction addition takes gcds of the terms'
-# denominators: p2^466033 - p1^932066 took 0.4 s, and three terms each at
-# the budget with P_i denominators took 4-15 s.
+# The largest total size of the terms of Xi at z, as _l_form_at measures
+# it, that is evaluated over Q: the witness search and verify evaluate
+# there.  p1^1398101 at z = (1, 1, 1), one power at the budget, took 0.1 s
+# on a shared 2-core x86-64 box, so p1^1000000 (3 * 10^6) is still
+# evaluated and then refused by its digits.  The sum is bounded, not each
+# term, since Fraction addition takes gcds of the terms' denominators:
+# p3^182361 - p2^182361*p1^182361, each term within the budget, took 4.8 s.
 EVAL_BITS = 1 << 22
 
 

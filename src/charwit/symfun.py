@@ -9,23 +9,26 @@ exponent tuple over the sorted variables, and parse_polynomial reads that
 text (or any signed sum of such terms) back.
 
 Every L-series quantity comes from one logarithm and one exponential
-recurrence on power series in u = t^2, over Fractions or polynomials alike.
-The L-table takes the logarithm of t/tanh(t), reads the power sums of the
-squared roots off log(1 + sum_j p_j u^j) and exponentiates, yielding
+recurrence on power series in u = t^2, over Fractions, polynomials or ints
+mod p alike, the division passed in.  The L-table takes the logarithm of
+t/tanh(t), reads the power sums of the squared roots off
+log(1 + sum_j p_j u^j) and exponentiates, yielding
 
     L_1 = 1/3*p1,   L_2 = 7/45*p2 - 1/45*p1^2,   ...
 
 together with the inverse polynomials P_i expressing p_i in the L_j.  The
 same recurrences give the symmetric forms ell_i used on the cyclic-group
 side, and LTable.ell and LTable.p_values evaluate ell_1..ell_M and
-P_1..P_M at rational numbers, one series each, without expanding any
-polynomial.
+P_1..P_M at rational numbers or mod p, one series each, without expanding
+any polynomial.  GradedPolynomial.evaluate is the one sum over the terms,
+at numbers, residues or polynomials (substitute).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import truediv
 
 from .errors import DomainError, ParseError
 from .scalars import (_decimal, _format_sum, _fraction_text, _read_digits,
@@ -230,7 +233,8 @@ class GradedPolynomial:
     # --- substitution and evaluation ---------------------------------------
 
     def substitute(self, assignment: dict) -> "GradedPolynomial":
-        """Replace variables by polynomials (or constants).
+        """Replace variables by polynomials (or constants): evaluate() at
+        the images, every other variable standing for itself.
 
         Every key of the assignment must be a variable of this polynomial,
         and each nonzero image must be homogeneous of the same weight as
@@ -241,39 +245,25 @@ class GradedPolynomial:
             raise DomainError("assignment mentions unknown variable%s %s"
                               % ("s" if len(unknown) > 1 else "",
                                  ", ".join(sorted(unknown))))
-        images = {}
+        point = {name: GradedPolynomial.variable(name, w)
+                 for name, w in self.weights.items()}
         for name, img in assignment.items():
             if isinstance(img, (int, Fraction)):
                 img = GradedPolynomial.constant(img)
             if not isinstance(img, GradedPolynomial):
                 raise DomainError("image of %r is not a polynomial" % (name,))
-            if not img.is_zero():
-                if not img.is_homogeneous() or img.weight() != self.var_weight(name):
-                    raise DomainError(
-                        "image of %r is not homogeneous of weight %d"
-                        % (name, self.var_weight(name)))
-            images[name] = img
-        power_cache = {}
+            if not (img.is_zero() or img.is_homogeneous()
+                    and img.weight() == self.var_weight(name)):
+                raise DomainError("image of %r is not homogeneous of weight %d"
+                                  % (name, self.var_weight(name)))
+            point[name] = img
+        return GradedPolynomial.zero() + self.evaluate(point)
 
-        def image_power(name, e):
-            key = (name, e)
-            if key not in power_cache:
-                power_cache[key] = images[name] ** e
-            return power_cache[key]
-
-        total = GradedPolynomial.zero()
-        for mono, c in self.terms.items():
-            kept = tuple((name, e) for name, e in mono if name not in images)
-            term = GradedPolynomial(
-                {name: self.weights[name] for name, _ in kept}, {kept: c})
-            for name, e in mono:
-                if name in images:
-                    term = term * image_power(name, e)
-            total = total + term
-        return total
-
-    def evaluate(self, point: dict) -> Fraction:
-        """Evaluate at rational coordinates; every variable must be assigned."""
+    def evaluate(self, point: dict, power=pow):
+        """Sum of c * prod power(v, k) over the terms, v the value of each
+        factor's variable and k its exponent, each (variable, k) power
+        taken once.  Int and polynomial values are used as given, any other
+        through Fraction(), so a float is read exactly."""
         missing = set(self.weights) - set(point)
         if missing:
             raise DomainError("no value for variable%s %s"
@@ -284,14 +274,12 @@ class GradedPolynomial:
             raise DomainError("value supplied for unknown variable%s %s"
                               % ("s" if len(unknown) > 1 else "",
                                  ", ".join(sorted(unknown))))
-        values = {name: Fraction(point[name]) for name in self.weights}
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for name, e in mono:
-                v *= values[name] ** e
-            total += v
-        return total
+        values = {name: v if isinstance(v, (int, GradedPolynomial))
+                  else Fraction(v) for name, v in point.items()}
+        powers = {f: power(values[f[0]], f[1])
+                  for f in {f for mono in self.terms for f in mono}}
+        return sum((prod(map(powers.get, mono), start=c)
+                    for mono, c in self.terms.items()), Fraction(0))
 
     # --- printing ----------------------------------------------------------
 
@@ -377,13 +365,13 @@ def _log_series(a) -> list:
     return kg
 
 
-def _exp_series(kg) -> list:
+def _exp_series(kg, div=truediv) -> list:
     """E_0 = 1, E_1, ..., E_M, where sum_m E_m u^m = exp(sum_k g_k u^k), from
     k g_k, M the last index of kg (kg[0] is ignored; the int E_0 serves
-    Fractions and polynomials): m E_m = sum_{0<k<=m} k g_k E_(m-k)."""
+    every domain): m E_m = sum_{0<k<=m} k g_k E_(m-k), divided by div."""
     e = [1]
     for m in range(1, len(kg)):
-        e.append(sum(kg[k] * e[m - k] for k in range(1, m + 1)) / m)
+        e.append(div(sum(kg[k] * e[m - k] for k in range(1, m + 1)), m))
     return e
 
 
@@ -396,19 +384,19 @@ def _log_f_series(order: int) -> list:
                   for k in range(1, order + 1)]
 
 
-def _l_series(kc, s) -> list:
+def _l_series(kc, s, div=truediv) -> list:
     """1, L_1, ..., L_M at the power sums s_k of the squared roots, M the
     last index of s (s[0] is ignored): L = exp(sum_k c_k s_k u^k)."""
-    return _exp_series([0] + [kc[k] * s[k] for k in range(1, len(s))])
+    return _exp_series([0] + [kc[k] * s[k] for k in range(1, len(s))], div)
 
 
-def _p_series(kc, x) -> list:
+def _p_series(kc, x, div=truediv) -> list:
     """1, P_1, ..., P_M at x_1..x_M, M the last index of x (x[0] is
     ignored): the power sums are s_k = k [log(1 + sum_i x_i u^i)]_k /
     (k c_k), and 1 + sum_j p_j u^j = exp(sum_k (-1)^(k-1) s_k u^k / k)."""
     log_x = _log_series(x)
-    return _exp_series([0] + [(-1) ** (k - 1) * log_x[k] / kc[k]
-                              for k in range(1, len(x))])
+    return _exp_series([0] + [div((-1) ** (k - 1) * log_x[k], kc[k])
+                              for k in range(1, len(x))], div)
 
 
 def l_leading_coefficient(i: int) -> Fraction:
@@ -423,14 +411,28 @@ class LTable:
     """L-polynomials L_1..L_M in the p_i and their inverses P_1..P_M in x_i.
 
     A table holds only k c_k up to k = M.  ell() and p_values() evaluate
-    all of ell_1..ell_M or P_1..P_M at numbers from it; l() and p() expand
-    the polynomials on their first call.
+    all of ell_1..ell_M or P_1..P_M at numbers from it, over Q or, given
+    p, mod p; l() and p() expand the polynomials on their first call.
     """
 
     def __init__(self, max_index: int):
         self.max_index = max_index
         self._kc = _log_f_series(max_index)
         self._polys = None
+
+    def _field(self, p):
+        """k c_k for k = 0..M and the division, over Q or, given p, mod p:
+        each k c_k reduced once, a division by a non-unit a DomainError."""
+        if p is None:
+            return self._kc, truediv
+
+        def div(a, b):
+            try:
+                return a * pow(b, -1, p) % p
+            except ValueError:
+                raise DomainError("an L-series divides by a non-unit "
+                                  "mod %d" % p) from None
+        return [div(c.numerator, c.denominator) for c in self._kc], div
 
     def _check(self, i: int) -> int:
         if not 1 <= i <= self.max_index:
@@ -456,20 +458,22 @@ class LTable:
     def p(self, i: int) -> GradedPolynomial:
         return self._expand()[1][self._check(i)]
 
-    def ell(self, roots) -> list:
+    def ell(self, roots, p=None) -> list:
         """[ell_1(a), ..., ell_M(a)] at roots a, ints, Fractions or
-        polynomials, from one series: L at p_j = e_j(a_1^2, ..., a_n^2),
-        read off the power sums s_k = sum_j a_j^(2k)."""
-        s = [sum(a ** (2 * k) for a in roots)
-             for k in range(self.max_index + 1)]
-        return _l_series(self._kc, s)[1:]
+        polynomials, or at ints mod p, from one series: L at p_j =
+        e_j(a_1^2, ..., a_n^2), read off power sums s_k = sum_j a_j^(2k)."""
+        kc, div = self._field(p)
+        s = [sum(pow(a, 2 * k) if p is None else pow(a, 2 * k, p)
+                 for a in roots) for k in range(self.max_index + 1)]
+        return _l_series(kc, s, div)[1:]
 
-    def p_values(self, x) -> list:
-        """[P_1(x), ..., P_M(x)] at rational x = (x_1, ..., x_M)."""
+    def p_values(self, x, p=None) -> list:
+        """[P_1(x), ..., P_M(x)] at rationals x_1..x_M, or at ints mod p."""
         if len(x) != self.max_index:
             raise DomainError("p_values wants %d values, got %d"
                               % (self.max_index, len(x)))
-        return _p_series(self._kc, [None] + [Fraction(v) for v in x])[1:]
+        kc, div = self._field(p)
+        return _p_series(kc, [None] + list(x), div)[1:]
 
 
 _l_table_cache: dict[int, LTable] = {}

@@ -422,6 +422,24 @@ def test_trace_sites_bind_on_the_cli_path(monkeypatch, tmp_path, capsys):
     assert tracer.layer_metrics(spans.spans, 3)["cli.cert_bytes"] > 0
 
 
+def test_cli_certify_most_l_classes_frozen(tmp_path, capsys):
+    """Xi = e at n = 80 has m = 40 = M_LIMIT, the most L-classes a
+    certificate may hold; both files keep the bytes they had when ell and
+    P were computed over Q and then reduced, and each verifies."""
+    assert M_LIMIT == 40
+    prefix = str(tmp_path / "e80")
+    assert run(capsys, "certify", "--xi", "e", "--n", "80", "--primes", "2",
+               "--out", prefix) == (0, "p=83 eval=1 OK\np=89 eval=1 OK\n", "")
+    for p, digest in [(83, "b2e6bdebb3e964056427eaa8d08fd201"
+                           "a773ed3e7c7e0abb6b18ec3c9d0d75f1"),
+                      (89, "f8704e025504887b37b8050d492111ae"
+                           "ce69a7800f4031d07dde22b96a565d7c")]:
+        path = "%s_p%d.json" % (prefix, p)
+        with open(path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest
+        assert run(capsys, "verify", path) == (0, "ok\n", "")
+
+
 def test_cli_certify_where_xi_cancels_a_denominator_of_p2(tmp_path, capsys):
     """P_2 = (45 x_2 + x_1^2)/7, so at p = 7 a P_2 value is not 7-integral,
     though Xi = 46 e^2 - 7 p2 + p1^2 cancels the 7 at z = (1, 1, 1, 1):
@@ -1070,8 +1088,11 @@ def test_cli_overlong_power_is_refused_before_factoring(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
-BUDGET = "Xi at z has a term of more than %d bits, the evaluation budget\n" % (
-    detect.EVAL_BITS)
+BUDGET = ("Xi at z has terms of more than %d bits in all, the evaluation "
+          "budget\n" % detect.EVAL_BITS)
+# two terms of 4194303 and 2188332 bits at z = (1, 1, 1, 1, 1): each within
+# the budget, their sum past it
+TWO_TERMS = "p3^182361 - p2^182361*p1^182361"
 
 
 def test_cli_verify_huge_power_ends_by_the_budget(tmp_path):
@@ -1079,27 +1100,33 @@ def test_cli_verify_huge_power_ends_by_the_budget(tmp_path):
     p = 7, every field derived, the value the evaluation 4: verify once
     evaluated 3^(10^8) over Q for more than a minute at its last check.
     The evaluation budget refuses that power before it is taken: exit 1,
-    the budget named, within 1 s."""
-    problem = DetectionProblem(parse_polynomial("p1^100000000", 2), 2)
-    z = [Fraction(1)] * 3
-    value = _derive(problem, WitnessPoint(z, 1, problem.m), 7).evaluation
-    assert value == 4
-    text = certificate_to_json(
-        _derive(problem, WitnessPoint(z, value, problem.m), 7))
-    assert len(text) == 469
-    start = time.perf_counter()
-    assert verify_text(tmp_path / "power.json", text) == (
-        1, "", "verification failed: invalid certificate data: " + BUDGET)
-    assert time.perf_counter() - start < 1.0
+    the budget named, within 1 s.  The same holds for a Xi whose terms
+    pass the budget one by one but not in all (an 855-byte document at
+    p = 11), which took seconds."""
+    for xi, p, value, size in [("p1^100000000", 7, 4, 469),
+                               (TWO_TERMS, 11, 3, 855)]:
+        problem = DetectionProblem(parse_polynomial(xi, 2), 2)
+        z = [Fraction(1)] * (2 + problem.m)
+        assert _derive(problem, WitnessPoint(z, 1, problem.m),
+                       p).evaluation == value
+        text = certificate_to_json(
+            _derive(problem, WitnessPoint(z, value, problem.m), p))
+        assert len(text) == size
+        start = time.perf_counter()
+        assert verify_text(tmp_path / "power.json", text) == (
+            1, "", "verification failed: invalid certificate data: " + BUDGET)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_cli_witness_huge_power_ends_by_the_budget(capsys):
     """Xi(z) = 3^(10^7) took seconds to evaluate before its digits were
-    refused; the budget refuses the power first: exit 1 within 1 s."""
-    start = time.perf_counter()
-    assert run(capsys, "witness", "--xi", "p1^10000000", "--n", "2") == (
-        1, "", "error: " + BUDGET)
-    assert time.perf_counter() - start < 1.0
+    refused, and TWO_TERMS took 5 s; the budget refuses both before
+    anything is evaluated: exit 1 within 1 s each."""
+    for xi in ["p1^10000000", TWO_TERMS]:
+        start = time.perf_counter()
+        assert run(capsys, "witness", "--xi", xi, "--n", "2") == (
+            1, "", "error: " + BUDGET)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_cli_certify_overlong_xi_coefficient_leaves_no_file(tmp_path, capsys):

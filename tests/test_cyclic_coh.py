@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charwit.cyclic_coh import (LinearRepData, chern_character, euler_class,
                                 l_class_linear, pullback_l_nonlinear)
+from charwit.detect import M_LIMIT
 from charwit.errors import DomainError
 from charwit.repring import VirtualRep
-from charwit.scalars import from_rational
-from test_symfun import l_value_oracle
+from charwit.scalars import from_rational, is_odd_prime
+from test_symfun import l_series_oracle
 
 
 def test_linear_rep_data_canonicalizes():
@@ -46,18 +47,22 @@ def test_l_class_linear_prime_bound():
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.sampled_from([7, 11, 13, 53]).flatmap(lambda p: st.tuples(
-    st.just(p), st.integers(1, min((p - 3) // 2, 8)),
-    st.lists(st.integers(-3 * p, 3 * p).filter(lambda a: a % p),
-             min_size=1, max_size=6))))
+@given(st.sampled_from([p for p in range(7, 102) if is_odd_prime(p)]).flatmap(
+    lambda p: st.tuples(
+        st.just(p), st.integers(1, min((p - 3) // 2, M_LIMIT)),
+        st.lists(st.integers(-3 * p, 3 * p).filter(lambda a: a % p),
+                 min_size=1, max_size=6))))
+@example((83, M_LIMIT, [1, -2, 82, 5, 40, -41]))
+@example((97, M_LIMIT, [3, 96, 195, -7]))
 def test_l_class_linear_matches_the_product_oracle(case):
     """Entry i - 1 of l_class_linear(rho, m) is the u^i coefficient of
     prod_j f(a_j^2 u), f(u) = t/tanh(t) with u = t^2, over Q at the
-    integer weights a_j, reduced mod p."""
+    integer weights a_j, reduced mod p: an oracle without log or exp for
+    the series l_class_linear runs mod p, up to m = M_LIMIT."""
     p, m, weights = case
     squares = [Fraction(a * a) for a in weights]
     assert l_class_linear(LinearRepData(p, weights), m) == [
-        from_rational(p, l_value_oracle(squares, i)) for i in range(1, m + 1)]
+        from_rational(p, v) for v in l_series_oracle(squares, m)[1:]]
 
 
 def test_chern_character_frozen():

@@ -596,17 +596,20 @@ def test_admission_names_the_integrality_rule(xi, n, p, report):
 
 def test_evaluation_budget_refuses_exactly_past_eval_bits():
     """Xi = p1^(j+1) - 3*p1^j*e + e^(j+1) is 1 at z = (1, 1, 1), where
-    p1 = 3 and e = 1 take 2 + 1 and 1 + 1 bits.  At j + 1 = EVAL_BITS // 3
-    every monomial is within the budget, and the witness is that z with
-    N = 3; one power more puts p1^(j+1) past it, so Xi is refused before
-    anything is evaluated over Q, though its terms cancel at z."""
+    p1 = 3 and e = 1 take 2 + 1 and 1 + 1 bits, so its terms take
+    3(j + 1) + (3j + 2) + 2(j + 1) = 8j + 7 bits in all.  At the largest j
+    with 8j + 7 <= EVAL_BITS the witness is that z with N = 3; one power
+    more puts the sum past the budget, though each term stays within it,
+    so Xi is refused before anything is evaluated over Q, though its terms
+    cancel at z."""
     def problem(j):
         return DetectionProblem(parse_polynomial(
             "p1^%d - 3*p1^%d*e + e^%d" % (j + 1, j, j + 1), 2), 2)
 
-    top = detect.EVAL_BITS // 3
-    witness = find_rational_witness(problem(top - 1))
+    top = (detect.EVAL_BITS - 7) // 8
+    witness = find_rational_witness(problem(top))
     assert (witness.coordinates, witness.value, witness.N) == ((1, 1, 1), 1, 3)
-    with pytest.raises(CharwitError, match="^Xi at z has a term of more "
-                       "than %d bits" % detect.EVAL_BITS):
-        find_rational_witness(problem(top))
+    assert 3 * (top + 2) <= detect.EVAL_BITS < 8 * (top + 1) + 7
+    with pytest.raises(CharwitError, match="^Xi at z has terms of more "
+                       "than %d bits in all" % detect.EVAL_BITS):
+        find_rational_witness(problem(top + 1))

@@ -13,6 +13,7 @@ from charwit.cli import L_TABLE_LIMIT, main
 from charwit.detect import (DetectionProblem, find_rational_witness,
                             run_pipeline, verify_certificate)
 from charwit.errors import DomainError
+from charwit.scalars import from_rational, is_odd_prime
 from charwit.symfun import (GradedPolynomial, ell_polynomial,
                             l_leading_coefficient, l_table, parse_polynomial)
 
@@ -34,16 +35,21 @@ def genus_coefficients(order):
             for s in range(order + 1)]
 
 
-def l_value_oracle(roots, i):
-    """Coefficient of u^i in prod_j f(b_j u): the multiplicative sequence
-    evaluated at numeric roots."""
+def l_series_oracle(roots, i):
+    """Coefficients of u^0..u^i in prod_j f(b_j u): the multiplicative
+    sequence evaluated at numeric roots."""
     fs = genus_coefficients(i)
     series = [Fraction(1)] + [Fraction(0)] * i
     for b in roots:
         factor = [fs[s] * b ** s for s in range(i + 1)]
         series = [sum((series[a] * factor[c - a] for a in range(c + 1)),
                       Fraction(0)) for c in range(i + 1)]
-    return series[i]
+    return series
+
+
+def l_value_oracle(roots, i):
+    """Coefficient of u^i in prod_j f(b_j u)."""
+    return l_series_oracle(roots, i)[i]
 
 
 def elementary(roots, j):
@@ -103,11 +109,20 @@ def test_substitute_checks_weights():
     with pytest.raises(DomainError):
         p1.substitute({"p1": pvar(2)})
     assert p1.substitute({"p1": 3 * xvar(1)}) == 3 * xvar(1)
+    # terms that cancel, and a constant, still give a polynomial
+    zero = (pvar(2) - p1 ** 2).substitute({"p2": xvar(1) ** 2, "p1": xvar(1)})
+    assert isinstance(zero, GradedPolynomial) and zero.is_zero()
+    assert zero.variables() == ()
+    five = GradedPolynomial.constant(5).substitute({})
+    assert isinstance(five, GradedPolynomial) and five == 5
 
 
 def test_evaluate_is_strict():
     poly = pvar(1) * pvar(2)
     assert poly.evaluate({"p1": Fraction(2), "p2": Fraction(3)}) == 6
+    # a float is read exactly, as Fraction() reads it
+    value = poly.evaluate({"p1": 0.1, "p2": 3})
+    assert type(value) is Fraction and value == 3 * Fraction(0.1) != 0.3
     with pytest.raises(DomainError):
         poly.evaluate({"p1": Fraction(2)})
     with pytest.raises(DomainError):
@@ -490,6 +505,43 @@ def test_p_values_of_ell_are_elementary_in_squares(m, roots):
 def test_p_values_wants_one_value_per_index():
     with pytest.raises(DomainError):
         l_table(3).p_values([Fraction(1), Fraction(2)])
+
+
+def units_mod(p, m):
+    """Whether every k c_k, k = 1..m, and every index up to m is a unit
+    mod p, so that the L-series divide only by units."""
+    return p > m and all(l_leading_coefficient(k).numerator
+                         * l_leading_coefficient(k).denominator % p
+                         for k in range(1, m + 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda m: st.tuples(
+    st.sampled_from([p for p in range(3, 200)
+                     if is_odd_prime(p) and units_mod(p, m)]),
+    st.lists(st.integers(-500, 500), min_size=m, max_size=m),
+    st.lists(st.integers(-500, 500), min_size=1, max_size=5))))
+def test_series_mod_p_reduce_the_values_over_q(case):
+    """p_values and ell given p run the series mod p; at a prime where
+    every division is by a unit, that is the value over Q reduced."""
+    p, x, roots = case
+    table = l_table(len(x))
+    assert table.p_values(x, p) == [from_rational(p, v)
+                                    for v in table.p_values(x)]
+    assert table.ell(roots, p) == [from_rational(p, v)
+                                   for v in table.ell(roots)]
+
+
+def test_series_mod_p_refuses_a_non_unit():
+    """7 divides 2 c_2 = 7/45, the coefficient of p2 in L_2, so the series
+    for P_2 divides by 0 mod 7: a DomainError, which verify reports, not a
+    bare ValueError; over Q, P_2(1, 2) = 45/7*2 + 9/7 is a value.  A k c_k
+    whose denominator p divides, here 5 and 45, is refused too."""
+    assert l_table(2).p_values([1, 2]) == [3, Fraction(99, 7)]
+    with pytest.raises(DomainError, match="mod 7"):
+        l_table(2).p_values([1, 2], 7)
+    with pytest.raises(DomainError, match="mod 5"):
+        l_table(2).ell([1, 2], 5)
 
 
 # The certify and witness problems of the benchmark suite.
