@@ -67,15 +67,11 @@ def l_class_linear(rho: LinearRepData, m: int) -> list:
     """The L-class of a sum of characters in degrees 4, 8, ..., 4m: entry
     i - 1 is the coefficient of ell_i(a_1..a_n) * c^(2i) in H^(4i)(BC_p; F_p).
 
-    ell_i has denominators built from primes up to 2i+1 only, so its series
-    runs mod p, never over Q, exactly when p > 2m+1; l_table refuses m < 1.
+    The series runs mod p, never over Q, and refuses exactly the p <= 2m+1
+    (DomainError): by von Staudt-Clausen p divides the denominator of
+    k c_k at k = (p-1)/2 <= m.  l_table refuses m < 1.
     """
-    p = rho.p
-    if p <= 2 * m + 1:
-        raise DomainError(
-            "ell_%d has denominators divisible by primes up to %d; "
-            "p = %d is too small to reduce" % (m, 2 * m + 1, p))
-    return l_table(m).ell(rho.residues, p)
+    return l_table(m).ell(rho.residues, rho.p)
 
 
 def chern_character(xi: VirtualRep, j: int) -> int:

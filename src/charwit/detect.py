@@ -23,18 +23,20 @@ representations of C_p:
      Euler and L pullbacks and the evaluation, then check its claims once
      (_claims): the targets are hit and the evaluation is Xi(z) mod p, not 0.
 
-Verification runs the same admission, derivation and claims, and adds the
-comparison of every stored field with the derivation and the check of
-Xi(z) over Q; N is derived by WitnessPoint only.
-
-The cost of each step is bounded before it is paid: m by M_LIMIT,
-p * (m - k + 1) by WORK_LIMIT (admission), and the terms of Xi at z, in
-all, by EVAL_BITS before Xi(z) is evaluated over Q, in search and verify
-alike.  Every z entry is bounded before it is used: WitnessPoint refuses
-a part of more than DIGIT_LIMIT digits (scalars) before factoring it, and
-admission refuses an entry off the search grid before z is reduced mod p
-or Xi(z) evaluated over Q.  The certificate document is written and read
-here too.
+Verification runs the same admission, derivation and claims, compares
+every stored field with the derivation and checks Xi(z) over Q; N is
+derived by WitnessPoint only.  It bounds what it reads before it works
+on it, in the order it runs: (1) parsing, each integer and each part of
+a rational of at most DIGIT_LIMIT digits (scalars); (2) the problem's
+bookkeeping, m at most M_LIMIT before any L-table is built; (3) the grid
+rule (_grid), before anything in z is factored, reduced or evaluated;
+(4) N, the one factoring step (WitnessPoint): z's entries are at most
+grid_bound by then, so only the value's numerator and denominator reach
+largest_prime_factor; (5) the rules on p (_admission), p * (m - k + 1)
+within WORK_LIMIT among them; (6) the derivation (_derive), each exponent
+taken by pow(., ., p); (7) Xi(z) over Q, its terms held to EVAL_BITS in
+all before any is evaluated, in search and verify alike.  The
+certificate document is written and read here too.
 """
 
 from __future__ import annotations
@@ -388,10 +390,11 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     Structural problems (bad JSON, missing keys, wrong types: every number
     must be a JSON integer and every z entry a string) raise ParseError.
     The stored k, degree_2r and m must be the ones DetectionProblem derives
-    from Xi and n, the stored N the one WitnessPoint derives from z, the
-    value and m, and the prime an odd prime, or the first of these that
-    fails raises InvariantViolation; all other mathematical content is
-    left for verify_certificate to report.
+    from Xi and n, z must keep the grid rule (_grid), which runs before
+    WitnessPoint factors anything, the stored N must be the one
+    WitnessPoint derives from z, the value and m, and the prime an odd
+    prime, or the first of these that fails raises InvariantViolation; all
+    other mathematical content is left for verify_certificate to report.
     """
     doc = _json_document(text)
     if _field(doc, "version", int, "certificate") != CERTIFICATE_VERSION:
@@ -409,6 +412,9 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     coords = [rational_from_string(s) for s in _items(wit, "z", str, "witness")]
     value = rational_from_string(_field(wit, "value", str, "witness"))
     stored_N = _field(wit, "N", int, "witness")
+    report = _grid(problem, coords)
+    if report:
+        raise InvariantViolation(report)
     witness = WitnessPoint(coords, value, problem.m)
     if stored_N != witness.N:
         raise InvariantViolation("stored N disagrees with z and value")
@@ -461,24 +467,29 @@ def _integrality(problem, p):
         return "modulus divides an L-series coefficient"
 
 
+def _grid(problem, z):
+    """The grid rule on z, as its report, or None: one coordinate per a_j
+    and per x_k..x_m, each an integer with 1 <= |z_i| <= grid_bound, as
+    the witness search writes them; one comparison per entry."""
+    if len(z) != problem.n + problem.m - problem.k + 1:
+        return "witness has the wrong number of coordinates"
+    if any(c.denominator != 1 or not 1 <= abs(c) <= problem.grid_bound
+           for c in z):
+        return "witness has a coordinate outside the search grid"
+
+
 def _admission(problem, witness, p):
     """The first fact that keeps p from certifying the problem at the
     witness, as its report, or None: p is an odd prime, p > N, p is within
-    the work limit, z has one coordinate per a_j and per x_k..x_m, each an
-    integer of the search grid (1 <= |z_i| <= grid_bound), and Xi and the
-    P_i are p-integral (_integrality)."""
+    the work limit, z keeps the grid rule (_grid, which a document meets
+    when read), and Xi and the P_i are p-integral (_integrality)."""
     if not is_odd_prime(p):
         return "modulus is not an odd prime"
     if p <= witness.N:
         return "modulus does not exceed the witness bound N"
     if p * (problem.m - problem.k + 1) > WORK_LIMIT:
         return "p * (m - k + 1) exceeds the work limit %d" % WORK_LIMIT
-    if len(witness.coordinates) != problem.n + problem.m - problem.k + 1:
-        return "witness has the wrong number of coordinates"
-    if any(c.denominator != 1 or not 1 <= abs(c) <= problem.grid_bound
-           for c in witness.coordinates):
-        return "witness has a coordinate outside the search grid"
-    return _integrality(problem, p)
+    return _grid(problem, witness.coordinates) or _integrality(problem, p)
 
 
 def certify_primes(problem: DetectionProblem, witness: WitnessPoint):
@@ -503,14 +514,14 @@ def build_certificate(problem: DetectionProblem, witness: WitnessPoint,
 
 
 def _derive(problem, witness, p):
-    """Every certificate field from (z, p): z reduced mod p once, to the
-    linear representation of its a-block and the x-bars; the symmetrized
-    virtual representation xi whose L-pullbacks hit the x-bars,
-    ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with j = 2i - n; then the
-    pullbacks and the evaluation."""
+    """Every certificate field from (z, p): z's integers (_grid) reduced
+    mod p once, to the linear representation of its a-block and the
+    x-bars; the symmetrized virtual representation xi whose L-pullbacks
+    hit the x-bars, ell_i(a) - 2^(2+j) e ch_j(xi) = x-bar_i with
+    j = 2i - n; then the pullbacks and the evaluation."""
     n, z = problem.n, witness.coordinates
-    rho = LinearRepData(p, [from_rational(p, c) for c in z[:n]])
-    xbars = tuple(from_rational(p, c) for c in z[n:])
+    rho = LinearRepData(p, [c.numerator for c in z[:n]])
+    xbars = tuple(c.numerator % p for c in z[n:])
     euler, ells = euler_class(rho), l_class_linear(rho, problem.m)
     chern = [0] * p
     for i, xbar in enumerate(xbars, problem.k):

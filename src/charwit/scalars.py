@@ -352,18 +352,9 @@ def _brent_factor(n: int):
     return None
 
 
-_odd_primes: set[int] = set()
-
-
 def is_odd_prime(p: int) -> bool:
-    """p is an odd prime; positive answers are remembered, since the same
-    few moduli are checked on every arithmetic result."""
-    if p in _odd_primes:
-        return True
-    if p == 2 or not is_prime(p):
-        return False
-    _odd_primes.add(p)
-    return True
+    """p is an odd prime, by is_prime each time: no answer is kept."""
+    return p != 2 and is_prime(p)
 
 
 def _check_odd_prime(p: int) -> None:

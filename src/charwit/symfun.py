@@ -365,7 +365,7 @@ def _log_series(a) -> list:
     return kg
 
 
-def _exp_series(kg, div=truediv) -> list:
+def _exp_series(kg, div) -> list:
     """E_0 = 1, E_1, ..., E_M, where sum_m E_m u^m = exp(sum_k g_k u^k), from
     k g_k, M the last index of kg (kg[0] is ignored; the int E_0 serves
     every domain): m E_m = sum_{0<k<=m} k g_k E_(m-k), divided by div."""

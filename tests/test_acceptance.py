@@ -191,9 +191,11 @@ def random_cases(count, seed):
             for i in part:
                 term = term * pvar(i)
             poly = term if poly is None else poly + term
-        # the witness value's prime factors set the modulus floor, and the
-        # dense solver is cubic in the modulus; skip draws whose first
-        # admissible prime would be impractically large
+        # the witness value's prime factors set the modulus floor N, and
+        # certify's work grows with the first prime above N: the Chern
+        # targets fill p entries, and the closed-form solve makes one
+        # modular power per pair +-s and per nonzero target; skip draws
+        # whose first admissible prime would make that work large
         if find_rational_witness(DetectionProblem(poly, n)).N > 400:
             continue
         cases.append((poly, n))

@@ -22,9 +22,10 @@ from charwit.detect import (DetectionProblem, M_LIMIT, WORK_LIMIT,
                             certificate_from_json, certificate_to_json,
                             find_rational_witness, run_pipeline)
 from charwit.detect import WitnessCertificate, WitnessPoint, _derive
-from charwit.errors import DomainError, InternalConsistencyError, ParseError
+from charwit.errors import (DomainError, InternalConsistencyError,
+                            InvariantViolation, ParseError)
 from charwit.repring import VirtualRep, restrict
-from charwit.scalars import DIGIT_LIMIT, rational_to_string
+from charwit.scalars import DIGIT_LIMIT, odd_primes_above, rational_to_string
 from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
                             form_to_json, format_group_ring, hyperbolic,
                             multisignature, multisignature_to_json,
@@ -998,8 +999,11 @@ UNFACTORED = "10000000000427000000001443/1"
 
 
 def test_cli_verify_unfactorable_witness_ends(tmp_path):
+    """The value, unlike z (which the grid rule holds to small integers
+    before N is derived), still reaches the factoring: an unfactorable
+    part there ends verify with exit 1, named, within 1 s."""
     doc = json.loads(FLAGSHIP_TEXT)
-    doc["witness"]["z"][0] = UNFACTORED
+    doc["witness"]["value"] = UNFACTORED
     path = tmp_path / "doctored.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     proc = charwit_process("verify", str(path), timeout=10)
@@ -1010,6 +1014,42 @@ def test_cli_verify_unfactorable_witness_ends(tmp_path):
     start = time.perf_counter()
     assert verify_text(path, path.read_text()) == (1, "", proc.stderr)
     assert time.perf_counter() - start < 1.0
+
+
+def semiprimes(count):
+    """count products of two consecutive primes above 2^40: 81-bit numbers
+    below the bound where is_prime is exact, each of which Pollard-Brent
+    rho takes about half a second to split."""
+    primes = odd_primes_above(1 << 40)
+    return [next(primes) * next(primes) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count, report", [
+    (4, "witness has a coordinate outside the search grid"),
+    (40, "witness has the wrong number of coordinates")])
+def test_cli_verify_applies_the_grid_rule_before_factoring(tmp_path, count,
+                                                           report):
+    """The flagship document with z replaced by count 81-bit semiprimes.
+    When WitnessPoint factored every entry for the bound N before the grid
+    rule ran, the reader took 2.2 s and 27 s (a shared 2-core x86-64 box);
+    it now applies the grid rule first: exit 1, named, within 1 s through
+    certificate_from_json and through verify."""
+    doc = json.loads(FLAGSHIP_TEXT)
+    doc["witness"]["z"] = ["%d" % s for s in semiprimes(count)]
+    path = tmp_path / "semiprimes.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation) as err:
+        certificate_from_json(path.read_text())
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == report
+    start = time.perf_counter()
+    assert verify_text(path, path.read_text()) == (
+        1, "", "verification failed: %s\n" % report)
+    assert time.perf_counter() - start < 1.0
+    proc = charwit_process("verify", str(path), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "verification failed: %s\n" % report)
 
 
 @pytest.mark.parametrize("xi, n", [("e^2 - p8", 8), ("p1^8 - p8", 2),
@@ -1400,7 +1440,7 @@ def test_cli_verify_off_grid_witness_ends(tmp_path, xi, p):
     """Every z entry 2^14000 (4215 digits, prime support 2), the value the
     evaluation derived from that z, every other field derived too: verify
     evaluated Xi(z) over Q for 8.6 s at p40 before it failed.  No entry
-    certify can write lies off the search grid, so admission names the
+    certify can write lies off the search grid, so the reader names the
     grid rule before any evaluation over Q: exit 1, in process within 1 s."""
     problem = DetectionProblem(parse_polynomial(xi, 2), 2)
     z = [Fraction(2 ** 14000)] * (2 + problem.m)

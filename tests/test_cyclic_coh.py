@@ -46,6 +46,20 @@ def test_l_class_linear_prime_bound():
     assert l_class_linear(LinearRepData(7, (1, 2)), 2)[1] == 1
 
 
+def test_l_class_linear_refuses_exactly_the_small_primes():
+    """The series mod p states the bound p > 2m + 1 itself: an odd prime
+    p <= 2m + 1 divides the denominator of k c_k at k = (p - 1)/2 <= m
+    (von Staudt-Clausen), and a larger one divides no denominator."""
+    for m in range(1, M_LIMIT + 1):
+        for p in filter(is_odd_prime, range(3, 2 * m + 60)):
+            rho = LinearRepData(p, (1, 2))
+            if p <= 2 * m + 1:
+                with pytest.raises(DomainError):
+                    l_class_linear(rho, m)
+            else:
+                assert len(l_class_linear(rho, m)) == m
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.sampled_from([p for p in range(7, 102) if is_odd_prime(p)]).flatmap(
     lambda p: st.tuples(
