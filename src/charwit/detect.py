@@ -27,16 +27,19 @@ Verification runs the same admission, derivation and claims, compares
 every stored field with the derivation and checks Xi(z) over Q; N is
 derived by WitnessPoint only.  It bounds what it reads before it works
 on it, in the order it runs: (1) parsing, each integer and each part of
-a rational of at most DIGIT_LIMIT digits (scalars); (2) the problem's
-bookkeeping, m at most M_LIMIT before any L-table is built; (3) the grid
-rule (_grid), before anything in z is factored, reduced or evaluated;
-(4) N, the one factoring step (WitnessPoint): z's entries are at most
-grid_bound by then, so only the value's numerator and denominator reach
-largest_prime_factor; (5) the rules on p (_admission), p * (m - k + 1)
-within WORK_LIMIT among them; (6) the derivation (_derive), each exponent
-taken by pow(., ., p); (7) Xi(z) over Q, its terms held to EVAL_BITS in
-all before any is evaluated, in search and verify alike.  The
-certificate document is written and read here too.
+a rational of at most DIGIT_LIMIT digits (scalars), and, as the reader's
+last rule, after its rules of (2) to (5), the canonical text: exactly
+what certificate_to_json writes for the certificate read; (2) the
+problem's bookkeeping, m at most M_LIMIT before any L-table is built;
+(3) the grid rule (_grid), before anything in z is factored, reduced or
+evaluated; (4) N, the one factoring step (WitnessPoint): z's entries are
+at most grid_bound by then, so only the value's numerator and
+denominator reach largest_prime_factor; (5) the rules on p (_admission),
+p * (m - k + 1) within WORK_LIMIT among them; (6) the derivation
+(_derive), each exponent taken by pow(., ., p); (7) Xi(z) over Q, its
+terms held to EVAL_BITS in all before any is evaluated, in search and
+verify alike.  The certificate document is written and read here too,
+and the reader accepts exactly the text the writer writes.
 """
 
 from __future__ import annotations
@@ -385,16 +388,21 @@ def _int_pairs(mapping, key, where, shape):
 
 
 def certificate_from_json(text: str) -> WitnessCertificate:
-    """Rebuild a certificate from its JSON form.
+    """Rebuild a certificate from the exact text certificate_to_json
+    writes, and from no other text.
 
     Structural problems (bad JSON, missing keys, wrong types: every number
     must be a JSON integer and every z entry a string) raise ParseError.
     The stored k, degree_2r and m must be the ones DetectionProblem derives
     from Xi and n, z must keep the grid rule (_grid), which runs before
     WitnessPoint factors anything, the stored N must be the one
-    WitnessPoint derives from z, the value and m, and the prime an odd
-    prime, or the first of these that fails raises InvariantViolation; all
-    other mathematical content is left for verify_certificate to report.
+    WitnessPoint derives from z, the value and m, the prime an odd prime,
+    and last the text must be the canonical text certificate_to_json writes
+    for the certificate read, or the first of these that fails raises
+    InvariantViolation; all other mathematical content is left for
+    verify_certificate to report.  Pass a file's exact text: `charwit
+    verify` reads with newline="", where Path.read_text() turns CRLF into
+    LF.
     """
     doc = _json_document(text)
     if _field(doc, "version", int, "certificate") != CERTIFICATE_VERSION:
@@ -428,9 +436,16 @@ def certificate_from_json(text: str) -> WitnessCertificate:
     evaluation = _field(doc, "evaluation", int, "certificate")
     if not is_odd_prime(prime):
         raise InvariantViolation("modulus is not an odd prime")
-    return WitnessCertificate(problem, witness, prime, residues, targets,
+    cert = WitnessCertificate(problem, witness, prime, residues, targets,
                               VirtualRep(prime, 1, xi_rep), euler,
                               l_pullbacks, evaluation)
+    try:
+        canonical = certificate_to_json(cert) == text
+    except DomainError:  # a number of more digits than the format holds
+        canonical = False
+    if not canonical:
+        raise InvariantViolation("not the canonical certificate text")
+    return cert
 
 
 # The most work a certificate may ask.  The Chern-target solve fills p
@@ -553,7 +568,10 @@ def verify_certificate(cert: WitnessCertificate):
     every stored field with the derivation, check its claims (_claims) and
     last the witness value over Q.
     Returns (ok, report), the report naming the first failing check; domain
-    and arithmetic errors become failures, never raised."""
+    and arithmetic errors become failures, never raised.  With
+    certificate_from_json before it, this is `charwit verify`'s verdict: a
+    ParseError is its exit 2, any other CharwitError or (False, report)
+    its exit 1 with that report, (True, "ok") its exit 0."""
     try:
         return _verify(cert)
     except (CharwitError, ArithmeticError) as exc:

@@ -222,8 +222,8 @@ class GradedPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._weights_with(other)
-        return self.terms == other.terms
+        # unequal across gradings, unlike arithmetic, which refuses them
+        return self.weights == other.weights and self.terms == other.terms
 
     def __hash__(self):
         if all(mono == () for mono in self.terms):  # equal to a Fraction
@@ -325,7 +325,11 @@ def parse_polynomial(text: str, e_weight: int) -> GradedPolynomial:
         exponent = 1
         if text[pos:pos + 1] == "^":
             exponent, pos = _read_digits(text, pos + 1, "an exponent")
-        return GradedPolynomial.variable(name, weight) ** exponent, pos
+        if not exponent:
+            return GradedPolynomial.constant(1), pos
+        # the monomial itself: a power by squaring costs a product per bit
+        return GradedPolynomial({name: weight},
+                                {((name, exponent),): Fraction(1)}), pos
 
     def read_term(text, pos):
         coeff = Fraction(1)

@@ -32,6 +32,7 @@ from charwit.lforms import (FORM_ORDER_LIMIT, HermitianForm, form_from_json,
                             parse_group_ring, random_form, transfer)
 from charwit.symfun import GradedPolynomial, parse_polynomial
 from test_acceptance import random_cases
+from test_fuzz import library_verdict
 from test_symfun import CERTIFY_SUITE
 
 
@@ -614,12 +615,26 @@ def verify_text(path, text):
 
 @pytest.mark.parametrize("case", sorted(STRICT_CASES))
 def test_cli_verify_accepts_only_canonical_documents(tmp_path, case):
+    """`charwit verify` names the check, and certificate_from_json with
+    verify_certificate gives the same report on the same text."""
     mutate, report = STRICT_CASES[case]
     text = mutate(FLAGSHIP_TEXT)
     assert text != FLAGSHIP_TEXT
-    code, out, err = verify_text(tmp_path / "c.json", text)
-    assert code == 1 and out == ""
-    assert err == "verification failed: %s\n" % report
+    verdict = (1, "", "verification failed: %s\n" % report)
+    assert verify_text(tmp_path / "c.json", text) == verdict
+    assert library_verdict(text) == verdict
+
+
+def test_reader_refuses_a_number_no_canonical_text_holds(tmp_path):
+    """Xi's coefficients sum to one of DIGIT_LIMIT + 1 digits, which the
+    writer refuses: the text is not canonical, not a failure to write."""
+    big = "9" * DIGIT_LIMIT
+    text = _canonical(_set(("problem", "xi"), "%s*e^2 + %s*e^2 + e^2 - p2"
+                           % (big, big)))(FLAGSHIP_TEXT)
+    verdict = (1, "", "verification failed: not the canonical certificate "
+               "text\n")
+    assert verify_text(tmp_path / "c.json", text) == verdict
+    assert library_verdict(text) == verdict
 
 
 @pytest.mark.parametrize("N", [46, 48, 60])

@@ -213,7 +213,7 @@ def test_largest_prime_factor_names_the_digits_of_an_unprintable_part():
         sys.set_int_max_str_digits(saved)
 
 
-def test_is_odd_prime_caches_only_primes():
+def test_is_odd_prime_small_values():
     assert not is_odd_prime(2)
     assert not is_odd_prime(9)
     assert is_odd_prime(733) and is_odd_prime(733)

@@ -13,7 +13,7 @@ from charwit.cli import L_TABLE_LIMIT, main
 from charwit.detect import (DetectionProblem, find_rational_witness,
                             run_pipeline, verify_certificate)
 from charwit.errors import DomainError
-from charwit.scalars import from_rational, is_odd_prime
+from charwit.scalars import DIGIT_LIMIT, from_rational, is_odd_prime
 from charwit.symfun import (GradedPolynomial, ell_polynomial,
                             l_leading_coefficient, l_table, parse_polynomial)
 
@@ -467,11 +467,34 @@ def test_variable_with_two_weights_raises(name, shift):
         good + bad
     with pytest.raises(DomainError):
         good * bad
-    with pytest.raises(DomainError):
-        good == bad
+    assert good != bad and not good == bad
     holder = GradedPolynomial.variable("q1", ORACLE_WEIGHTS[name] + shift)
     with pytest.raises(DomainError):
         (good * holder).substitute({"q1": bad})
+
+
+def test_parse_polynomial_reads_a_power_as_one_monomial():
+    """Twenty factors e^E, E of DIGIT_LIMIT digits: by squaring, each power
+    took 0.15 s (x86-64); read as a monomial, the text parses at once."""
+    exponent = "9" * DIGIT_LIMIT
+    start = time.perf_counter()
+    xi = parse_polynomial("*".join(["e^" + exponent] * 20), 2)
+    assert time.perf_counter() - start < 1.0
+    assert xi.terms == {(("e", 20 * (10 ** DIGIT_LIMIT - 1)),): 1}
+    assert parse_polynomial("p1^0*e^3 - 2*p2^1*e^0", 2) == (
+        parse_polynomial("e^3 - 2*p2", 2))
+    assert parse_polynomial("p1^0", 2).weights == {}
+
+
+def test_equality_across_gradings_is_false():
+    """e carries weight 2 in one and 3 in the other: the two are unequal,
+    so a set holds both, while arithmetic on them still raises."""
+    xi2, xi3 = parse_polynomial("e^2 - p2", 2), parse_polynomial("e^2 - p2", 3)
+    assert xi2 != xi3 and not xi2 == xi3
+    assert hash(xi2) == hash(xi3)
+    assert len({xi2, xi3}) == 2
+    with pytest.raises(DomainError, match="two weights"):
+        xi2 - xi3
 
 
 # ---------------------------------------------------------------------------
