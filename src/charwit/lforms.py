@@ -174,9 +174,17 @@ def _group_ring_entries(values, where):
 # cheap (about 0.5 s at order 10007), and it refuses them too.
 FORM_ORDER_LIMIT = 125
 
+# The keys a form file may hold.  Any other is refused, so that a
+# misspelled refinement is not read as a form without one.
+FORM_KEYS = ("p", "k", "parity", "matrix", "refinement")
+
 
 def form_from_json(text: str) -> HermitianForm:
     doc = _json_document(text)
+    if isinstance(doc, dict):
+        for key in doc:
+            if key not in FORM_KEYS:
+                raise ParseError("unknown key %r in form" % key)
     p = _field(doc, "p", int, "form")
     k = _field(doc, "k", int, "form")
     # |p|^k >= 2^k > limit once k reaches the limit's bit length; no p ** k
@@ -453,10 +461,9 @@ def _diagonalize(mat, level: int):
     grow in turn.  If the remaining diagonal is zero, the block is the
     first remaining s with a nonzero entry and the j in adj[s] of least
     degree, the lowest index on ties, which span a hyperbolic plane
-    P = [[0, conj(x)], [x, 0]], x = a[j][s] != 0.  Its pivots are 1 and
-    -x conj(x): both are real, their product is det P, and det P < 0 at
+    P = [[0, conj(x)], [x, 0]], x = a[j][s] != 0.  det P = -|x|^2 < 0 at
     every embedding, so P has one positive and one negative eigenvalue
-    there, as they do.
+    there whatever x is: the step computes nothing for P itself.
     One update serves both blocks: each remaining a[i][l], l <= i, loses
     sum_t left_t(i) right_t(l) over the i and l joined to the block.  For
     s alone there is one term, left(i) = a[i][s] a[s][s]^-1 and right(l) =
@@ -477,7 +484,8 @@ def _diagonalize(mat, level: int):
     diagonal entry, so the choice scans only the candidates and measures
     none of them again.
 
-    Returns the pivots, each nonzero and fixed by conjugation; raises
+    Returns the blocks in step order, (1, a[s][s]) for a 1 x 1 pivot,
+    nonzero and fixed by conjugation, and (2, x) for a plane; raises
     InvariantViolation when the matrix is singular.
     """
     a = [list(row[:i + 1]) for i, row in enumerate(mat)]
@@ -505,13 +513,12 @@ def _diagonalize(mat, level: int):
                 adj[j].add(i)
     live = {i: _bits(row[i]) for i, row in enumerate(a) if row[i]}
     rest = list(range(len(a)))
-    pivots = []
+    blocks = []
     while rest:
         s = min(live, key=lambda i: (len(adj[i]), live[i], i), default=None)
         if s is not None:
             block, x = (s,), a[s][s]
             del live[s]
-            pivots.append(x)
         else:
             s = next((i for i in rest if adj[i]), None)
             if s is None:
@@ -520,8 +527,7 @@ def _diagonalize(mat, level: int):
             j = min(adj[s], key=lambda i: (len(adj[i]), i))
             x = a[j][s]
             block = (s, j)
-            pivots += [CyclotomicNumber.rational(level, 1),
-                       -(x * x.conjugate())]
+        blocks.append((len(block), x))
         sides = [adj[b].difference(block) for b in block]
         below = sorted(set().union(*sides))
         for b in block:
@@ -556,7 +562,7 @@ def _diagonalize(mat, level: int):
                     live[i] = _bits(ai[i])
                 else:
                     live.pop(i, None)
-    return pivots
+    return blocks
 
 
 def multisignature(form: HermitianForm) -> VirtualRep:
@@ -567,13 +573,16 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     ones.  Characters of the same order are Galois conjugates of a single
     exact evaluation, so the lower triangle of the form is evaluated and
     diagonalized once per divisor of the group order and only the pivot
-    signs depend on r; each pivot is checked once to be fixed by
-    conjugation, so its images at zeta^t and zeta^(-t) agree, and it is
-    signed once per conjugate pair of embeddings: at the t <= d/2 coprime
-    to d, the sum written at t and at d - t.  Only the nonzero
-    group-ring entries are evaluated: the zero ones share one zero per
-    order, and _diagonalize reads the sparsity from the evaluated matrix,
-    since a nonzero entry may still vanish at a character.  At order d > 1 a
+    signs depend on r.  Only the 1 x 1 pivots are signed: a hyperbolic
+    plane has one positive and one negative eigenvalue at every embedding
+    (_diagonalize), so it adds 0 to every signature.  Each 1 x 1 pivot is
+    checked once to be fixed by conjugation, so its images at zeta^t and
+    zeta^(-t) agree, and it is signed once per conjugate pair of
+    embeddings: at the t <= d/2 coprime to d, the sum written at t and at
+    d - t.  Only the nonzero group-ring entries are evaluated: the zero
+    ones share one zero per order, and _diagonalize reads the sparsity
+    from the evaluated matrix, since a nonzero entry may still vanish at a
+    character.  At order d > 1 a
     skew form is evaluated as (g - g^(-1)) Lambda, whose image u Lambda with
     u = zeta - zeta^(-1) is hermitian: at zeta^t, u Lambda =
     2 sin(2 pi t / d) * i Lambda, so the pivot signs flip exactly when
@@ -581,14 +590,15 @@ def multisignature(form: HermitianForm) -> VirtualRep:
     eigenvalues symmetrically, so the multiplicity is 0 and only the rank
     is checked: u is taken at level 3 instead, zeta_3 - zeta_3^(-1) =
     sqrt(-3), and the real skew S = Lambda(1) has the rank of the
-    hermitian sqrt(-3) S, whose zero diagonal makes every step a pair.  A
+    hermitian sqrt(-3) S, whose zero diagonal makes every step a plane.  A
     singular evaluation at any character means the form was not
     unimodular and raises; the trivial character is checked first.
-    Neither the pivot order nor the pairs matter: every step, one
+    Neither the pivot order nor the planes matter: every step, one
     Schur-complement update on a 1 x 1 pivot or on a zero-diagonal pair
-    spanning a hyperbolic plane, is a congruence to a block whose pivots
-    have its inertia at every embedding, and each embedding respects
-    conjugation, so the signs obey Sylvester's law of inertia.
+    spanning a hyperbolic plane, splits off its block by a congruence, and
+    each embedding respects conjugation, so by Sylvester's law of inertia
+    the signature there is the sum of the blocks' signatures: the pivot's
+    sign for a 1 x 1 block, 0 for a plane.
     """
     p, k, q = form.p, form.k, form.rank
     L = form.order
@@ -612,9 +622,10 @@ def multisignature(form: HermitianForm) -> VirtualRep:
             mults[0] = 0  # i H_0 pairs eigenvalues symmetrically
             continue
         zero = CyclotomicNumber.rational(d, 0)
-        pivots = _diagonalize([[evaluate(x, d) if x.coeffs else zero
+        blocks = _diagonalize([[evaluate(x, d) if x.coeffs else zero
                                 for x in row[:i + 1]]
                                for i, row in enumerate(form.matrix)], d)
+        pivots = [x for size, x in blocks if size == 1]
         if any(x.conjugate() != x for x in pivots):
             raise InvariantViolation(
                 "element is not fixed by conjugation, so not real")
@@ -801,19 +812,21 @@ def signature_int(b: IntegerForm) -> int:
     """Signature of a nondegenerate symmetric integer matrix, exactly.
 
     The matrix is the hermitian form at the trivial character, so its
-    lower triangle goes through _diagonalize at level 1 and the pivots are
-    signed as multisignature signs them there; by Sylvester's law of
-    inertia their signs count the positive and negative eigenvalues.  When
-    no diagonal entry remains, a pair [[0, x], [x, 0]] is the step's block,
-    with the pivots 1 and -x^2, as at every level.  A singular
-    matrix raises InvariantViolation.
+    lower triangle goes through _diagonalize at level 1 and the 1 x 1
+    pivots are signed as multisignature signs them there; by Sylvester's
+    law of inertia their signs count the positive and negative eigenvalues
+    but for the planes.  When no diagonal entry remains, a plane
+    [[0, x], [x, 0]] is the step's block, with det -x^2 < 0: one positive
+    and one negative eigenvalue, so it adds 0 and is not signed, as at
+    every level.  A singular matrix raises InvariantViolation.
     """
     if b.parity != 1:
         raise DomainError("signature is for symmetric forms")
-    pivots = _diagonalize([[CyclotomicNumber._make(1, [x], 1)
+    blocks = _diagonalize([[CyclotomicNumber._make(1, [x], 1)
                             for x in row[:i + 1]]
                            for i, row in enumerate(b.matrix)], 1)
-    return sum(CyclotomicReal._make(x, 0).sign() for x in pivots)
+    return sum(CyclotomicReal._make(x, 0).sign()
+               for size, x in blocks if size == 1)
 
 
 def arf(b: IntegerForm) -> int:

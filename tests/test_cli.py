@@ -739,6 +739,27 @@ def test_cli_form_rejects_non_group_ring_fields(tmp_path, capsys, field, path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["multisig", "transfer"])
+@pytest.mark.parametrize("key", ["refinment", "note"])
+def test_cli_form_refuses_unknown_keys(tmp_path, capsys, command, key):
+    """A level-2 skew form file whose refinement is keyed "refinment", or
+    which holds an extra "note", ends in a parse error naming the key:
+    neither is read as a form without a refinement or with one."""
+    doc = json.loads(form_to_json(random_form(3, 2, -1, 2, 2)))
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command, "--form", str(path))[0] == 0
+    if key == "refinment":
+        doc[key] = doc.pop("refinement")
+    else:
+        doc[key] = "written by hand"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command, "--form", str(path)) == (
+        2, "", "parse error: unknown key %r in form\n" % key)
+    with pytest.raises(ParseError, match="unknown key %r" % key):
+        form_from_json(json.dumps(doc))
+
+
 def test_cli_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "witness", "--xi", "e + ", "--n", "2")
     assert code == 2

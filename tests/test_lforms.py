@@ -768,32 +768,49 @@ def test_random_form_wide_digest_frozen():
         "c6e02e8bf8945d87f6b202ffbc1ffde7dbb40a36acbd70328b82d505f4519ea8")
 
 
+def _pair_pivots(blocks):
+    """The pivot list _diagonalize returned before planes went unsigned:
+    a 1 x 1 block's pivot, and for a plane's x the pivots 1 and
+    -x conj(x) = det P at the level of x."""
+    pivots = []
+    for size, x in blocks:
+        pivots += [x] if size == 1 else [CyclotomicNumber.rational(x.L, 1),
+                                         -(x * x.conjugate())]
+    return pivots
+
+
+def _diagonalize_pivots(mat, level):
+    return _pair_pivots(_diagonalize(mat, level))
+
+
 def test_benchmark_pivots_frozen(monkeypatch):
-    """SHA-256 of every pivot, as (level, num, den), that _diagonalize
-    returns over the 32 operations of the forms benchmark: the
-    multisignature of random_form(p, k, parity, rank, seed) and of its
-    transfer on the benchmark's cells and seeds.  30 of those 32
-    multisignatures are empty, so their digests pin little of the
-    elimination; these 760 pivots from 72 eliminations pin all of it.
-    Frozen from the elimination that subtracted each Schur term with the
-    public product, sum and difference.  The first elimination of each
-    skew multisignature, its rank check at the trivial character at level
-    3, returns pivots that multisignature discards: those 16 are pinned
+    """SHA-256 of every pivot, as (level, num, den), in the pivot lists
+    (_pair_pivots) of the blocks _diagonalize returns over the 32
+    operations of the forms benchmark: the multisignature of
+    random_form(p, k, parity, rank, seed) and of its transfer on the
+    benchmark's cells and seeds.  30 of those 32 multisignatures are empty,
+    so their digests pin little of the elimination; these 760 pivots from
+    72 eliminations pin all of it.  Frozen from the elimination that
+    subtracted each Schur term with the public product, sum and difference
+    and returned the pivots 1 and -x conj(x) for each plane.  The first
+    elimination of each skew multisignature, its rank check at the trivial
+    character at level 3, only has to not raise: its 16 lists are pinned
     apart, by their number and their pivot total."""
     digest, calls, checks, skew = hashlib.sha256(), [], [], [False]
 
     def recorded(mat, level):
-        pivots = _diagonalize(mat, level)
+        blocks = _diagonalize(mat, level)
+        pivots = _pair_pivots(blocks)
         if skew[0]:
             skew[0] = False
             assert level == 3
             checks.append(len(pivots))
-            return pivots
+            return blocks
         calls.append(len(pivots))
         for x in pivots:
             digest.update(("%d %s %d\n" % (
                 x.L, ",".join(map(str, x.num)), x.den)).encode())
-        return pivots
+        return blocks
 
     monkeypatch.setattr(lforms, "_diagonalize", recorded)
     for g in _benchmark_forms():
@@ -911,10 +928,11 @@ def _pivot_oracle_draws():
 
 
 def test_diagonalize_pivot_oracle():
-    """Every pivot is nonzero and real, and their product is det(A): each
-    congruence the elimination applies has determinant 1.  A singular A
-    raises.  The hand case is one hyperbolic pair, whose off-diagonal
-    entry u = zeta - zeta^-1 has u + conj(u) = 0."""
+    """Every pivot is nonzero and real, and, with 1 and det P for each
+    plane P (_pair_pivots), their product is det(A): each congruence the
+    elimination applies has determinant 1.  A singular A raises.  The hand
+    case is one hyperbolic pair, whose off-diagonal entry u = zeta -
+    zeta^-1 has u + conj(u) = 0."""
     draws = _pivot_oracle_draws()
     counts = {True: 0, False: 0}
     for L, a in draws:
@@ -924,7 +942,7 @@ def test_diagonalize_pivot_oracle():
             with pytest.raises(InvariantViolation):
                 _diagonalize(a, L)
             continue
-        pivots = _diagonalize(a, L)
+        pivots = _diagonalize_pivots(a, L)
         assert len(pivots) == len(a)
         assert all(x and x.conjugate() == x for x in pivots)
         product = CyclotomicNumber.rational(L, 1)
@@ -1079,10 +1097,10 @@ def test_diagonalize_pivot_order_matches_the_scan():
     """The tracked live diagonal and its sizes pick the pivots, and the
     zero-diagonal step the pairs, that a full scan picks, ties included,
     and the sparse pair update gives the dense 2 x 2 Schur complement: the
-    same pivot list on the oracle's draws and on the rank-42 transfers of
-    the budget test at orders 1 and 7 (the lower triangle of the skew one
-    at order 1 read as a symmetric matrix), and singular on the same
-    draws."""
+    same pivot list (_pair_pivots) on the oracle's draws and on the rank-42
+    transfers of the budget test at orders 1 and 7 (the lower triangle of
+    the skew one at order 1 read as a symmetric matrix), and singular on
+    the same draws."""
     cases = _pivot_oracle_draws()
     for parity in (1, -1):
         g = transfer(random_form(7, 2, parity, 6, 1))
@@ -1096,7 +1114,7 @@ def test_diagonalize_pivot_order_matches_the_scan():
         expected = _pivots_or_singular(
             lambda m, level: _diagonalize_by_scan(m, level, pairs=pairs), a, L)
         singular += expected == "singular"
-        assert _pivots_or_singular(_diagonalize, a, L) == expected
+        assert _pivots_or_singular(_diagonalize_pivots, a, L) == expected
     assert singular >= 10 and len(pairs) >= 100
 
 
@@ -1111,8 +1129,9 @@ def _permutation(rng, n):
 def test_pivots_and_multisignature_are_permutation_invariant():
     """A basis permutation changes which pivots minimum degree picks and
     when the zero-diagonal step runs, but not what they certify.  On the
-    oracle's draws, P A P* has pivots whose product is det(A) and whose
-    signs count at every embedding as A's do, and it is singular with A.
+    oracle's draws, P A P* has pivots (_pair_pivots) whose product is
+    det(A) and whose signs count at every embedding as A's do, and it is
+    singular with A.
     Congruence by a permutation leaves the multisignature of seeded forms,
     and of their transfers, unchanged."""
     rng = random.Random(1957)
@@ -1126,12 +1145,12 @@ def test_pivots_and_multisignature_are_permutation_invariant():
             with pytest.raises(InvariantViolation):
                 _diagonalize(b, L)
             continue
-        pivots = _diagonalize(b, L)
+        pivots = _diagonalize_pivots(b, L)
         product = CyclotomicNumber.rational(L, 1)
         for x in pivots:
             product = product * x
         assert product == det
-        expected = _diagonalize(a, L)
+        expected = _diagonalize_pivots(a, L)
         for t in range(L):
             if gcd(t, L) == 1:
                 assert (sum(CyclotomicReal._make(x, t).sign() for x in pivots)
@@ -1153,34 +1172,39 @@ def test_pivots_and_multisignature_are_permutation_invariant():
 
 
 def test_multisignature_rejects_non_real_pivot(monkeypatch):
-    """Each pivot is checked once to be fixed by conjugation before it is
-    signed once per conjugate pair of embeddings: zeta_1 = 1 passes,
-    zeta_7 does not."""
+    """Each 1 x 1 pivot is checked once to be fixed by conjugation before
+    it is signed once per conjugate pair of embeddings: zeta_1 = 1 passes,
+    zeta_7 does not.  A plane's x is neither checked nor signed: a plane
+    on zeta_7 adds 0 at every character."""
     monkeypatch.setattr(lforms, "_diagonalize",
-                        lambda mat, level: [CyclotomicNumber.zeta(level)])
+                        lambda mat, level: [(1, CyclotomicNumber.zeta(level))])
     with pytest.raises(InvariantViolation, match="not fixed by conjugation"):
         multisignature(random_form(7, 1, 1, 2, 1))
+    monkeypatch.setattr(lforms, "_diagonalize",
+                        lambda mat, level: [(2, CyclotomicNumber.zeta(level))])
+    assert multisignature(random_form(7, 1, 1, 2, 1)).serialize() == []
 
 
 @pytest.mark.parametrize(
-    "p, seed, parity, levels, evaluations, inverses, updates, galois, signs", [
-        (7, 1, 1, 2, 602, 52, 1290, 700, 168),
-        (7, 1, -1, 1, 56, 0, 0, 182, 126),
-        (5, 5, 1, 2, 210, 25, 1701, 417, 90),
-        (7, 2, 1, 2, 56, 0, 0, 140, 168),
+    "p, seed, parity, levels, evaluations, inverses, updates, galois, signs,"
+    " makes", [
+        (7, 1, 1, 2, 602, 52, 1290, 118, 168, 2350),
+        (7, 1, -1, 1, 56, 0, 0, 0, 0, 114),
+        (5, 5, 1, 2, 210, 25, 1701, 169, 28, 2428),
+        (7, 2, 1, 2, 56, 0, 0, 0, 0, 58),
     ], ids=["hermitian", "skew", "hermitian-tie-break", "hyperbolic"])
 def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
                                     evaluations, inverses, updates, galois,
-                                    signs):
+                                    signs, makes):
     """The transfer of random_form(p, 2, parity, 6, seed), of rank 6p: one
     evaluation per nonzero entry of the lower triangle at each order
     evaluated (1 and p for hermitian forms, p for skew ones), `inverses`
-    inverses, at most `galois` Galois images, no conjugate per updated
-    entry or per embedding of a pivot, and at most `updates` Schur
-    updates, each one call of the cyclotomic kernel _sub_products that
-    returns a new entry, and no CyclotomicNumber subtraction.  (On the
-    third form 122 more kernel calls find no term joining i and l in a
-    pair step and return the entry itself.)
+    inverses, `galois` Galois images, no conjugate per updated entry or
+    per embedding of a pivot, `updates` Schur updates, each one call of
+    the cyclotomic kernel _sub_products that returns a new entry, no
+    CyclotomicNumber subtraction, and `makes` cyclotomic numbers built.
+    (On the third form 122 more kernel calls find no term joining i and l
+    in a pair step and return the entry itself.)
     The first two are the rank-42 transfer of the budget test (301 of 903
     lower entries nonzero for the hermitian form, 56 for the skew one):
     minimum-degree pivots of least size do 1290 updates on the hermitian
@@ -1198,19 +1222,31 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     else, again with no inverse (52 inverses, 92 updates and 280 Galois
     images before the pair step, and 42 inverses when every pair took one).
     A rational number is its own conjugate, so the fourth, whose
-    conjugated entries and pivots are all rational, makes no Galois image
-    (126 when conjugation mapped rational numbers too).
-    Each pivot is signed once per conjugate pair of embeddings: once at
-    order 1 and phi(d)/2 times at order d > 1, where signing at every
-    embedding took 294 and 252 signs on the first two.  These are counts,
+    conjugated entries are all rational, makes no Galois image (126 when
+    conjugation mapped rational numbers too).
+    Each 1 x 1 pivot is signed once per conjugate pair of embeddings: once
+    at order 1 and phi(d)/2 times at order d > 1, where signing at every
+    embedding took 294 and 252 signs on the first two.  A plane adds 0 to
+    every signature, so it gets no pivot and no sign.  When each plane
+    gave the pivots 1 and -x conj(x), both checked and signed, the skew
+    form took 126 signs and 63 Galois images, the third 90 signs (its 9
+    planes at order 1 and 11 at order 5 took 62 of them) and 175 images,
+    and the fourth 168 signs and 184 cyclotomic numbers built; the first
+    takes no plane step, so its counts did not move.  These are counts,
     not timings."""
     g = transfer(random_form(p, 2, parity, 6, seed))
     nonzero = sum(1 for i, row in enumerate(g.matrix)
                   for x in row[:i + 1] if x)
     orders = [d for d in (1, p) if parity == 1 or d > 1]
     assert len(orders) == levels
-    pairs = sum(g.rank * (1 if d == 1 else (d - d // p) // 2) for d in orders)
-    counts = {}
+    counts, ones = {}, {}
+    diagonalize = lforms._diagonalize
+
+    def recorded(mat, level):
+        blocks = diagonalize(mat, level)
+        ones[level] = sum(size == 1 for size, _ in blocks)
+        return blocks
+    monkeypatch.setattr(lforms, "_diagonalize", recorded)
 
     def count(owner, name):
         method = getattr(owner, name)
@@ -1218,13 +1254,16 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
         def counted(*args):
             counts[name] = counts.get(name, 0) + 1
             return method(*args)
-        monkeypatch.setattr(owner, name, counted)
+        # a classmethod stays bound to its class when called on an instance
+        monkeypatch.setattr(owner, name, staticmethod(counted) if isinstance(
+            vars(owner)[name], classmethod) else counted)
 
     count(GroupRingElement, "evaluate")
     count(lforms, "_skew_evaluate")
     count(CyclotomicNumber, "inverse")
     count(CyclotomicNumber, "_galois")
     count(CyclotomicNumber, "__sub__")
+    count(CyclotomicNumber, "_make")
     count(CyclotomicReal, "sign")
     kernel = lforms._sub_products
 
@@ -1238,26 +1277,28 @@ def test_multisignature_work_counts(monkeypatch, p, seed, parity, levels,
     assert counts.pop("evaluate" if parity == 1 else "_skew_evaluate") \
         == levels * nonzero == evaluations
     assert counts.pop("inverse", 0) == inverses
-    assert counts.pop("_galois", 0) <= galois
-    assert counts.pop("_sub_products", 0) <= updates
+    assert counts.pop("_galois", 0) == galois
+    assert counts.pop("_sub_products", 0) == updates
     assert counts.pop("__sub__", 0) == 0
-    assert counts.pop("sign") == pairs == signs
+    assert counts.pop("_make") == makes
+    assert counts.pop("sign", 0) == signs == sum(
+        ones[d] * (1 if d == 1 else (d - d // p) // 2) for d in orders)
     assert not counts
 
 
 def test_pivot_sizes_stay_small(monkeypatch):
-    """The largest pivot, in bits of its numerator and denominator, at each
-    order the multisignature evaluates: the budget test's form at orders
-    1, 7 and 49, and its transfer at 1 and 7.  Breaking degree ties by
-    index gave 9, 83 and 5294 bits, and 21 and 138: one large pivot's
-    inverse spreads its height into every later entry.  These are counts,
-    not timings."""
+    """The largest pivot (_pair_pivots), in bits of its numerator and
+    denominator, at each order the multisignature evaluates: the budget
+    test's form at orders 1, 7 and 49, and its transfer at 1 and 7.
+    Breaking degree ties by index gave 9, 83 and 5294 bits, and 21 and
+    138: one large pivot's inverse spreads its height into every later
+    entry.  These are counts, not timings."""
     largest = {}
 
     def recorded(mat, level):
-        pivots = _diagonalize(mat, level)
-        largest[level] = max(map(_bits, pivots))
-        return pivots
+        blocks = _diagonalize(mat, level)
+        largest[level] = max(map(_bits, _pair_pivots(blocks)))
+        return blocks
 
     monkeypatch.setattr(lforms, "_diagonalize", recorded)
     f = random_form(7, 2, 1, 6, 1)
@@ -1288,23 +1329,45 @@ def _inertia(pivots, L):
 @given(hermitian_matrices())
 def test_pivot_inertia_matches_the_index_tie_break(case):
     """Sylvester's law of inertia for the choice of pivots: at every
-    embedding, the pivots count as many positive and negative values as
-    those of the elimination that broke degree ties by index and took the
-    least partner, and a matrix is singular for both or for neither."""
+    embedding, the pivots (_pair_pivots) count as many positive and
+    negative values as those of the elimination that broke degree ties by
+    index and took the least partner, and a matrix is singular for both or
+    for neither."""
     L, a = case
     expected = _pivots_or_singular(
         lambda m, level: _diagonalize_by_scan(m, level, by_size=False), a, L)
-    got = _pivots_or_singular(_diagonalize, a, L)
+    got = _pivots_or_singular(_diagonalize_pivots, a, L)
     if expected == "singular":
         assert got == "singular"
     else:
         assert got != "singular" and _inertia(got, L) == _inertia(expected, L)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hermitian_matrices())
+def test_planes_add_nothing_to_the_signature(case):
+    """At every embedding, the signs of the 1 x 1 pivots sum to the
+    positives minus the negatives of the full scan's pivot list, in which
+    each plane P gives the pivots 1 and det P: a plane adds 0 to the
+    signature.  A matrix is singular for both or for neither."""
+    L, a = case
+    expected = _pivots_or_singular(_diagonalize_by_scan, a, L)
+    got = _pivots_or_singular(_diagonalize, a, L)
+    if expected == "singular":
+        assert got == "singular"
+        return
+    assert got != "singular"
+    pivots = [x for size, x in got if size == 1]
+    assert [sum(CyclotomicReal._make(x, t).sign() for x in pivots)
+            for t in range(L) if gcd(t, L) == 1] == [
+        plus - minus for plus, minus in _inertia(expected, L)]
+
+
 def _lambda_step(mat, level):
     """The elimination with the zero-diagonal step of v_s <- v_s + v_j lam
-    and two 1 x 1 pivots, which the pair step replaced."""
-    return _diagonalize_by_scan(mat, level, by_size=False)
+    and two 1 x 1 pivots, which the pair step replaced, returning its
+    pivots as _diagonalize returns blocks."""
+    return [(1, x) for x in _diagonalize_by_scan(mat, level, by_size=False)]
 
 
 @st.composite
@@ -1341,15 +1404,16 @@ def zero_diagonal_matrices(draw):
 @given(zero_diagonal_matrices())
 def test_pair_step_matches_the_lambda_step(case):
     """On zero-diagonal-heavy draws the pair step is singular with the
-    lambda step, its pivots count as many positive and negative values at
-    every embedding, and their product is det A."""
+    lambda step, its pivots (_pair_pivots) count as many positive and
+    negative values at every embedding, and their product is det A."""
     L, a = case
     expected = _pivots_or_singular(_lambda_step, a, L)
-    got = _pivots_or_singular(_diagonalize, a, L)
+    got = _pivots_or_singular(_diagonalize_pivots, a, L)
     if expected == "singular":
         assert got == "singular"
         return
-    assert got != "singular" and _inertia(got, L) == _inertia(expected, L)
+    assert got != "singular" and _inertia(got, L) == _inertia(
+        _pair_pivots(expected), L)
     product = CyclotomicNumber.rational(L, 1)
     for x in got:
         product = product * x
@@ -1382,9 +1446,10 @@ def test_pair_step_keeps_multisignatures(monkeypatch):
     pairs = []
 
     def recorded(mat, level):
-        pivots = _diagonalize(mat, level)
-        assert _diagonalize_by_scan(mat, level, pairs=pairs) == pivots
-        return pivots
+        blocks = _diagonalize(mat, level)
+        assert _diagonalize_by_scan(mat, level, pairs=pairs) == _pair_pivots(
+            blocks)
+        return blocks
 
     texts = []
     for f in forms:
